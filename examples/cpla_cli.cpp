@@ -15,7 +15,6 @@
 //                         engine per partition)
 //     --rounds <n>        max CPLA rounds (default 8)
 //     --max-segs <n>      partition cap (default 10)
-//     --batch             batched SDP backend (bit-identical, faster)
 //     --eco <script>      ECO mode: apply an edit script incrementally
 //     --sta               live STA: rounds re-select the released set from
 //                         worst-over-corners slack (re-timing only in --eco)
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
         "usage: cpla_cli [--bench NAME | --file PATH] [--ratio R]\n"
         "                [--engine sdp|ilp|lagr|tila] [--backend sdp|lagr|hybrid]\n"
         "                [--rounds N] [--max-segs N]\n"
-        "                [--batch] [--eco SCRIPT] [--sta] [--corners PATH]\n"
+        "                [--eco SCRIPT] [--sta] [--corners PATH]\n"
         "                [--topk K] [--required-time T] [--write-gr PATH] [--quiet]\n");
     return 0;
   }
@@ -175,11 +174,6 @@ int main(int argc, char** argv) {
   if (const char* cap = arg_value(argc, argv, "--max-segs")) {
     cpla_opt.partition.max_segments = std::atoi(cap);
   }
-  // Batched SDP backend: solve the round's small partitions kLanes at a
-  // time on the task-graph scheduler. Results are bit-identical to the
-  // default per-partition loop; only the throughput changes.
-  if (has_flag(argc, argv, "--batch")) cpla_opt.batch.enabled = true;
-
   // Live STA: build the multi-corner graph once up front; with --sta the
   // flow re-times it incrementally every round and re-selects the released
   // set from live slack. --topk/--corners alone still buy the report.

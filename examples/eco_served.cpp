@@ -136,22 +136,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  serve::EcoService service(prep.design.get(), prep.state.get(), prep.rc.get(), opt);
-  const Status started = service.start();
-  if (!started.is_ok()) {
-    std::fprintf(stderr, "start failed: %s\n", started.to_string().c_str());
-    return 1;
-  }
-  if (has_flag(argc, argv, "--print-hash")) {
-    std::printf("hash %016llx\n", static_cast<unsigned long long>(service.snapshot()->hash));
-  }
-
   // Handlers installed and the stop signals *blocked* before the listening
   // banner goes out: the chaos harness reacts to the banner, and a SIGTERM
   // landing before std::signal() would kill us by default action, while one
   // landing between the g_stop check and sigsuspend() would be lost and
   // leave the loop waiting forever. Blocking here and atomically unblocking
-  // inside sigsuspend() closes both races.
+  // inside sigsuspend() closes both races. The block also precedes
+  // service.start(): threads inherit the creating thread's mask, and a stop
+  // signal delivered to the service worker (or its OpenMP pool) instead of
+  // this thread would set g_stop without ever waking sigsuspend().
   std::signal(SIGTERM, handle_stop);
   std::signal(SIGINT, handle_stop);
   sigset_t stop_set;
@@ -162,6 +155,16 @@ int main(int argc, char** argv) {
   sigprocmask(SIG_BLOCK, &stop_set, &wait_mask);
   sigdelset(&wait_mask, SIGTERM);
   sigdelset(&wait_mask, SIGINT);
+
+  serve::EcoService service(prep.design.get(), prep.state.get(), prep.rc.get(), opt);
+  const Status started = service.start();
+  if (!started.is_ok()) {
+    std::fprintf(stderr, "start failed: %s\n", started.to_string().c_str());
+    return 1;
+  }
+  if (has_flag(argc, argv, "--print-hash")) {
+    std::printf("hash %016llx\n", static_cast<unsigned long long>(service.snapshot()->hash));
+  }
 
   serve::SocketServer server(&service, socket_path);
   const Status listening = server.start();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <map>
-#include <optional>
 
 #include "src/core/ilp_engine.hpp"
-#include "src/core/scheduler.hpp"
 #include "src/core/sdp_engine.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/timing/elmore.hpp"
@@ -34,6 +32,15 @@ LaMetrics compute_metrics(const assign::AssignState& state, const timing::RcTabl
   m.via_count = state.via_count();
   m.wire_overflow = state.wire_overflow();
   return m;
+}
+
+int effective_commit_batch(const CplaOptions& options) {
+  if (options.commit_batch > 0) return options.commit_batch;
+#ifdef _OPENMP
+  return options.parallel ? std::max(1, omp_get_max_threads()) : 1;
+#else
+  return 1;
+#endif
 }
 
 CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
@@ -103,27 +110,6 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
                                    stats);
             });
 
-  // Batched solve phase: applies only to the SDP engine without a per-solve
-  // deadline, and — when an ECO per-partition hook is installed — only if
-  // its batch counterpart is too (the hook must observe every solve).
-  const bool batch_mode = options.batch.enabled && options.engine == Engine::kSdp &&
-                          options.guard.deadline_ms <= 0.0 &&
-                          (!options.partition_solver || bool(options.partition_batch_solver));
-  const PartitionBatchSolveFn batch_solve =
-      options.partition_batch_solver
-          ? options.partition_batch_solver
-          : PartitionBatchSolveFn([&options, sdp_opts](
-                                      const std::vector<const PartitionProblem*>& ps,
-                                      const assign::AssignState& s, GuardStats* stats) {
-              return guarded_solve_batch(ps, s, options.engine, sdp_opts, options.ilp,
-                                         options.guard, options.batch.limits, stats);
-            });
-  // The task-graph scheduler persists across rounds (worker threads are
-  // created once and parked between runs); a serial flow gets the inline
-  // single-thread path.
-  std::optional<Scheduler> scheduler;
-  if (batch_mode) scheduler.emplace(options.parallel ? 0 : 1);
-
   const auto [avg0, max0] = timing_now();
   double best_score = 1.0;
   std::map<int, std::vector<int>> best_state;
@@ -182,16 +168,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     // newly updated layers (the paper's [12] iteration). With OpenMP,
     // batches of `threads` partitions are solved Jacobi-style in parallel
     // and committed between batches.
-#ifdef _OPENMP
-    int batch = options.parallel ? std::max(1, omp_get_max_threads()) : 1;
-#else
-    int batch = 1;
-#endif
-    // Batch mode packs kLanes = 8 partition SDPs per slab chunk, so the
-    // auto commit batch widens to keep lanes full (4 chunks' worth).
-    if (batch_mode) batch = std::max(batch, 32);
-    if (options.commit_batch > 0) batch = options.commit_batch;
-    if (options.jacobi_commits) batch = num_parts;
+    const int batch = options.jacobi_commits ? num_parts : effective_commit_batch(options);
     for (int base = 0; base < num_parts; base += batch) {
       if (cancel_requested()) {
         result.cancelled = true;
@@ -202,80 +179,17 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       std::vector<GuardedSolve> solutions(static_cast<std::size_t>(count));
       std::vector<GuardStats> local_stats(static_cast<std::size_t>(count));
       obs::ScopedPhase solve_phase("core.flow.solve");
-      if (batch_mode) {
-        // Task-graph schedule: per-partition build nodes run first (they
-        // only read the shared state), then one batch node covers every
-        // small partition while oversized ones get their own scalar-route
-        // nodes — all feeding the unchanged solve-guard chain.
-        {
-          TaskGraph builds;
-          for (int i = 0; i < count; ++i) {
-            builds.add([&, i] {
-              ScopedFailureContext context(base + i, -1);
-              problems[static_cast<std::size_t>(i)] = build_partition_problem(
-                  *state, rc, timings, parts.leaves[static_cast<std::size_t>(base + i)],
-                  model_options);
-            });
-          }
-          scheduler->run(&builds);
-        }
-        // Conservative pre-classification: partitions whose lifted dense
-        // dimension exceeds the batch limit route scalar here; residual
-        // ineligibility (Schur program size, structure) is handled inside
-        // the batch solver itself.
-        std::vector<int> small;
-        TaskGraph solves;
-        for (int i = 0; i < count; ++i) {
-          int total_options = 0;
-          for (const VarGroup& var : problems[static_cast<std::size_t>(i)].vars) {
-            total_options += static_cast<int>(var.layers.size());
-          }
-          // Arbiter-routed Lagrangian partitions take the scalar node path
-          // (the slab batch is an SDP tier-0 pass); solve_one re-derives
-          // the same choice from the same frozen history.
-          const bool lagr_routed =
-              arbiter_active && arbiter.choose(problems[static_cast<std::size_t>(i)],
-                                               options.guard,
-                                               options.engine) == Engine::kLagr;
-          if (!lagr_routed && 1 + total_options <= options.batch.limits.max_dense_dim) {
-            small.push_back(i);
-            continue;
-          }
-          solves.add([&, i] {
-            ScopedFailureContext context(base + i, -1);
-            solutions[static_cast<std::size_t>(i)] =
-                solve_one(problems[static_cast<std::size_t>(i)], *state,
-                          &local_stats[static_cast<std::size_t>(i)]);
-          });
-        }
-        GuardStats batch_stats;
-        std::vector<GuardedSolve> batched;
-        if (!small.empty()) {
-          solves.add([&] {
-            std::vector<const PartitionProblem*> ptrs;
-            ptrs.reserve(small.size());
-            for (int i : small) ptrs.push_back(&problems[static_cast<std::size_t>(i)]);
-            batched = batch_solve(ptrs, *state, &batch_stats);
-          });
-        }
-        if (solves.size() > 0) scheduler->run(&solves);
-        for (std::size_t s = 0; s < small.size(); ++s) {
-          solutions[static_cast<std::size_t>(small[s])] = std::move(batched[s]);
-        }
-        result.guard_stats.merge(batch_stats);
-      } else {
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic) if (options.parallel && count > 1)
 #endif
-        for (int i = 0; i < count; ++i) {
-          ScopedFailureContext context(base + i, -1);
-          problems[static_cast<std::size_t>(i)] = build_partition_problem(
-              *state, rc, timings, parts.leaves[static_cast<std::size_t>(base + i)],
-              model_options);
-          solutions[static_cast<std::size_t>(i)] =
-              solve_one(problems[static_cast<std::size_t>(i)], *state,
-                        &local_stats[static_cast<std::size_t>(i)]);
-        }
+      for (int i = 0; i < count; ++i) {
+        ScopedFailureContext context(base + i, -1);
+        problems[static_cast<std::size_t>(i)] = build_partition_problem(
+            *state, rc, timings, parts.leaves[static_cast<std::size_t>(base + i)],
+            model_options);
+        solutions[static_cast<std::size_t>(i)] =
+            solve_one(problems[static_cast<std::size_t>(i)], *state,
+                      &local_stats[static_cast<std::size_t>(i)]);
       }
       solve_phase.stop();
       for (const GuardStats& s : local_stats) result.guard_stats.merge(s);

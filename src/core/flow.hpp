@@ -32,15 +32,6 @@ namespace cpla::core {
 using PartitionSolveFn = std::function<GuardedSolve(
     const PartitionProblem& problem, const assign::AssignState& state, GuardStats* stats)>;
 
-/// The batched counterpart: solve a whole commit batch of partitions at
-/// once (one GuardedSolve per input problem, in order). The flow's default
-/// is guarded_solve_batch(); src/eco substitutes a wrapper that serves
-/// per-partition cache hits and batches only the misses. Must be
-/// bit-identical to calling the per-partition path on each problem.
-using PartitionBatchSolveFn = std::function<std::vector<GuardedSolve>(
-    const std::vector<const PartitionProblem*>& problems, const assign::AssignState& state,
-    GuardStats* stats)>;
-
 /// The Table-2 metric set, computed over the released nets.
 struct LaMetrics {
   double avg_tcp = 0.0;   // Avg(Tcp)
@@ -87,24 +78,13 @@ struct CplaOptions {
   // escalation chain and commits transactionally (see solve_guard.hpp).
   GuardOptions guard;
   bool parallel = true;  // OpenMP over partitions
-  // Batched SDP backend (src/sdp/batch_solver): solve the round's small
-  // partition SDPs kLanes at a time as structure-of-arrays slabs, scheduled
-  // on the work-stealing task graph (src/core/scheduler) instead of the
-  // per-partition OpenMP loop. Results are bit-identical to the scalar
-  // path at equal commit-batch size; oversized/ineligible partitions and
-  // escalation tiers still run scalar through the unchanged solve-guard
-  // chain. Ignored for Engine::kIlp and whenever guard.deadline_ms > 0
-  // (per-solve deadlines cannot be honored lane-wise).
-  struct BatchOptions {
-    bool enabled = false;
-    sdp::BatchLimits limits;
-  };
-  BatchOptions batch;
   // Commit-batch size of the Gauss-Seidel sweep: how many partitions are
-  // solved from one snapshot before committing. 0 = auto (the OpenMP
-  // thread count; widened to keep slab lanes full in batch mode). The
-  // granularity changes which state neighboring partitions see, so
-  // batch-vs-scalar equivalence holds at equal commit_batch only.
+  // solved from one snapshot before committing. 0 = auto: the calling
+  // thread's OpenMP thread count (see effective_commit_batch). The
+  // granularity changes which state neighboring partitions see, so results
+  // depend on it — under auto, on the calling thread's OpenMP thread count
+  // (host cores, OMP_NUM_THREADS, omp_set_num_threads()). Pin it for results
+  // that reproduce across hosts and threads.
   int commit_batch = 0;
   // Ablation: commit all partitions from one snapshot (Jacobi) instead of
   // committing each batch before building the next (Gauss-Seidel, default).
@@ -116,10 +96,6 @@ struct CplaOptions {
   // (the cache is keyed on the exact layer vector). Both default to off,
   // which is the stock flow.
   PartitionSolveFn partition_solver;
-  // Batched counterpart of `partition_solver`. Batch mode requires it when
-  // `partition_solver` is set (the hook must observe every solve), and
-  // uses guarded_solve_batch() when neither hook is set.
-  PartitionBatchSolveFn partition_batch_solver;
   timing::TimingCache* timing_cache = nullptr;
   // Live-STA critical-set rediscovery (src/sta). When set (not owned, must
   // be built against this state), every round re-times the graph
@@ -149,6 +125,12 @@ struct CplaResult {
   GuardStats guard_stats;  // per-tier escalation counts across all solves
   ArbiterStats arbiter_stats;  // per-backend decision counts (hybrid/lagr modes)
 };
+
+/// The commit-batch size run_cpla uses under `options` when called from
+/// the current thread: `commit_batch` when set, else the calling thread's
+/// OpenMP thread count (1 when `parallel` is off). `jacobi_commits`
+/// overrides it with one batch per round.
+int effective_commit_batch(const CplaOptions& options);
 
 /// Runs CPLA on a pre-selected critical set (share the set with a TILA run
 /// for a fair comparison).

@@ -122,9 +122,10 @@ std::vector<int> post_map(const PartitionProblem& p, const assign::AssignState& 
   return pick;
 }
 
-PartitionSdp build_partition_sdp(const PartitionProblem& p) {
-  PartitionSdp out;
-  if (p.vars.empty()) return out;
+EngineResult solve_partition_sdp(const PartitionProblem& p, const assign::AssignState& state,
+                                 const sdp::SdpOptions& options) {
+  EngineResult result;
+  if (p.vars.empty()) return result;
 
   const std::vector<int> off = var_offsets(p);
   const int n_scalar = off.back();
@@ -245,18 +246,8 @@ PartitionSdp build_partition_sdp(const PartitionProblem& p) {
       ++slack;
     }
   }
-  out.problem.emplace(std::move(sp));
-  return out;
-}
 
-EngineResult finish_partition_sdp(const PartitionProblem& p, const assign::AssignState& state,
-                                  const sdp::SdpResult& sr) {
-  EngineResult result;
-  if (p.vars.empty()) return result;
-
-  const std::vector<int> off = var_offsets(p);
-  auto xi = [&](int var, int opt) { return 1 + off[var] + opt; };
-
+  const sdp::SdpResult sr = sdp::solve(sp, options);
   result.iterations = sr.iterations;
   result.relaxation_obj = sr.primal_obj;
   result.solver_ok =
@@ -308,15 +299,6 @@ EngineResult finish_partition_sdp(const PartitionProblem& p, const assign::Assig
     result.objective = incumbent_obj;
   }
   return result;
-}
-
-EngineResult solve_partition_sdp(const PartitionProblem& p, const assign::AssignState& state,
-                                 const sdp::SdpOptions& options) {
-  EngineResult result;
-  if (p.vars.empty()) return result;
-  const PartitionSdp built = build_partition_sdp(p);
-  const sdp::SdpResult sr = sdp::solve(*built.problem, options);
-  return finish_partition_sdp(p, state, sr);
 }
 
 }  // namespace cpla::core

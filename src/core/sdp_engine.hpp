@@ -14,8 +14,6 @@
 // continuous solution is rounded by Alg. 1: layers top-down, highest x
 // first, respecting every edge capacity.
 
-#include <optional>
-
 #include "src/core/model.hpp"
 #include "src/sdp/solver.hpp"
 #include "src/util/status.hpp"
@@ -36,30 +34,6 @@ struct EngineResult {
 EngineResult solve_partition_sdp(const PartitionProblem& problem,
                                  const assign::AssignState& state,
                                  const sdp::SdpOptions& options = {});
-
-/// The lifted relaxation of one partition, split out of solve_partition_sdp
-/// so the batched backend (src/sdp/batch_solver) can solve many partitions'
-/// SDPs in one structure-of-arrays pass:
-///
-///   build_partition_sdp  ->  sdp::solve / sdp::solve_batch  ->
-///   finish_partition_sdp
-///
-/// composes to exactly solve_partition_sdp (same construction order, same
-/// extraction/rounding arithmetic), so routing a partition through the
-/// batch is bit-identical to the scalar engine call.
-struct PartitionSdp {
-  /// Empty iff the partition has no vars (nothing to solve).
-  std::optional<sdp::SdpProblem> problem;
-};
-
-PartitionSdp build_partition_sdp(const PartitionProblem& problem);
-
-/// Rounds one partition's SDP result into an EngineResult (extraction,
-/// Alg. 1 post-mapping, polish, incumbent guard). `result` must come from
-/// solving build_partition_sdp(problem).problem.
-EngineResult finish_partition_sdp(const PartitionProblem& problem,
-                                  const assign::AssignState& state,
-                                  const sdp::SdpResult& result);
 
 /// Alg. 1, exposed for tests: maps fractional per-option values to an
 /// integral, capacity-respecting choice. `x[i][k]` is the relaxation value

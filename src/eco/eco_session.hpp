@@ -138,14 +138,6 @@ class EcoSession {
   core::GuardedSolve solve_partition(const core::PartitionProblem& problem,
                                      const assign::AssignState& state,
                                      core::GuardStats* stats);
-  // Batched counterpart with per-problem semantics identical to calling
-  // solve_partition on each problem in order (fault-point consumption,
-  // dirty/clean counters, cache hits and inserts); cache misses are solved
-  // together through core::guarded_solve_batch. Installed as the flow's
-  // partition_batch_solver so batch mode stays available under caching.
-  std::vector<core::GuardedSolve> solve_partition_batch(
-      const std::vector<const core::PartitionProblem*>& problems,
-      const assign::AssignState& state, core::GuardStats* stats);
   CacheKey build_key(const core::PartitionProblem& problem,
                      const assign::AssignState& state) const;
   bool is_dirty(const core::PartitionProblem& problem) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -90,6 +91,46 @@ Status replay_records(const std::vector<Record>& records, std::size_t begin,
   return Status::ok();
 }
 
+/// The genesis record: the base state hash and the commit-batch size of
+/// every resolve on the journal. The auto commit batch follows the OpenMP
+/// thread count of whichever thread runs the flow, so start() resolves it
+/// once when the journal is born, and the live worker, recovery and
+/// replay_journal all run at the recorded value.
+struct Genesis {
+  std::uint64_t hash = 0;
+  int commit_batch = 0;
+};
+
+std::string encode_genesis(const Genesis& genesis) {
+  ByteWriter w;
+  w.u64(genesis.hash);
+  w.i32(genesis.commit_batch);
+  return w.data();
+}
+
+/// Decodes records[0] as the genesis record. Refuses (kBadInput) a
+/// journal that does not start with one, a record without a positive
+/// commit batch, and a recorded batch that differs from an explicitly
+/// configured (nonzero) `flow.commit_batch`.
+Result<Genesis> read_genesis(const std::vector<Record>& records,
+                             const core::CplaOptions& flow) {
+  CPLA_CHECK(records[0].type == RecordType::kGenesis,
+             Status(StatusCode::kBadInput, "serve: journal does not start with genesis"));
+  ByteReader r(records[0].payload);
+  Genesis genesis;
+  genesis.hash = r.u64();
+  genesis.commit_batch = r.i32();
+  CPLA_CHECK(r.ok() && r.at_end() && genesis.commit_batch > 0,
+             Status(StatusCode::kBadInput,
+                    "serve: malformed genesis record (no recorded commit batch)"));
+  CPLA_CHECK(flow.commit_batch <= 0 || flow.commit_batch == genesis.commit_batch,
+             Status(StatusCode::kBadInput,
+                    "serve: journal was written at commit batch " +
+                        std::to_string(genesis.commit_batch) + ", configured " +
+                        std::to_string(flow.commit_batch)));
+  return genesis;
+}
+
 }  // namespace
 
 EcoService::EcoService(grid::Design* design, assign::AssignState* state,
@@ -102,7 +143,6 @@ EcoService::~EcoService() { stop(); }
 
 Status EcoService::start() {
   CPLA_CHECK(!running(), Status(StatusCode::kInternal, "serve: already running"));
-  session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, options_.eco);
   CPLA_CHECK_OK(recover());
   if (options_.sta) {
     // Built against the *recovered* state; the session invalidates it on
@@ -136,7 +176,14 @@ void EcoService::stop() {
 }
 
 Status EcoService::recover() {
-  if (!journal_enabled()) return Status::ok();
+  // Resolved once, on the thread calling start(): the worker thread would
+  // otherwise see its own OpenMP thread count (see Genesis).
+  eco::EcoOptions eco = options_.eco;
+  eco.flow.commit_batch = core::effective_commit_batch(eco.flow);
+  if (!journal_enabled()) {
+    session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, eco);
+    return Status::ok();
+  }
 
   Result<Journal::ScanResult> scanned = Journal::scan(options_.journal_path);
   CPLA_CHECK(scanned.is_ok(), scanned.status());
@@ -145,6 +192,14 @@ Status EcoService::recover() {
     obs::metrics().counter("serve.journal.repairs").add();
   }
   const std::vector<Record>& records = scanned.value().records;
+  Genesis genesis;
+  if (!records.empty()) {
+    Result<Genesis> read = read_genesis(records, options_.eco.flow);
+    CPLA_CHECK(read.is_ok(), read.status());
+    genesis = read.value();
+    eco.flow.commit_batch = genesis.commit_batch;
+  }
+  session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, eco);
   const std::uint64_t h0 = hash_state(*state_, session_->critical());
 
   Result<Checkpoint> ckpt = options_.checkpoint_path.empty()
@@ -157,7 +212,8 @@ Status EcoService::recover() {
     // the *restored* state; a fresh checkpoint is then written so the
     // journal/checkpoint pair stays self-consistent if we crash again
     // before the next periodic one.
-    std::uint64_t genesis_hash = h0;
+    genesis.hash = h0;
+    genesis.commit_batch = eco.flow.commit_batch;
     std::uint64_t seq = 0;
     bool from_checkpoint = false;
     if (ckpt.is_ok()) {
@@ -167,18 +223,16 @@ Status EcoService::recover() {
       const std::uint64_t now = hash_state(*state_, session_->critical());
       CPLA_CHECK(now == ckpt.value().state_hash,
                  Status(StatusCode::kInternal, "serve: restored checkpoint hash mismatch"));
-      genesis_hash = now;
+      genesis.hash = now;
       seq = ckpt.value().seq;
       from_checkpoint = true;
       LOG_INFO("serve: checkpoint-only recovery at seq %llu",
                static_cast<unsigned long long>(seq));
     }
     CPLA_CHECK_OK(journal_.open(options_.journal_path));
-    ByteWriter genesis;
-    genesis.u64(genesis_hash);
-    CPLA_CHECK_OK(journal_.append(RecordType::kGenesis, seq, genesis.data()));
+    CPLA_CHECK_OK(journal_.append(RecordType::kGenesis, seq, encode_genesis(genesis)));
     CPLA_CHECK_OK(journal_.sync());
-    base_hash_ = genesis_hash;
+    base_hash_ = genesis.hash;
     record_count_.store(1, std::memory_order_relaxed);
     applied_seq_ = seq;
     last_seq_ = seq;
@@ -187,8 +241,8 @@ Status EcoService::recover() {
       Checkpoint fresh;
       fresh.seq = seq;
       fresh.record_count = 1;
-      fresh.base_hash = genesis_hash;
-      fresh.state_hash = genesis_hash;
+      fresh.base_hash = genesis.hash;
+      fresh.state_hash = genesis.hash;
       fresh.state_blob = serialize_state(*state_, session_->critical());
       const Status st = write_checkpoint(options_.checkpoint_path, fresh);
       CPLA_CHECK(st.is_ok(),
@@ -201,17 +255,10 @@ Status EcoService::recover() {
     return Status::ok();
   }
 
-  CPLA_CHECK(records[0].type == RecordType::kGenesis,
-             Status(StatusCode::kBadInput, "serve: journal does not start with genesis"));
-  ByteReader gr(records[0].payload);
-  const std::uint64_t genesis_hash = gr.u64();
-  CPLA_CHECK(gr.ok() && gr.at_end(),
-             Status(StatusCode::kBadInput, "serve: malformed genesis record"));
-
   std::size_t begin = 1;
   ReplayCounters counters;
   counters.last_seq = records[0].seq;
-  if (ckpt.is_ok() && ckpt.value().base_hash == genesis_hash &&
+  if (ckpt.is_ok() && ckpt.value().base_hash == genesis.hash &&
       ckpt.value().record_count >= 1 && ckpt.value().record_count <= records.size()) {
     // The checkpoint pairs with this journal: restore, then replay only
     // the suffix past it.
@@ -224,7 +271,7 @@ Status EcoService::recover() {
     counters.last_seq = std::max(counters.last_seq, ckpt.value().seq);
     LOG_INFO("serve: recovering from checkpoint (record %zu of %zu)", begin, records.size());
   } else {
-    CPLA_CHECK(genesis_hash == h0,
+    CPLA_CHECK(genesis.hash == h0,
                Status(StatusCode::kBadInput,
                       "serve: journal genesis does not match this base design "
                       "(its checkpoint is required for recovery)"));
@@ -234,7 +281,7 @@ Status EcoService::recover() {
   applied_seq_ = counters.last_seq;
   last_seq_ = counters.last_seq;
   resolves_total_ = counters.resolves;
-  base_hash_ = genesis_hash;
+  base_hash_ = genesis.hash;
   record_count_.store(records.size(), std::memory_order_relaxed);
   LOG_INFO("serve: recovered %llu deltas (%llu rejected), %llu resolves, seq %llu",
            static_cast<unsigned long long>(counters.applied),
@@ -778,17 +825,18 @@ Result<std::uint64_t> replay_journal(const std::string& path, grid::Design* desi
                                      const eco::EcoOptions& options) {
   Result<Journal::ScanResult> scanned = Journal::scan(path);
   CPLA_CHECK(scanned.is_ok(), scanned.status());
-  eco::EcoSession session(design, state, rc, options);
   const std::vector<Record>& records = scanned.value().records;
-  if (records.empty()) return hash_state(*state, session.critical());
+  if (records.empty()) {
+    const eco::EcoSession session(design, state, rc, options);
+    return hash_state(*state, session.critical());
+  }
 
-  CPLA_CHECK(records[0].type == RecordType::kGenesis,
-             Status(StatusCode::kBadInput, "serve: journal does not start with genesis"));
-  ByteReader gr(records[0].payload);
-  const std::uint64_t genesis_hash = gr.u64();
-  CPLA_CHECK(gr.ok() && gr.at_end(),
-             Status(StatusCode::kBadInput, "serve: malformed genesis record"));
-  CPLA_CHECK(genesis_hash == hash_state(*state, session.critical()),
+  Result<Genesis> genesis = read_genesis(records, options.flow);
+  CPLA_CHECK(genesis.is_ok(), genesis.status());
+  eco::EcoOptions pinned = options;
+  pinned.flow.commit_batch = genesis.value().commit_batch;
+  eco::EcoSession session(design, state, rc, pinned);
+  CPLA_CHECK(genesis.value().hash == hash_state(*state, session.critical()),
              Status(StatusCode::kBadInput,
                     "serve: journal genesis does not match the prepared base"));
   ReplayCounters counters;

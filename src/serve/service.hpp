@@ -128,7 +128,11 @@ class EcoService {
 
   /// Recovers (checkpoint restore + journal suffix replay, torn-tail
   /// repair, genesis verification) and starts the worker. On a fresh
-  /// journal, writes the genesis record first.
+  /// journal, writes the genesis record first. The genesis record pins the
+  /// commit batch of every resolve on the journal: an explicit
+  /// `flow.commit_batch`, else the calling thread's OpenMP thread count
+  /// (core::effective_commit_batch) when the journal is born. Without a
+  /// journal, the calling thread's value is pinned for this run.
   Status start();
   /// Drains the queue (every waiter is fulfilled), stops the worker, and
   /// closes the journal. Idempotent.
@@ -257,6 +261,9 @@ class EcoService {
 /// against a freshly prepared base triple (checkpoints ignored) and
 /// returns the final state hash. This is the independent second recovery
 /// path the chaos harness compares checkpoint+suffix recovery against.
+/// Resolves run at the genesis record's commit batch; a journal whose
+/// genesis lacks one, or records a different size than an explicitly set
+/// `options.flow.commit_batch`, is refused with kBadInput.
 Result<std::uint64_t> replay_journal(const std::string& path, grid::Design* design,
                                      assign::AssignState* state, const timing::RcTable* rc,
                                      const eco::EcoOptions& options);

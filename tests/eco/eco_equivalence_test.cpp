@@ -3,7 +3,8 @@
 // BIT-IDENTICAL to a fresh core::optimize() on the identically mutated
 // design — every net's layer vector equal, every Table-2 metric equal —
 // while the warm solution cache actually serves hits. Exercised across
-// the default self-adaptive quadtree partitioning and a pure K x K grid.
+// the default self-adaptive quadtree partitioning, a pure K x K grid, and a
+// non-default commit-batch size.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@ struct EquivalenceRun {
   int deltas = 12;
   int batches = 3;  // resolve() after every `deltas / batches` edits
   core::PartitionOptions partition;  // default = quadtree enabled
+  int commit_batch = 0;  // CplaOptions::commit_batch (0 = auto)
 };
 
 // Drives a session and an independent control copy of the same design
@@ -35,6 +37,7 @@ void run_equivalence(const EquivalenceRun& run) {
   EcoOptions opt;
   opt.critical_ratio = 0.03;
   opt.flow.partition = run.partition;
+  opt.flow.commit_batch = run.commit_batch;
   EcoSession session(live.design.get(), live.state.get(), live.rc.get(), opt);
 
   // Mirror of the session's critical set for the control side.
@@ -104,6 +107,16 @@ TEST(EcoEquivalenceTest, PureKxKPartitioning) {
   EquivalenceRun run;
   run.seed = 4;
   run.partition.max_segments = 1 << 20;
+  run_equivalence(run);
+}
+
+TEST(EcoEquivalenceTest, WideCommitBatch) {
+  // Sixteen partitions solved from one snapshot per commit, coarser than
+  // the auto (thread-count) batch: cached picks must still replay exactly
+  // against whichever state the batch's partitions were built on.
+  EquivalenceRun run;
+  run.seed = 6;
+  run.commit_batch = 16;
   run_equivalence(run);
 }
 

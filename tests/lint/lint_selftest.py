@@ -160,18 +160,17 @@ class DeterminismAcceptance(unittest.TestCase):
     """The contract the registry header promises: removing -ffp-contract=off
     from a registered TU's CMake lists, or adding an OpenMP reduction to the
     TU, turns the real repository's lint red. Exercised on a copy of the
-    real src/la build files so the test proves the production CMake idiom
-    (${var} indirection through set + list(APPEND)) is parsed, not a toy.
+    real src/core build files (target cpla_core, per-source COMPILE_OPTIONS
+    inside a compiler-id if()) so the test proves the production CMake idiom
+    is parsed, not a toy.
     """
 
     def make_mini_repo(self, tmp: str) -> Path:
         root = Path(tmp) / "repo"
         for rel in (
             "src/util/determinism_contract.hpp",
-            "src/la/batch.cpp",
-            "src/la/CMakeLists.txt",
-            # The registry also pins the STA TUs; the mini repo must carry
-            # every registered TU (and its CMake proof) to lint clean.
+            # The mini repo must carry every registered TU (and its CMake
+            # proof) to lint clean.
             "src/sta/timing_graph.cpp",
             "src/sta/path_enum.cpp",
             "src/sta/CMakeLists.txt",
@@ -206,7 +205,7 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_dropping_fp_contract_flag_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            cml = root / "src" / "la" / "CMakeLists.txt"
+            cml = root / "src" / "core" / "CMakeLists.txt"
             text = cml.read_text()
             self.assertIn("-ffp-contract=off", text)
             cml.write_text(text.replace("-ffp-contract=off", ""))
@@ -219,10 +218,11 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_adding_an_omp_reduction_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            tu = root / "src" / "la" / "batch.cpp"
+            tu = root / "src" / "core" / "lagr_engine.cpp"
             lines = tu.read_text().splitlines()
             # Inject after the include block, inside the TU proper.
-            lines.insert(30, "#pragma omp parallel for reduction(+ : acc)")
+            after_includes = max(i for i, line in enumerate(lines) if line.startswith("#include"))
+            lines.insert(after_includes + 1, "#pragma omp parallel for reduction(+ : acc)")
             tu.write_text("\n".join(lines) + "\n")
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(rc, 1)
@@ -233,7 +233,7 @@ class DeterminismAcceptance(unittest.TestCase):
     def drop_flag(self, root: Path) -> Path:
         """Strips -ffp-contract=off from the mini repo's CMakeLists and
         returns the file, so each case can re-add the flag in one shape."""
-        cml = root / "src" / "la" / "CMakeLists.txt"
+        cml = root / "src" / "core" / "CMakeLists.txt"
         text = cml.read_text()
         self.assertIn("-ffp-contract=off", text)
         cml.write_text(text.replace("-ffp-contract=off", ""))
@@ -295,7 +295,7 @@ class DeterminismAcceptance(unittest.TestCase):
             cml = self.drop_flag(root)
             cml.write_text(
                 cml.read_text()
-                + '\ntarget_compile_options(cpla_la PRIVATE "-ffp-contract=off")\n'
+                + '\ntarget_compile_options(cpla_core PRIVATE "-ffp-contract=off")\n'
             )
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(doc["findings"], [])
@@ -304,12 +304,33 @@ class DeterminismAcceptance(unittest.TestCase):
     def test_registry_pointing_at_a_deleted_tu_fails_the_lint(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
-            (root / "src" / "la" / "batch.cpp").unlink()
+            (root / "src" / "core" / "lagr_engine.cpp").unlink()
+            # The TU carried the mini repo's only fault site; drop the site
+            # registry with it so only the determinism check can fire.
+            (root / "src" / "util" / "fault_sites.hpp").unlink()
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(rc, 1)
             self.assertEqual(
                 {f["check"] for f in doc["findings"]}, {"determinism-fp-contract"}
             )
+
+
+class CMakeExpansion(unittest.TestCase):
+    def test_set_and_list_append_expand_one_level(self) -> None:
+        # The `set(_flags ...)` + `list(APPEND _flags ...)` +
+        # `set_source_files_properties(... "${_flags}")` idiom must resolve to
+        # the flag tokens, so a per-TU flag routed through a variable counts.
+        text = (
+            'set(_flags "-mavx2")\n'
+            'list(APPEND _flags "-ffp-contract=off")\n'
+            'set_source_files_properties(kernel.cpp PROPERTIES COMPILE_OPTIONS "${_flags}")\n'
+        )
+        name, tokens, line = cpla_lint.cmake_expanded_commands(text)[-1]
+        self.assertEqual(name, "set_source_files_properties")
+        self.assertEqual(line, 3)
+        self.assertIn("kernel.cpp", tokens)
+        self.assertIn("-mavx2", tokens)
+        self.assertIn("-ffp-contract=off", tokens)
 
 
 class FixMode(unittest.TestCase):

@@ -1,8 +1,9 @@
 // Crash-recovery edge cases for the ECO service: empty journals,
 // checkpoint-only recovery, torn final records (truncate-and-recover, not
 // abort), a trailing kResolveStart completed on replay, restart
-// bit-identity, and replay determinism across both partitioning shapes
-// (quadtree refinement vs pure K x K).
+// bit-identity, replay determinism across both partitioning shapes
+// (quadtree refinement vs pure K x K) and across OpenMP thread counts, and
+// the genesis record's pinned commit batch.
 //
 // Every "restart" builds a FRESH base triple from the same generator seed
 // — exactly what a real process restart does — and recovery must land the
@@ -16,10 +17,15 @@
 #include <vector>
 
 #include "src/eco/edit_script.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/serve/checkpoint.hpp"
 #include "src/serve/codec.hpp"
 #include "src/serve/journal.hpp"
 #include "tests/serve/serve_test_util.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace cpla::serve {
 namespace {
@@ -60,6 +66,8 @@ TEST(RecoveryTest, FreshJournalStartsWithAGenesisRecord) {
   EXPECT_EQ(scan.value().records[0].type, RecordType::kGenesis);
   ByteReader r(scan.value().records[0].payload);
   EXPECT_EQ(r.u64(), live_hash);
+  EXPECT_GE(r.i32(), 1);  // the pinned commit batch
+  EXPECT_TRUE(r.ok() && r.at_end());
 }
 
 TEST(RecoveryTest, RestartFromTheJournalIsBitIdentical) {
@@ -289,6 +297,142 @@ TEST(RecoveryTest, ReplayIsDeterministicUnderBothPartitioningShapes) {
     EXPECT_EQ(service.snapshot()->hash, final_hash) << "max_segments=" << max_segments;
     service.stop();
   }
+}
+
+#ifdef _OPENMP
+/// Sets the calling thread's OpenMP thread count for one scope.
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedOmpThreads() { omp_set_num_threads(saved_); }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  int saved_;
+};
+
+TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
+  // The auto commit batch follows the OpenMP thread count of the thread
+  // running the flow. The journal is written by a service started at 2
+  // threads (its worker resolves at that count), then recovered and
+  // replayed from a thread running at 1: both must land on the live bits.
+  // A denser base than fresh_base(): on it the commit batch changes the
+  // resolved assignment, so a replay at the wrong batch cannot pass.
+  auto dense_base = [] { return eco::make_bench(kSeed, 12, 150); };
+  const obs::Counter& mismatches = obs::metrics().counter("serve.replay.hash_mismatches");
+  const std::int64_t mismatches_before = mismatches.value();
+  TempDir dir;
+  std::uint64_t final_hash = 0;
+  {
+    const ScopedOmpThreads threads(2);
+    core::Prepared bench = dense_base();
+    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
+                       durable_options(dir));
+    ASSERT_TRUE(service.start().is_ok());
+    const int session = service.open_session().value();
+    for (std::uint64_t seed : {31, 32, 33}) {
+      submit_script(&service, session, 8, seed);
+      ASSERT_TRUE(service.resolve(session).status.is_ok());
+    }
+    final_hash = service.snapshot()->hash;
+    service.stop();
+  }
+
+  const ScopedOmpThreads threads(1);
+  {
+    core::Prepared bench = dense_base();
+    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
+                       durable_options(dir));
+    ASSERT_TRUE(service.start().is_ok());
+    EXPECT_EQ(service.snapshot()->hash, final_hash);
+    service.stop();
+  }
+  {
+    core::Prepared bench = dense_base();
+    const ServeOptions opt = durable_options(dir);
+    Result<std::uint64_t> replayed = replay_journal(
+        dir.path("journal.wal"), bench.design.get(), bench.state.get(), bench.rc.get(), opt.eco);
+    ASSERT_TRUE(replayed.is_ok());
+    EXPECT_EQ(replayed.value(), final_hash);
+  }
+  EXPECT_EQ(mismatches.value(), mismatches_before);
+}
+#endif
+
+TEST(RecoveryTest, GenesisWithoutACommitBatchIsRefused) {
+  TempDir dir;
+  {
+    core::Prepared bench = fresh_base();
+    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
+                       durable_options(dir));
+    ASSERT_TRUE(service.start().is_ok());
+    service.stop();
+  }
+  // Rewrite the journal with a genesis that carries only the base hash.
+  {
+    Result<Journal::ScanResult> scan = Journal::scan(dir.path("journal.wal"));
+    ASSERT_TRUE(scan.is_ok());
+    const Record& genesis = scan.value().records[0];
+    const std::string frame = encode_frame(RecordType::kGenesis, genesis.seq,
+                                           std::string_view(genesis.payload).substr(0, 8));
+    std::ofstream out(dir.path("journal.wal"), std::ios::binary | std::ios::trunc);
+    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  }
+
+  core::Prepared bench = fresh_base();
+  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
+                     durable_options(dir));
+  const Status st = service.start();
+  ASSERT_FALSE(st.is_ok());
+  EXPECT_EQ(st.code(), StatusCode::kBadInput);
+  EXPECT_FALSE(service.running());
+
+  core::Prepared base = fresh_base();
+  Result<std::uint64_t> replayed =
+      replay_journal(dir.path("journal.wal"), base.design.get(), base.state.get(),
+                     base.rc.get(), durable_options(dir).eco);
+  ASSERT_FALSE(replayed.is_ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kBadInput);
+}
+
+TEST(RecoveryTest, CommitBatchConflictingWithTheJournalIsRefused) {
+  TempDir dir;
+  ServeOptions opt = durable_options(dir);
+  opt.eco.flow.commit_batch = 2;
+  {
+    core::Prepared bench = fresh_base();
+    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
+    ASSERT_TRUE(service.start().is_ok());
+    service.stop();
+  }
+
+  // A different explicit batch is refused by both recovery paths.
+  opt.eco.flow.commit_batch = 3;
+  {
+    core::Prepared bench = fresh_base();
+    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
+    const Status st = service.start();
+    ASSERT_FALSE(st.is_ok());
+    EXPECT_EQ(st.code(), StatusCode::kBadInput);
+    EXPECT_FALSE(service.running());
+  }
+  {
+    core::Prepared bench = fresh_base();
+    Result<std::uint64_t> replayed = replay_journal(
+        dir.path("journal.wal"), bench.design.get(), bench.state.get(), bench.rc.get(), opt.eco);
+    ASSERT_FALSE(replayed.is_ok());
+    EXPECT_EQ(replayed.status().code(), StatusCode::kBadInput);
+  }
+
+  // Auto (0) adopts the recorded batch.
+  opt.eco.flow.commit_batch = 0;
+  core::Prepared bench = fresh_base();
+  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
+  ASSERT_TRUE(service.start().is_ok());
+  service.stop();
 }
 
 }  // namespace
