@@ -36,77 +36,40 @@ AssignState::AssignState(const grid::Design* design, std::vector<route::SegTree>
                   "need at least one layer per direction");
 }
 
-void AssignState::for_each_edge(int net, int seg, const std::function<void(int)>& fn) const {
-  const auto& g = design_->grid;
-  const route::Segment& s = trees_[net].segs[seg];
-  if (s.horizontal) {
-    const int y = s.a.y;
-    for (int x = std::min(s.a.x, s.b.x); x < std::max(s.a.x, s.b.x); ++x) {
-      fn(g.h_edge_id(x, y));
-    }
-  } else {
-    const int x = s.a.x;
-    for (int y = std::min(s.a.y, s.b.y); y < std::max(s.a.y, s.b.y); ++y) {
-      fn(g.v_edge_id(x, y));
-    }
-  }
-}
-
-void AssignState::for_each_cell(int net, int seg, const std::function<void(int)>& fn) const {
-  const auto& g = design_->grid;
-  const route::Segment& s = trees_[net].segs[seg];
-  if (s.horizontal) {
-    const int y = s.a.y;
-    for (int x = std::min(s.a.x, s.b.x); x <= std::max(s.a.x, s.b.x); ++x) {
-      fn(g.cell_id(x, y));
-    }
-  } else {
-    const int x = s.a.x;
-    for (int y = std::min(s.a.y, s.b.y); y <= std::max(s.a.y, s.b.y); ++y) {
-      fn(g.cell_id(x, y));
-    }
-  }
-}
-
-void AssignState::for_each_via(int net, const std::vector<int>& layers,
-                               const std::function<void(int, int, int, int)>& fn) const {
-  const route::SegTree& tree = trees_[net];
-  CPLA_ASSERT(layers.size() == tree.segs.size());
-  for (const route::Segment& s : tree.segs) {
-    if (s.parent < 0) {
-      // Source via: pin layer up to the root segment's layer, at the root.
-      const int lo = std::min(tree.root_pin_layer, layers[s.id]);
-      const int hi = std::max(tree.root_pin_layer, layers[s.id]);
-      if (lo != hi) fn(s.a.x, s.a.y, lo, hi);
-    } else {
-      const int lo = std::min(layers[s.parent], layers[s.id]);
-      const int hi = std::max(layers[s.parent], layers[s.id]);
-      if (lo != hi) fn(s.a.x, s.a.y, lo, hi);
-    }
-  }
-  for (const route::SinkAttach& sink : tree.sinks) {
-    if (sink.seg_id < 0) continue;  // same cell as the driver: no wire via
-    const route::Segment& s = tree.segs[sink.seg_id];
-    const int lo = std::min(sink.pin_layer, layers[sink.seg_id]);
-    const int hi = std::max(sink.pin_layer, layers[sink.seg_id]);
-    if (lo != hi) fn(s.b.x, s.b.y, lo, hi);
-  }
-}
-
 void AssignState::apply_net(int net, int delta) {
   const auto& g = design_->grid;
+  if (wire_stamp_ != g.capacity_stamp()) {
+    wire_overflow_ = scan_wire_overflow();
+    wire_stamp_ = g.capacity_stamp();
+  }
+  auto excess = [](int load, int cap) { return static_cast<long>(std::max(0, load - cap)); };
   const auto& layer_of = layers_[net];
   const route::SegTree& tree = trees_[net];
   for (const route::Segment& s : tree.segs) {
     const int l = layer_of[s.id];
     CPLA_ASSERT_MSG(g.is_horizontal(l) == s.horizontal, "layer direction mismatch");
-    for_each_edge(net, s.id, [&](int e) { wire_usage_[l][e] += delta; });
-    for_each_cell(net, s.id, [&](int cell) { track_usage_[l][cell] += delta; });
+    for_each_edge(net, s.id, [&](int e) {
+      int& usage = wire_usage_[l][e];
+      const int cap = g.edge_capacity(l, e);
+      wire_overflow_ -= excess(usage, cap);
+      usage += delta;
+      wire_overflow_ += excess(usage, cap);
+    });
+    for_each_cell(net, s.id, [&](int cell) {
+      const int load = via_load(l, cell);
+      track_usage_[l][cell] += delta;
+      via_overflow_ += excess(load + nv_ * delta, via_cap_[l][cell]) -
+                       excess(load, via_cap_[l][cell]);
+    });
   }
   for_each_via(net, layer_of, [&](int x, int y, int lo, int hi) {
     via_count_ += static_cast<long>(delta) * (hi - lo);
+    const int cell = g.cell_id(x, y);
     for (int l = lo + 1; l < hi; ++l) {
-      via_usage_[l][g.cell_id(x, y)] += delta;
+      const int load = via_load(l, cell);
+      via_usage_[l][cell] += delta;
+      via_overflow_ +=
+          excess(load + delta, via_cap_[l][cell]) - excess(load, via_cap_[l][cell]);
     }
   });
 }
@@ -167,23 +130,12 @@ std::vector<int> AssignState::default_layers(const route::SegTree& tree) const {
   return layers;
 }
 
-long AssignState::wire_overflow() const {
+long AssignState::scan_wire_overflow() const {
+  const auto& g = design_->grid;
   long sum = 0;
-  for (std::size_t l = 0; l < wire_usage_.size(); ++l) {
-    for (std::size_t e = 0; e < wire_usage_[l].size(); ++e) {
-      sum += std::max(0, wire_usage_[l][e] -
-                             design_->grid.edge_capacity(static_cast<int>(l), static_cast<int>(e)));
-    }
-  }
-  return sum;
-}
-
-long AssignState::via_overflow() const {
-  long sum = 0;
-  for (std::size_t l = 0; l < via_usage_.size(); ++l) {
-    for (std::size_t c = 0; c < via_usage_[l].size(); ++c) {
-      const int load = via_usage_[l][c] + nv_ * track_usage_[l][c];
-      sum += std::max(0, load - via_cap_[l][c]);
+  for (int l = 0; l < g.num_layers(); ++l) {
+    for (int e = 0; e < g.num_edges_on_layer(l); ++e) {
+      sum += std::max(0, wire_usage_[l][e] - g.edge_capacity(l, e));
     }
   }
   return sum;

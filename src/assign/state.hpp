@@ -7,13 +7,16 @@
 //   * track usage per (layer, cell): wires crossing the cell, which consume
 //     nv via sites each (the nv*(x_ij+x_pq) term of (4d))
 // and the paper's reported metrics (wire overflow, via overflow OV#, via
-// count).
+// count). The overflow totals are running sums kept exact by apply_net, so
+// reading them is O(1).
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/grid/design.hpp"
 #include "src/route/seg_tree.hpp"
+#include "src/util/check.hpp"
 
 namespace cpla::assign {
 
@@ -73,8 +76,17 @@ class AssignState {
   }
 
   // --- Metrics (Table 2 columns) ---------------------------------------
-  long wire_overflow() const;
-  long via_overflow() const;  // OV#
+  /// Sum over (layer, edge) of max(0, usage - cap). O(1) while the grid's
+  /// capacities are unchanged since the last usage update; after an
+  /// external capacity write it recounts without caching (the next
+  /// usage update resyncs the running total).
+  long wire_overflow() const {
+    return wire_stamp_ == design_->grid.capacity_stamp() ? wire_overflow_
+                                                         : scan_wire_overflow();
+  }
+  /// OV#: sum over (layer, cell) of max(0, via_load - via_cap), against
+  /// the construction-time via capacities.
+  long via_overflow() const { return via_overflow_; }
   long via_count() const { return via_count_; }
 
   /// Allowed layers for a segment (matching preferred direction).
@@ -82,19 +94,75 @@ class AssignState {
     return horizontal ? h_layers_ : v_layers_;
   }
 
-  /// Enumerates the directional edge ids covered by segment `s` of `net`.
-  void for_each_edge(int net, int seg, const std::function<void(int edge)>& fn) const;
+  /// Enumerates the directional edge ids covered by segment `s` of `net`:
+  /// fn(edge).
+  template <typename Fn>
+  void for_each_edge(int net, int seg, Fn&& fn) const {
+    const auto& g = design_->grid;
+    const route::Segment& s = trees_[net].segs[seg];
+    if (s.horizontal) {
+      const int y = s.a.y;
+      for (int x = std::min(s.a.x, s.b.x); x < std::max(s.a.x, s.b.x); ++x) {
+        fn(g.h_edge_id(x, y));
+      }
+    } else {
+      const int x = s.a.x;
+      for (int y = std::min(s.a.y, s.b.y); y < std::max(s.a.y, s.b.y); ++y) {
+        fn(g.v_edge_id(x, y));
+      }
+    }
+  }
 
-  /// Enumerates the cells covered by the segment (inclusive of endpoints).
-  void for_each_cell(int net, int seg, const std::function<void(int cell)>& fn) const;
+  /// Enumerates the cells covered by the segment (inclusive of endpoints):
+  /// fn(cell).
+  template <typename Fn>
+  void for_each_cell(int net, int seg, Fn&& fn) const {
+    const auto& g = design_->grid;
+    const route::Segment& s = trees_[net].segs[seg];
+    if (s.horizontal) {
+      const int y = s.a.y;
+      for (int x = std::min(s.a.x, s.b.x); x <= std::max(s.a.x, s.b.x); ++x) {
+        fn(g.cell_id(x, y));
+      }
+    } else {
+      const int x = s.a.x;
+      for (int y = std::min(s.a.y, s.b.y); y <= std::max(s.a.y, s.b.y); ++y) {
+        fn(g.cell_id(x, y));
+      }
+    }
+  }
 
   /// Enumerates every via stack of a net under an assignment: fn(x, y,
   /// lower_layer, upper_layer). Includes source and sink pin vias.
-  void for_each_via(int net, const std::vector<int>& layers,
-                    const std::function<void(int x, int y, int lo, int hi)>& fn) const;
+  template <typename Fn>
+  void for_each_via(int net, const std::vector<int>& layers, Fn&& fn) const {
+    const route::SegTree& tree = trees_[net];
+    CPLA_ASSERT(layers.size() == tree.segs.size());
+    for (const route::Segment& s : tree.segs) {
+      // Source via (root segment): pin layer up to the segment's layer.
+      const int from = s.parent < 0 ? tree.root_pin_layer : layers[s.parent];
+      const int lo = std::min(from, layers[s.id]);
+      const int hi = std::max(from, layers[s.id]);
+      if (lo != hi) fn(s.a.x, s.a.y, lo, hi);
+    }
+    for (const route::SinkAttach& sink : tree.sinks) {
+      if (sink.seg_id < 0) continue;  // same cell as the driver: no wire via
+      const route::Segment& s = tree.segs[sink.seg_id];
+      const int lo = std::min(sink.pin_layer, layers[sink.seg_id]);
+      const int hi = std::max(sink.pin_layer, layers[sink.seg_id]);
+      if (lo != hi) fn(s.b.x, s.b.y, lo, hi);
+    }
+  }
 
  private:
+  /// Adds `delta` (+1/-1) of net's wires, tracks and vias to the usage maps
+  /// and moves the overflow totals by each touched slot's change in
+  /// max(0, usage - cap). The only place usage changes.
   void apply_net(int net, int delta);
+
+  /// The wire total recounted over every (layer, edge) at the grid's
+  /// current capacities.
+  long scan_wire_overflow() const;
 
   const grid::Design* design_;
   std::vector<route::SegTree> trees_;
@@ -105,6 +173,9 @@ class AssignState {
   std::vector<std::vector<int>> via_cap_;      // [layer][cell], static
   std::vector<int> h_layers_, v_layers_;
   long via_count_ = 0;
+  long wire_overflow_ = 0;  // valid while wire_stamp_ matches the grid
+  long via_overflow_ = 0;  // capacities are >= 0, so no load means no overflow
+  std::uint64_t wire_stamp_ = 0;  // never a grid's stamp: first update counts
   int nv_ = 1;
 };
 

@@ -1,11 +1,25 @@
 #include "src/grid/grid_graph.hpp"
 
+#include <atomic>
 #include <cmath>
 
 namespace cpla::grid {
 
+namespace {
+
+std::uint64_t next_capacity_stamp() {
+  static std::atomic<std::uint64_t> next{1};  // 0 stays free: a never-valid stamp
+  return next.fetch_add(1);
+}
+
+}  // namespace
+
 GridGraph::GridGraph(int xsize, int ysize, std::vector<Layer> layers, GeomParams geom)
-    : xsize_(xsize), ysize_(ysize), layers_(std::move(layers)), geom_(geom) {
+    : xsize_(xsize),
+      ysize_(ysize),
+      layers_(std::move(layers)),
+      geom_(geom),
+      capacity_stamp_(next_capacity_stamp()) {
   CPLA_ASSERT(xsize_ >= 2 && ysize_ >= 2);
   CPLA_ASSERT(!layers_.empty());
   cap_.resize(layers_.size());
@@ -19,10 +33,13 @@ void GridGraph::set_edge_capacity(int l, int e, int cap) {
   CPLA_ASSERT(e >= 0 && e < num_edges_on_layer(l));
   CPLA_ASSERT(cap >= 0);
   cap_[l][e] = cap;
+  capacity_stamp_ = next_capacity_stamp();
 }
 
 void GridGraph::fill_layer_capacity(int l, int cap) {
+  CPLA_ASSERT(cap >= 0);
   for (int e = 0; e < num_edges_on_layer(l); ++e) cap_[l][e] = cap;
+  capacity_stamp_ = next_capacity_stamp();
 }
 
 int GridGraph::via_capacity(int l, int x, int y) const {

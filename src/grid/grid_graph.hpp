@@ -96,8 +96,14 @@ class GridGraph {
   int edge_capacity(int l, int e) const { return cap_[l][e]; }
   void set_edge_capacity(int l, int e, int cap);
 
-  /// Sets every edge of layer l to `cap`.
+  /// Sets every edge of layer l to `cap` (>= 0).
   void fill_layer_capacity(int l, int cap);
+
+  /// Version of the wire capacities: construction and every capacity write
+  /// draw a fresh process-wide value, so two grids (or one grid at two
+  /// moments) share a stamp only if one is an unmodified copy of the other.
+  /// Lets holders of capacity-derived totals detect a stale cache.
+  std::uint64_t capacity_stamp() const { return capacity_stamp_; }
 
   /// Via capacity of cell (x,y) on layer l, per Eqn (1); computed from the
   /// static edge capacities.
@@ -114,6 +120,7 @@ class GridGraph {
   std::vector<Layer> layers_;
   GeomParams geom_;
   std::vector<std::vector<int>> cap_;  // [layer][directional edge id]
+  std::uint64_t capacity_stamp_;
 };
 
 }  // namespace cpla::grid

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+
 #include "src/grid/layer_stack.hpp"
+#include "src/util/rng.hpp"
 
 namespace cpla::assign {
 namespace {
@@ -121,6 +126,132 @@ TEST(AssignState, ViaLoadCombinesViasAndTracks) {
   EXPECT_EQ(state.via_load(1, junction), 1);
   // Layer 0: the H wire crosses the junction cell -> nv tracks-worth.
   EXPECT_EQ(state.via_load(0, junction), state.nv());
+}
+
+// The overflow totals recomputed from the public per-slot accessors.
+long wire_overflow_by_slots(const AssignState& state) {
+  const auto& g = state.design().grid;
+  long sum = 0;
+  for (int l = 0; l < g.num_layers(); ++l) {
+    for (int e = 0; e < g.num_edges_on_layer(l); ++e) {
+      sum += std::max(0, state.wire_usage(l, e) - state.wire_cap(l, e));
+    }
+  }
+  return sum;
+}
+
+long via_overflow_by_slots(const AssignState& state) {
+  const auto& g = state.design().grid;
+  long sum = 0;
+  for (int l = 0; l < g.num_layers(); ++l) {
+    for (int c = 0; c < g.num_cells(); ++c) {
+      sum += std::max(0, state.via_load(l, c) - state.via_cap(l, c));
+    }
+  }
+  return sum;
+}
+
+/// Random two-pin L route (horizontal leg first) with random pin layers.
+route::SegTree random_tree(const grid::GridGraph& g, Rng* rng) {
+  grid::Net net;
+  int x0, y0, x1, y1;
+  do {
+    x0 = static_cast<int>(rng->uniform_int(0, g.xsize() - 1));
+    y0 = static_cast<int>(rng->uniform_int(0, g.ysize() - 1));
+    x1 = static_cast<int>(rng->uniform_int(0, g.xsize() - 1));
+    y1 = static_cast<int>(rng->uniform_int(0, g.ysize() - 1));
+  } while (x0 == x1 && y0 == y1);
+  const int top = g.num_layers() - 1;
+  net.pins = {grid::Pin{x0, y0, static_cast<int>(rng->uniform_int(0, top))},
+              grid::Pin{x1, y1, static_cast<int>(rng->uniform_int(0, top))}};
+  route::NetRoute r;
+  for (int x = std::min(x0, x1); x < std::max(x0, x1); ++x) r.add_h(g.h_edge_id(x, y0));
+  for (int y = std::min(y0, y1); y < std::max(y0, y1); ++y) r.add_v(g.v_edge_id(x1, y));
+  return route::extract_tree(g, net, &r);
+}
+
+/// A random legal assignment for `tree` (each segment on a random layer of
+/// its direction).
+std::vector<int> random_layers(const AssignState& state, const route::SegTree& tree, Rng* rng) {
+  std::vector<int> layers(tree.segs.size());
+  for (const route::Segment& s : tree.segs) {
+    const std::vector<int>& allowed = state.allowed_layers(s.horizontal);
+    layers[s.id] = allowed[rng->uniform_int(0, static_cast<std::int64_t>(allowed.size()) - 1)];
+  }
+  return layers;
+}
+
+TEST(AssignState, OverflowTotalsMatchSlotSumsUnderRandomEdits) {
+  // Tight capacities so most edits move the totals; capacity writes go to
+  // the shared grid behind the states' backs, as ECO edits do.
+  grid::GridGraph g(10, 10, grid::make_layer_stack(4), grid::default_geom());
+  for (int l = 0; l < 4; ++l) g.fill_layer_capacity(l, 2);
+  grid::Design design("prop", std::move(g));
+  const grid::GridGraph& grid = design.grid;
+  Rng rng(0x5eed0a55u);
+
+  std::vector<route::SegTree> trees;
+  for (int i = 0; i < 24; ++i) trees.push_back(random_tree(grid, &rng));
+  AssignState state(&design, std::move(trees));
+  for (int net = 0; net < state.num_nets(); ++net) {
+    state.set_layers(net, random_layers(state, state.tree(net), &rng));
+  }
+  std::optional<AssignState> copy;
+
+  auto check = [&](const AssignState& s, int step, const char* which) {
+    ASSERT_EQ(s.wire_overflow(), wire_overflow_by_slots(s)) << which << " step " << step;
+    ASSERT_EQ(s.via_overflow(), via_overflow_by_slots(s)) << which << " step " << step;
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    AssignState& s = copy.has_value() && rng.chance(0.5) ? *copy : state;
+    const int net = static_cast<int>(rng.uniform_int(0, s.num_nets() - 1));
+    switch (rng.uniform_int(0, 8)) {
+      case 0:
+      case 1:
+        if (!s.tree(net).segs.empty()) {
+          s.set_layers(net, random_layers(s, s.tree(net), &rng));
+        }
+        break;
+      case 2:
+        s.clear_net(net);
+        break;
+      case 3: {
+        route::SegTree tree = random_tree(grid, &rng);
+        std::vector<int> layers = rng.chance(0.5) ? random_layers(s, tree, &rng)
+                                                  : std::vector<int>{};
+        s.replace_tree(net, std::move(tree), std::move(layers));
+        break;
+      }
+      case 4:
+        s.add_net(random_tree(grid, &rng));
+        break;
+      case 5:
+        if (s.num_nets() > 1) s.pop_net(s.num_nets() - 1);
+        break;
+      case 6:
+        s.remove_net(net);
+        break;
+      case 7: {
+        const int l = static_cast<int>(rng.uniform_int(0, grid.num_layers() - 1));
+        const int e = static_cast<int>(rng.uniform_int(0, grid.num_edges_on_layer(l) - 1));
+        design.grid.set_edge_capacity(l, e, static_cast<int>(rng.uniform_int(0, 3)));
+        break;
+      }
+      case 8:
+        if (rng.chance(0.2)) {
+          copy = state;  // the copy carries the totals and the capacity stamp
+        } else {
+          design.grid.fill_layer_capacity(static_cast<int>(rng.uniform_int(0, 3)),
+                                          static_cast<int>(rng.uniform_int(0, 3)));
+        }
+        break;
+    }
+    check(state, step, "state");
+    if (copy.has_value()) check(*copy, step, "copy");
+    if (::testing::Test::HasFailure()) return;
+  }
+  ASSERT_TRUE(copy.has_value());
 }
 
 }  // namespace

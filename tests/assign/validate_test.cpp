@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/assign/initial_assign.hpp"
+#include "src/core/flow.hpp"
+#include "src/core/pipeline.hpp"
 #include "src/gen/synth.hpp"
 #include "src/grid/layer_stack.hpp"
 #include "src/route/router.hpp"
@@ -111,23 +113,19 @@ TEST(Validate, CountsWireOverflow) {
   EXPECT_EQ(r.wire_overflow, 2 * 4);     // 2 extra wires on each of 4 edges
 }
 
-TEST(Validate, EndToEndAgainstInternalState) {
-  // Full pipeline -> write_routes -> read_routes -> validate: the external
-  // audit must agree with the internal bookkeeping.
+/// The synthetic design the end-to-end audits run on.
+gen::SynthSpec audit_spec() {
   gen::SynthSpec spec;
   spec.xsize = spec.ysize = 20;
   spec.num_nets = 150;
   spec.num_layers = 6;
   spec.seed = 93;
-  const grid::Design d = gen::generate(spec);
-  route::RoutingResult rr = route::route_all(d);
-  std::vector<route::SegTree> trees;
-  for (std::size_t n = 0; n < d.nets.size(); ++n) {
-    trees.push_back(route::extract_tree(d.grid, d.nets[n], &rr.routes[n]));
-  }
-  AssignState state(&d, std::move(trees));
-  initial_assign(&state);
+  return spec;
+}
 
+/// write_routes -> read_routes -> validate: the external audit must agree
+/// with the state's internal bookkeeping.
+void expect_audit_matches_state(const grid::Design& d, const AssignState& state) {
   std::stringstream buf;
   write_routes(state, buf);
   const auto parsed = read_routes(buf, d.grid);
@@ -137,6 +135,33 @@ TEST(Validate, EndToEndAgainstInternalState) {
   EXPECT_EQ(r.wire_overflow, state.wire_overflow());
   EXPECT_EQ(r.via_overflow, state.via_overflow());
   EXPECT_EQ(r.total_vias, state.via_count());
+}
+
+TEST(Validate, EndToEndAgainstInternalState) {
+  // Full pipeline -> audit, right after the initial assignment.
+  const grid::Design d = gen::generate(audit_spec());
+  route::RoutingResult rr = route::route_all(d);
+  std::vector<route::SegTree> trees;
+  for (std::size_t n = 0; n < d.nets.size(); ++n) {
+    trees.push_back(route::extract_tree(d.grid, d.nets[n], &rr.routes[n]));
+  }
+  AssignState state(&d, std::move(trees));
+  initial_assign(&state);
+  expect_audit_matches_state(d, state);
+}
+
+TEST(Validate, EndToEndAfterOptimize) {
+  // The same audit after the full flow: victim displacement, transactional
+  // commits and rollbacks have all moved the state's running totals.
+  core::Prepared bench = core::prepare(gen::generate(audit_spec()));
+  core::CplaOptions options;
+  options.critical_ratio = 0.05;
+  options.max_rounds = 2;
+  options.parallel = false;
+  const core::OptimizeResult out = core::optimize(bench.state.get(), *bench.rc, options);
+  ASSERT_TRUE(out.status.is_ok());
+  ASSERT_GT(out.result.partitions_solved, 0);
+  expect_audit_matches_state(*bench.design, *bench.state);
 }
 
 }  // namespace

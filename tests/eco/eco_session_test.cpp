@@ -130,6 +130,56 @@ TEST(DeltaTest, CapacityAdjustedWritesThroughTheDesign) {
   EXPECT_EQ(bench.state->wire_cap(layer, edge), before + 2);
 }
 
+/// The horizontal-layer edge carrying the most wires in `state`, as
+/// {layer, x, y, edge id}.
+struct UsedEdge {
+  int layer = -1, x = 0, y = 0, edge = -1;
+};
+
+UsedEdge busiest_h_edge(const assign::AssignState& state) {
+  const auto& g = state.design().grid;
+  UsedEdge best;
+  int best_usage = 0;
+  for (int l = 0; l < g.num_layers(); ++l) {
+    if (!g.is_horizontal(l)) continue;
+    for (int y = 0; y < g.ysize(); ++y) {
+      for (int x = 0; x + 1 < g.xsize(); ++x) {
+        const int e = g.h_edge_id(x, y);
+        if (state.wire_usage(l, e) > best_usage) {
+          best_usage = state.wire_usage(l, e);
+          best = {l, x, y, e};
+        }
+      }
+    }
+  }
+  return best;
+}
+
+TEST(DeltaTest, CapacityCutRaisesWireOverflowByTheDeficit) {
+  core::Prepared bench = make_bench(12, 12, 40);
+  core::CriticalSet critical = core::select_critical(*bench.state, *bench.rc, 0.05);
+  assign::AssignState& state = *bench.state;
+  const UsedEdge used = busiest_h_edge(state);
+  ASSERT_GE(used.edge, 0);
+  const int usage = state.wire_usage(used.layer, used.edge);
+  const int cap = state.wire_cap(used.layer, used.edge);
+  const long before = state.wire_overflow();
+  const long deficit = usage - std::max(0, usage - cap);
+  ASSERT_GT(deficit, 0);
+
+  // Closing the edge turns every wire on it into overflow.
+  ASSERT_TRUE(apply_delta(Delta::capacity_adjusted(used.layer, used.x, used.y, 0),
+                          bench.design.get(), &state, &critical)
+                  .is_ok());
+  EXPECT_EQ(state.wire_overflow(), before + deficit);
+
+  // A usage update after the write resyncs the running total to the same
+  // value.
+  const int net = critical.nets.front();
+  state.set_layers(net, std::vector<int>(state.layers(net)));
+  EXPECT_EQ(state.wire_overflow(), before + deficit);
+}
+
 TEST(DeltaTest, CriticalityToggleMaintainsTheReleasedSet) {
   core::Prepared bench = make_bench(13, 12, 40);
   core::CriticalSet critical = core::select_critical(*bench.state, *bench.rc, 0.05);
@@ -320,6 +370,31 @@ TEST(EcoSessionTest, DirtyAndCleanPartitionsAreBothAccounted) {
   EXPECT_GT(s.dirty_partitions, 0);  // delta regions marked someone dirty
   EXPECT_GT(s.clean_partitions, 0);  // but far from everyone
   EXPECT_EQ(s.fallbacks, 0);
+}
+
+TEST(EcoSessionTest, FailedBatchRestoresCapacityAndWireOverflow) {
+  core::Prepared bench = make_bench(19, 12, 40);
+  EcoOptions opt;
+  opt.critical_ratio = 0.05;
+  EcoSession session(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
+  const assign::AssignState& state = session.state();
+  const UsedEdge used = busiest_h_edge(state);
+  ASSERT_GE(used.edge, 0);
+  const int cap = state.wire_cap(used.layer, used.edge);
+  const long before = state.wire_overflow();
+
+  // The capacity cut applies, then the out-of-range removal fails and the
+  // batch unwinds through the undo closure.
+  const std::vector<Delta> batch = {Delta::capacity_adjusted(used.layer, used.x, used.y, 0),
+                                    Delta::net_removed(state.num_nets() + 7)};
+  EXPECT_FALSE(session.apply_batch(batch).is_ok());
+  EXPECT_EQ(state.wire_cap(used.layer, used.edge), cap);
+  EXPECT_EQ(state.wire_overflow(), before);
+
+  // The next usage update resyncs the total against the restored capacity.
+  const int net = session.critical().nets.front();
+  bench.state->set_layers(net, std::vector<int>(state.layers(net)));
+  EXPECT_EQ(state.wire_overflow(), before);
 }
 
 }  // namespace
