@@ -16,6 +16,8 @@
 // Usage: ablation_cpla [--quick] [--seed N] [--metrics-out FILE]
 // (--quick runs a small synthetic smoke instance — the CI bench-smoke job)
 
+#include <limits>
+
 #include "bench/harness.hpp"
 
 int main(int argc, char** argv) {
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
   }
   {
     Config c{"jacobi", {}};
-    c.opt.jacobi_commits = true;
+    c.opt.commit_batch = std::numeric_limits<int>::max();  // one batch per round
     configs.push_back(c);
   }
   {

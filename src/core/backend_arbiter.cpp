@@ -1,7 +1,5 @@
 #include "src/core/backend_arbiter.hpp"
 
-#include <algorithm>
-
 #include "src/obs/metrics.hpp"
 
 namespace cpla::core {
@@ -29,13 +27,7 @@ Engine BackendArbiter::choose(const PartitionProblem& problem, const GuardOption
   if (options_.mode == BackendMode::kLagr) return Engine::kLagr;
 
   const int vars = static_cast<int>(problem.vars.size());
-  int threshold = options_.lagr_min_vars;
-  if (options_.use_history && stats_.sdp_chosen >= options_.history_min_solves &&
-      static_cast<double>(stats_.sdp_escalations) >
-          options_.history_escalation_rate * static_cast<double>(stats_.sdp_chosen)) {
-    threshold = std::max(1, threshold / 2);
-  }
-  if (vars >= threshold) return Engine::kLagr;
+  if (vars >= options_.lagr_min_vars) return Engine::kLagr;
   if (guard.deadline_ms > 0.0 && vars >= options_.deadline_min_vars) return Engine::kLagr;
   return Engine::kSdp;
 }

@@ -89,13 +89,12 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   sdp::SdpOptions sdp_opts = options.sdp;
   sdp_opts.parallel = sdp_opts.parallel && options.parallel;
 
-  // Cross-backend arbiter: per-partition SDP-vs-Lagrangian choice. Its
-  // choose() is consulted concurrently from the solve phase but reads only
-  // history frozen at the last commit boundary; record() runs in the
-  // serial commit section below, so every solve in one batch sees the same
-  // history and the decision sequence is reproducible. With the default
-  // mode (kSdp) choose() returns options.engine untouched — the stock
-  // flow. An installed partition_solver hook owns backend choice instead.
+  // Cross-backend arbiter: per-partition SDP-vs-Lagrangian choice, a pure
+  // function of the problem, so concurrent solves need no coordination;
+  // record() only tallies stats in the serial commit section below. With
+  // the default mode (kSdp) choose() returns options.engine untouched —
+  // the stock flow. An installed partition_solver hook owns backend choice
+  // instead.
   BackendArbiter arbiter(options.backend);
   const bool arbiter_active =
       options.backend.mode != BackendMode::kSdp && !options.partition_solver;
@@ -168,7 +167,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     // newly updated layers (the paper's [12] iteration). With OpenMP,
     // batches of `threads` partitions are solved Jacobi-style in parallel
     // and committed between batches.
-    const int batch = options.jacobi_commits ? num_parts : effective_commit_batch(options);
+    const int batch = effective_commit_batch(options);
     for (int base = 0; base < num_parts; base += batch) {
       if (cancel_requested()) {
         result.cancelled = true;
@@ -194,19 +193,13 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       solve_phase.stop();
       for (const GuardStats& s : local_stats) result.guard_stats.merge(s);
 
-      // Arbiter accounting, in the serial section: decisions are
-      // recomputed against the same pre-batch history the parallel phase
-      // consulted (record() has not run since), then recorded in partition
-      // order so the history advances deterministically between batches.
+      // Arbiter stats, tallied in the serial section: choose() is pure, so
+      // recomputing it yields the engine each solve ran on.
       if (arbiter_active) {
-        std::vector<Engine> chosen(static_cast<std::size_t>(count));
         for (int i = 0; i < count; ++i) {
-          chosen[static_cast<std::size_t>(i)] = arbiter.choose(
-              problems[static_cast<std::size_t>(i)], options.guard, options.engine);
-        }
-        for (int i = 0; i < count; ++i) {
-          arbiter.record(chosen[static_cast<std::size_t>(i)],
-                         solutions[static_cast<std::size_t>(i)]);
+          const std::size_t k = static_cast<std::size_t>(i);
+          arbiter.record(arbiter.choose(problems[k], options.guard, options.engine),
+                         solutions[k]);
         }
       }
       obs::ScopedPhase commit_phase("core.flow.commit");

@@ -68,11 +68,10 @@ struct CplaOptions {
   // between the SDP and Lagrangian engines. The default mode (kSdp) leaves
   // `engine` in charge everywhere — the stock flow, bit-identical to the
   // arbiter-free path. kHybrid routes large / deadline-pressured
-  // partitions to Engine::kLagr; choices are recorded (and the adaptive
-  // history advanced) only at serial commit boundaries, so runs stay
-  // deterministic. Ignored when a `partition_solver` hook is installed —
-  // the hook owns backend choice (src/eco runs its own history-free
-  // arbiter so cached solves replay bit-identically).
+  // partitions to Engine::kLagr; the choice is a pure function of the
+  // partition, so runs stay deterministic. Ignored when a
+  // `partition_solver` hook is installed — the hook owns backend choice
+  // (src/eco runs its own arbiter so cached solves replay bit-identically).
   ArbiterOptions backend;
   // Graceful degradation: every partition solve runs through the guarded
   // escalation chain and commits transactionally (see solve_guard.hpp).
@@ -84,11 +83,9 @@ struct CplaOptions {
   // granularity changes which state neighboring partitions see, so results
   // depend on it — under auto, on the calling thread's OpenMP thread count
   // (host cores, OMP_NUM_THREADS, omp_set_num_threads()). Pin it for results
-  // that reproduce across hosts and threads.
+  // that reproduce across hosts and threads. A batch at least as large as
+  // the round's partition count solves them all from one snapshot (Jacobi).
   int commit_batch = 0;
-  // Ablation: commit all partitions from one snapshot (Jacobi) instead of
-  // committing each batch before building the next (Gauss-Seidel, default).
-  bool jacobi_commits = false;
   // ECO hooks (src/eco). When `partition_solver` is set, every partition
   // solve routes through it instead of guarded_solve() directly. When
   // `timing_cache` is set (not owned), per-net Elmore evaluations are
@@ -128,8 +125,7 @@ struct CplaResult {
 
 /// The commit-batch size run_cpla uses under `options` when called from
 /// the current thread: `commit_batch` when set, else the calling thread's
-/// OpenMP thread count (1 when `parallel` is off). `jacobi_commits`
-/// overrides it with one batch per round.
+/// OpenMP thread count (1 when `parallel` is off).
 int effective_commit_batch(const CplaOptions& options);
 
 /// Runs CPLA on a pre-selected critical set (share the set with a TILA run

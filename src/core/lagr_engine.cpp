@@ -167,10 +167,4 @@ EngineResult solve_partition_lagr(const PartitionProblem& p,
   return result;
 }
 
-lagr::NetLagrResult run_lagr(assign::AssignState* state, const timing::RcTable& rc,
-                             const CriticalSet& critical,
-                             const lagr::NetLagrOptions& options) {
-  return lagr::optimize_nets(state, rc, critical.nets, options);
-}
-
 }  // namespace cpla::core

@@ -17,10 +17,8 @@
 // loop over partitions). This TU is registered in the bit-identity
 // contract (-ffp-contract=off; src/util/determinism_contract.hpp).
 
-#include "src/core/critical.hpp"
 #include "src/core/model.hpp"
 #include "src/core/sdp_engine.hpp"
-#include "src/lagr/net_engine.hpp"
 
 namespace cpla::core {
 
@@ -38,11 +36,5 @@ struct LagrPartitionOptions {
 EngineResult solve_partition_lagr(const PartitionProblem& problem,
                                   const assign::AssignState& state,
                                   const LagrPartitionOptions& options = {});
-
-/// Convenience mirror of run_tila: the net-level parallel engine
-/// (src/lagr/net_engine) driven by a critical set.
-lagr::NetLagrResult run_lagr(assign::AssignState* state, const timing::RcTable& rc,
-                             const CriticalSet& critical,
-                             const lagr::NetLagrOptions& options = {});
 
 }  // namespace cpla::core

@@ -7,9 +7,12 @@
 //     weighted by its number of downstream sinks (total net delay), rather
 //     than the per-net critical path;
 //   * capacity constraints priced by Lagrange multipliers updated with a
-//     projected subgradient step between iterations;
-//   * per-iteration reassignment via fast exact per-net tree DP (its
-//     min-cost-flow-speed engine).
+//     projected subgradient step between iterations. Wire capacity is also
+//     hard (a move onto a full edge is never taken); via capacity is soft,
+//     priced only through its multipliers;
+//   * per-iteration reassignment by a greedy per-segment sweep (segments
+//     of each net in topological order), with via terms linearized against
+//     the neighbouring segments' current layers — not an exact per-net DP.
 // The known weakness the paper exploits — multiplier-sensitive convergence
 // and no direct control of the worst path — emerges naturally.
 
@@ -20,7 +23,6 @@
 namespace cpla::core {
 
 struct TilaOptions {
-  double critical_ratio = 0.005;
   int iterations = 6;
   double lambda_step = 0.25;  // subgradient step, relative to delay scale
   double mu_step = 0.10;

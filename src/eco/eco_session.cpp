@@ -10,24 +10,13 @@
 
 namespace cpla::eco {
 
-namespace {
-
-// Replay-safe arbiter configuration: the adaptive history would make a
-// choice depend on how many solves ran before it, which a cache hit skips.
-core::ArbiterOptions history_free(core::ArbiterOptions backend) {
-  backend.use_history = false;
-  return backend;
-}
-
-}  // namespace
-
 EcoSession::EcoSession(grid::Design* design, assign::AssignState* state,
                        const timing::RcTable* rc, EcoOptions options)
     : design_(design),
       state_(state),
       rc_(rc),
       options_(std::move(options)),
-      arbiter_(history_free(options_.flow.backend)),
+      arbiter_(options_.flow.backend),
       cache_(options_.cache_capacity) {
   CPLA_ASSERT(design_ != nullptr && state_ != nullptr && rc_ != nullptr);
   CPLA_ASSERT_MSG(&state_->design() == design_, "state must be built on this design");
@@ -215,12 +204,7 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
 core::OptimizeResult EcoSession::full_resolve() {
   ++full_resolves_;
   obs::metrics().counter("eco.resolve.full").add();
-  // Same history-free arbiter config the cached path uses: the flow's
-  // adaptive history would let backend choices depend on solve *order*,
-  // and resolve() must stay bit-identical to this baseline.
-  core::CplaOptions opts = options_.flow;
-  opts.backend = history_free(opts.backend);
-  core::OptimizeResult out = core::optimize(state_, *rc_, critical_, opts);
+  core::OptimizeResult out = core::optimize(state_, *rc_, critical_, options_.flow);
   pending_.clear();
   retime_sta();
   return out;

@@ -148,11 +148,9 @@ class EcoSession {
   assign::AssignState* state_;
   const timing::RcTable* rc_;
   EcoOptions options_;
-  // History-free copy of options_.flow.backend (use_history forced off):
-  // with no adaptive state, choose() is a pure function of the problem, so
-  // a cached GuardedSolve replays bit-identically no matter how many
-  // solves preceded it. record() is never called — the adaptive-history
-  // feature is flow-only by design.
+  // Built from options_.flow.backend. choose() is a pure function of the
+  // problem, so a cached GuardedSolve replays bit-identically no matter how
+  // many solves preceded it.
   core::BackendArbiter arbiter_;
   core::CriticalSet critical_;
 

@@ -36,11 +36,8 @@ inline constexpr const char* kBitIdentityTUs[] = {
     // top-K path report is replayed by tests against a brute-force oracle.
     "src/sta/timing_graph.cpp",
     "src/sta/path_enum.cpp",
-    // Lagrangian sub-gradient backend: the net-level engine's parallel
-    // pricing + ordered serial sums must be bitwise identical across
-    // thread counts and repeated runs, and the partition-level engine's
-    // picks feed the ECO replay cache.
-    "src/lagr/net_engine.cpp",
+    // Partition-level Lagrangian engine: its picks feed the ECO replay
+    // cache.
     "src/core/lagr_engine.cpp",
 };
 
@@ -50,7 +47,6 @@ inline constexpr const char* kBitIdentityTUs[] = {
 inline constexpr const char* kOrderSensitiveDirs[] = {
     "src/core",
     "src/la",
-    "src/lagr",
     "src/sdp",
     "src/sta",
 };

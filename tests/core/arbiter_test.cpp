@@ -1,4 +1,4 @@
-// BackendArbiter policy units (size, deadline, adaptive history, mode
+// BackendArbiter policy units (size, deadline, record() purity, mode
 // forcing, kIlp passthrough) plus the end-to-end hybrid flow: both
 // backends exercised through core::optimize(), deterministic across
 // repeated runs, never worse than entry.
@@ -81,34 +81,34 @@ TEST(BackendArbiterTest, HybridRoutesByDeadlinePressure) {
             Engine::kSdp);
 }
 
-TEST(BackendArbiterTest, HistoryHalvesThresholdUnderEscalationPressure) {
+TEST(BackendArbiterTest, RecordNeverMovesChoice) {
   ArbiterOptions opt;
   opt.mode = BackendMode::kHybrid;
   BackendArbiter arbiter(opt);
-  const GuardOptions guard;
-  const int half = opt.lagr_min_vars / 2;
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kSdp);
+  GuardOptions deadline;
+  deadline.deadline_ms = 10.0;
+  const std::vector<int> sizes = {1, opt.deadline_min_vars - 1, opt.deadline_min_vars,
+                                  opt.lagr_min_vars / 2, opt.lagr_min_vars - 1,
+                                  opt.lagr_min_vars};
+  auto choices = [&] {
+    std::vector<Engine> out;
+    for (int n : sizes) {
+      for (const GuardOptions& guard : {GuardOptions{}, deadline}) {
+        out.push_back(arbiter.choose(problem_with_vars(n), guard, Engine::kSdp));
+      }
+    }
+    return out;
+  };
+  const std::vector<Engine> fresh = choices();
 
-  // Feed history_min_solves SDP outcomes, most of them escalated: the
-  // observed escalation rate crosses the configured threshold and the size
-  // cutoff halves.
-  for (int i = 0; i < opt.history_min_solves; ++i) {
-    const bool escalated = i < opt.history_min_solves - 1;
-    arbiter.record(Engine::kSdp,
-                   solve_at_tier(escalated ? GuardTier::kNetDp : GuardTier::kPrimary));
+  // A stream of escalated outcomes on both backends must not move any
+  // decision: choose() reads only (options, problem, guard, base).
+  for (int i = 0; i < 64; ++i) {
+    arbiter.record(i % 3 == 0 ? Engine::kLagr : Engine::kSdp,
+                   solve_at_tier(i % 5 == 0 ? GuardTier::kPrimary : GuardTier::kNetDp));
   }
-  EXPECT_EQ(arbiter.stats().sdp_chosen, opt.history_min_solves);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kLagr);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(half - 1), guard, Engine::kSdp), Engine::kSdp);
-
-  // History disabled: the same record stream must not move the cutoff.
-  ArbiterOptions frozen = opt;
-  frozen.use_history = false;
-  BackendArbiter pure(frozen);
-  for (int i = 0; i < 4 * opt.history_min_solves; ++i) {
-    pure.record(Engine::kSdp, solve_at_tier(GuardTier::kNetDp));
-  }
-  EXPECT_EQ(pure.choose(problem_with_vars(half), guard, Engine::kSdp), Engine::kSdp);
+  EXPECT_EQ(arbiter.stats().sdp_chosen + arbiter.stats().lagr_chosen, 64);
+  EXPECT_EQ(choices(), fresh);
 }
 
 TEST(BackendArbiterTest, RecordTalliesPerBackendEscalations) {

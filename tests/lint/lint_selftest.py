@@ -174,8 +174,6 @@ class DeterminismAcceptance(unittest.TestCase):
             "src/sta/timing_graph.cpp",
             "src/sta/path_enum.cpp",
             "src/sta/CMakeLists.txt",
-            "src/lagr/net_engine.cpp",
-            "src/lagr/CMakeLists.txt",
             "src/core/lagr_engine.cpp",
             "src/core/CMakeLists.txt",
         ):
