@@ -15,6 +15,9 @@
 
 // Usage: ablation_cpla [--quick] [--seed N] [--metrics-out FILE]
 // (--quick runs a small synthetic smoke instance — the CI bench-smoke job)
+//
+// Every landed state is checked independently (bench::check_landed_state);
+// the artifact records validated = 1, and any failure exits nonzero.
 
 #include <limits>
 
@@ -95,14 +98,22 @@ int main(int argc, char** argv) {
   }
 
   Table table({"bench", "config", "Avg(Tcp)", "Max(Tcp)", "CPU(s)"});
+  bool validated = true;
   for (auto& [name, run] : runs) {
     for (const Config& config : configs) {
       const bench::FlowOutcome out = bench::run_cpla_flow(&run, config.opt);
+      const std::string invalid = bench::check_landed_state(run, out.metrics);
+      if (!invalid.empty()) {
+        std::fprintf(stderr, "ablation_cpla: FAIL %s.%s: %s\n", name.c_str(), config.name,
+                     invalid.c_str());
+        validated = false;
+      }
       report.record_flow(name + "." + config.name, out);
       table.add_row({name, config.name, fmt_num(out.metrics.avg_tcp / 1e3, 2),
                      fmt_num(out.metrics.max_tcp / 1e3, 2), fmt_num(out.seconds, 2)});
     }
   }
   table.print(stdout);
-  return report.write() ? 0 : 1;
+  report.record_value("validated", validated ? 1.0 : 0.0);
+  return report.write() && validated ? 0 : 1;
 }

@@ -24,6 +24,9 @@
 //                         rule cannot express a cross-phase frontier
 //                         condition.
 //
+// Every landed state is checked independently (bench::check_landed_state);
+// the artifact records validated = 1, and any failure exits nonzero.
+//
 // The no-deadline trio is report-only: it maps the frontier (Lagrangian
 // ~100x faster at a few percent quality cost, hybrid in between), but
 // without deadline pressure the SDP tier is never the wrong tool, so
@@ -32,6 +35,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "bench/harness.hpp"
 
@@ -43,6 +48,7 @@ struct ModeOutcome {
   bench::FlowOutcome flow;
   core::ArbiterStats arbiter;
   core::GuardStats guard;
+  std::string invalid;  // empty when the landed state checks out
 };
 
 ModeOutcome run_mode(bench::BenchRun* run, const core::CplaOptions& opt) {
@@ -56,6 +62,7 @@ ModeOutcome run_mode(bench::BenchRun* run, const core::CplaOptions& opt) {
       core::compute_metrics(*run->prepared.state, *run->prepared.rc, run->critical);
   out.arbiter = res.arbiter_stats;
   out.guard = res.guard_stats;
+  out.invalid = bench::check_landed_state(*run, out.flow.metrics);
   return out;
 }
 
@@ -143,6 +150,15 @@ int main(int argc, char** argv) {
   row("sdp+dl", sdp_deadline);
   row("hyb+dl", hybrid_deadline);
 
+  bool validated = true;
+  for (const auto& [name, mode] : {std::pair{"sdp", &sdp}, {"lagr", &lagr}, {"hybrid", &hybrid},
+                                   {"sdp_deadline", &sdp_deadline},
+                                   {"hybrid_deadline", &hybrid_deadline}}) {
+    if (mode->invalid.empty()) continue;
+    std::fprintf(stderr, "backend_arbiter: FAIL %s: %s\n", name, mode->invalid.c_str());
+    validated = false;
+  }
+
   bench::BenchReport report("backend_arbiter", args);
   record_mode(&report, "sdp", sdp);
   record_mode(&report, "lagr", lagr);
@@ -150,7 +166,8 @@ int main(int argc, char** argv) {
   record_mode(&report, "sdp_deadline", sdp_deadline);
   record_mode(&report, "hybrid_deadline", hybrid_deadline);
   report.record_value("deadline_ms", deadline_ms);
-  if (!report.write()) return 1;
+  report.record_value("validated", validated ? 1.0 : 0.0);
+  if (!report.write() || !validated) return 1;
 
   if (gate > 0.0) {
     bool ok = true;

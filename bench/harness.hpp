@@ -16,13 +16,17 @@
 //                          the canonical suite); always recorded in output
 //   --quick                reduced workload (binaries that support it)
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "src/assign/route_io.hpp"
+#include "src/assign/validate.hpp"
 #include "src/core/critical.hpp"
 #include "src/core/flow.hpp"
 #include "src/core/pipeline.hpp"
@@ -208,6 +212,42 @@ inline FlowOutcome run_cpla_flow(BenchRun* run, const core::CplaOptions& opt = {
   out.seconds = timer.seconds();
   out.metrics = core::compute_metrics(*run->prepared.state, *run->prepared.rc, run->critical);
   return out;
+}
+
+/// Checks a landed state with code that did not produce it: the
+/// independent validator over every net's wires, and Avg/Max(Tcp)
+/// recomputed net by net with timing::critical_delay, which must equal
+/// `reported` exactly. Returns an empty string when both hold, else the
+/// first failure.
+inline std::string check_landed_state(const BenchRun& run, const core::LaMetrics& reported) {
+  const assign::AssignState& state = *run.prepared.state;
+  const grid::Design& design = *run.prepared.design;
+  std::vector<assign::RoutedNet> nets;
+  for (int n = 0; n < state.num_nets(); ++n) {
+    if (state.tree(n).segs.empty()) continue;
+    nets.push_back({design.nets[static_cast<std::size_t>(n)].name, n, assign::net_wires(state, n)});
+  }
+  const assign::ValidationReport report = assign::validate_solution(design, nets);
+  if (!report.ok) {
+    return "validator: " +
+           (report.errors.empty() ? std::string("rejected the solution") : report.errors.front());
+  }
+  double sum = 0.0;
+  double max_tcp = 0.0;
+  for (int net : run.critical.nets) {
+    const double tcp = timing::critical_delay(state.tree(net), state.layers(net), *run.prepared.rc);
+    sum += tcp;
+    max_tcp = std::max(max_tcp, tcp);
+  }
+  const double avg_tcp =
+      run.critical.nets.empty() ? 0.0 : sum / static_cast<double>(run.critical.nets.size());
+  if (avg_tcp != reported.avg_tcp || max_tcp != reported.max_tcp) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "recomputed Avg/Max %.17g/%.17g != reported %.17g/%.17g",
+                  avg_tcp, max_tcp, reported.avg_tcp, reported.max_tcp);
+    return buf;
+  }
+  return {};
 }
 
 }  // namespace cpla::bench

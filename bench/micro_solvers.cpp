@@ -155,6 +155,79 @@ void BM_SdpLiftedPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_SdpLiftedPartition)->Arg(8)->Arg(16)->Arg(24);
 
+// The shape of the SDPs served resolves spend their time in: `vars`
+// segments with 3 layer options each (a 31-dim dense block at 10), a chain
+// of vars-3 parent/child via pairs whose differing-layer combos all carry
+// the two product-bound rows, and vars+4 capacity rows. At 10 that is
+// m = 139 constraints over 98 diag slack rows, with at most 4 entries per
+// constraint; rows are emitted in core/sdp_engine.cpp's order.
+sdp::SdpProblem served_partition_problem(int vars, Rng* rng) {
+  constexpr int kLayers = 3;
+  const int caps = vars + 4;
+  const auto xi = [](int v, int k) { return 1 + v * kLayers + k; };
+  struct Combo {
+    int a, b;
+  };
+  std::vector<Combo> combos;
+  for (int v = 1; v + 3 <= vars; ++v) {
+    for (int kp = 0; kp < kLayers; ++kp) {
+      for (int kc = 0; kc < kLayers; ++kc) {
+        if (kp != kc) combos.push_back({xi(v - 1, kp), xi(v, kc)});
+      }
+    }
+  }
+  const int n_slack = caps + 2 * static_cast<int>(combos.size());
+  sdp::SdpProblem p({sdp::BlockSpec{sdp::BlockSpec::Kind::kDense, 1 + vars * kLayers},
+                     sdp::BlockSpec{sdp::BlockSpec::Kind::kDiag, n_slack}});
+  for (int v = 0; v < vars; ++v) {
+    for (int k = 0; k < kLayers; ++k) p.add_objective_entry(0, xi(v, k), xi(v, k), rng->uniform(1.0, 10.0));
+  }
+  for (const Combo& c : combos) p.add_objective_entry(0, c.a, c.b, rng->uniform(0.25, 1.5));
+  p.add_entry(p.add_constraint(1.0), 0, 0, 0, 1.0);
+  for (int k = 1; k <= vars * kLayers; ++k) {
+    const int c = p.add_constraint(0.0);
+    p.add_entry(c, 0, k, k, 1.0);
+    p.add_entry(c, 0, 0, k, -0.5);
+  }
+  for (int v = 0; v < vars; ++v) {
+    const int c = p.add_constraint(1.0);
+    for (int k = 0; k < kLayers; ++k) p.add_entry(c, 0, 0, xi(v, k), 0.5);
+  }
+  int slack = 0;
+  for (int r = 0; r < caps; ++r) {
+    const int layer = r % kLayers;
+    const int c = p.add_constraint(static_cast<double>(rng->uniform_int(1, 3)));
+    for (int v = 0; v < vars; ++v) {
+      if (rng->chance(0.3)) p.add_entry(c, 0, 0, xi(v, layer), 0.5);
+    }
+    p.add_entry(c, 1, slack, slack, 1.0);
+    ++slack;
+  }
+  for (const Combo& c : combos) {
+    const int lo = p.add_constraint(0.0);
+    p.add_entry(lo, 0, c.a, c.b, 0.5);
+    p.add_entry(lo, 1, slack, slack, -1.0);
+    ++slack;
+    const int hi = p.add_constraint(-1.0);
+    p.add_entry(hi, 0, c.a, c.b, 0.5);
+    p.add_entry(hi, 0, 0, c.a, -0.5);
+    p.add_entry(hi, 0, 0, c.b, -0.5);
+    p.add_entry(hi, 1, slack, slack, -1.0);
+    ++slack;
+  }
+  return p;
+}
+
+void BM_SdpServedPartition(benchmark::State& state) {
+  Rng rng(7);
+  const sdp::SdpProblem p = served_partition_problem(static_cast<int>(state.range(0)), &rng);
+  for (auto _ : state) {
+    auto r = sdp::solve(p);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_SdpServedPartition)->Arg(10);
+
 }  // namespace
 
 CPLA_MICRO_BENCH_MAIN("micro_solvers")

@@ -17,11 +17,14 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
     failures.add();
     return std::nullopt;
   }
-  // Blocked right-looking factorization: factor a kNb-wide diagonal panel,
-  // solve the rows below it, then fold the panel into the trailing
-  // submatrix with row-dot updates. The panel width is a compile-time
-  // constant, so the reduction order per entry is fixed and the factor is
-  // bit-identical run to run.
+  // Blocked right-looking factorization over kNb-wide panels: factor each
+  // panel column by column down to the last row, then fold the panel into
+  // the trailing submatrix with row-dot updates. The panel width is a
+  // compile-time constant, and every entry accumulates over k in ascending
+  // order from the same starting value whatever tile it lands in, so the
+  // factor is bit-identical run to run (and to the untiled kernel). The
+  // tiles only run independent accumulations side by side: 4 rows share
+  // each l_j load in a panel column, and one trailing row meets 4 columns.
   constexpr std::size_t kNb = 48;
   const std::size_t n = a.rows();
   Matrix l(n, n);
@@ -32,10 +35,12 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   }
   for (std::size_t j0 = 0; j0 < n; j0 += kNb) {
     const std::size_t jb = std::min(kNb, n - j0);
-    // Factor the diagonal block in place (unblocked; contributions from
-    // columns < j0 were already subtracted by earlier trailing updates).
-    for (std::size_t j = j0; j < j0 + jb; ++j) {
-      const double* lj = l.row_ptr(j);
+    const std::size_t j1 = j0 + jb;
+    // Panel columns (contributions from columns < j0 were already
+    // subtracted by earlier trailing updates): the pivot, then every row
+    // below it, L(i,j) = (A(i,j) - sum_{j0<=k<j} L(i,k) L(j,k)) / L(j,j).
+    for (std::size_t j = j0; j < j1; ++j) {
+      double* lj = l.row_ptr(j);
       double diag = lj[j];
       for (std::size_t k = j0; k < j; ++k) diag -= lj[k] * lj[k];
       if (!(diag > 0.0) || !std::isfinite(diag)) {
@@ -43,33 +48,62 @@ std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
         return std::nullopt;
       }
       const double ljj = std::sqrt(diag);
-      l(j, j) = ljj;
-      for (std::size_t i = j + 1; i < j0 + jb; ++i) {
+      lj[j] = ljj;
+      std::size_t i = j + 1;
+      for (; i + 4 <= n; i += 4) {
+        double* r0 = l.row_ptr(i);
+        double* r1 = l.row_ptr(i + 1);
+        double* r2 = l.row_ptr(i + 2);
+        double* r3 = l.row_ptr(i + 3);
+        double s0 = r0[j], s1 = r1[j], s2 = r2[j], s3 = r3[j];
+        for (std::size_t k = j0; k < j; ++k) {
+          const double v = lj[k];
+          s0 -= r0[k] * v;
+          s1 -= r1[k] * v;
+          s2 -= r2[k] * v;
+          s3 -= r3[k] * v;
+        }
+        r0[j] = s0 / ljj;
+        r1[j] = s1 / ljj;
+        r2[j] = s2 / ljj;
+        r3[j] = s3 / ljj;
+      }
+      for (; i < n; ++i) {
         double* li = l.row_ptr(i);
         double sum = li[j];
         for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
         li[j] = sum / ljj;
       }
     }
-    // Panel solve: L21 = A21 L11^{-T} for the rows below the block.
-    for (std::size_t i = j0 + jb; i < n; ++i) {
-      double* li = l.row_ptr(i);
-      for (std::size_t j = j0; j < j0 + jb; ++j) {
-        const double* lj = l.row_ptr(j);
-        double sum = li[j];
-        for (std::size_t k = j0; k < j; ++k) sum -= li[k] * lj[k];
-        li[j] = sum / lj[j];
-      }
-    }
     // Trailing update: A22 -= L21 L21^T (lower triangle only), as dot
-    // products of contiguous panel rows.
-    for (std::size_t i = j0 + jb; i < n; ++i) {
-      const double* li = l.row_ptr(i) + j0;
-      for (std::size_t j = j0 + jb; j <= i; ++j) {
+    // products of contiguous panel rows, one row against 4 columns.
+    for (std::size_t r = j1; r < n; ++r) {
+      double* lrow = l.row_ptr(r);
+      const double* lr = lrow + j0;
+      std::size_t j = j1;
+      for (; j + 4 <= r + 1; j += 4) {
+        const double* c0 = l.row_ptr(j) + j0;
+        const double* c1 = l.row_ptr(j + 1) + j0;
+        const double* c2 = l.row_ptr(j + 2) + j0;
+        const double* c3 = l.row_ptr(j + 3) + j0;
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (std::size_t k = 0; k < jb; ++k) {
+          const double v = lr[k];
+          s0 += v * c0[k];
+          s1 += v * c1[k];
+          s2 += v * c2[k];
+          s3 += v * c3[k];
+        }
+        lrow[j] -= s0;
+        lrow[j + 1] -= s1;
+        lrow[j + 2] -= s2;
+        lrow[j + 3] -= s3;
+      }
+      for (; j <= r; ++j) {
         const double* lj = l.row_ptr(j) + j0;
         double sum = 0.0;
-        for (std::size_t k = 0; k < jb; ++k) sum += li[k] * lj[k];
-        l(i, j) -= sum;
+        for (std::size_t k = 0; k < jb; ++k) sum += lr[k] * lj[k];
+        lrow[j] -= sum;
       }
     }
   }
@@ -91,8 +125,8 @@ Vector Cholesky::solve(const Vector& b) const {
   Vector x(n);
   for (std::size_t ii = n; ii-- > 0;) {
     double sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l_(k, ii) * x[k];
-    x[ii] = sum / l_(ii, ii);
+    for (std::size_t k = ii + 1; k < n; ++k) sum -= l_.row_ptr(k)[ii] * x[k];
+    x[ii] = sum / l_.row_ptr(ii)[ii];
   }
   return x;
 }

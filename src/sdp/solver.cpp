@@ -1,6 +1,7 @@
 #include "src/sdp/solver.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -42,40 +43,6 @@ double constraint_trace(const SdpProblem& p, int i, const BlockMatrix& w) {
   return sum;
 }
 
-/// One Schur-complement entry M_ij = tr(A_i Z^{-1} A_j X), assembled
-/// directly from the two constraints' sparse entries. Writing A as a sum of
-/// symmetrized units S(r,c) = E_rc + [r!=c] E_cr, each pair of entries
-/// contributes at most four Zi(.,.)*X(.,.) products:
-///
-///   tr(S(a,b) Zi S(c,d) X) =            Zi(b,c) X(d,a)
-///                            + [a!=b]   Zi(a,c) X(d,b)
-///                            + [c!=d]   Zi(b,d) X(c,a)
-///                            + [a!=b && c!=d] Zi(a,d) X(c,b)
-///
-/// so the cost is O(nnz_i * nnz_j) — no dense n^3 product per column. Diag
-/// blocks contribute elementwise products on matching rows.
-double schur_entry(const SdpProblem& p, int i, int j, const BlockMatrix& zinv,
-                   const BlockMatrix& x) {
-  double sum = 0.0;
-  for (const auto& e : p.constraint(i).entries) {
-    for (const auto& f : p.constraint(j).entries) {
-      if (e.block != f.block) continue;
-      if (zinv.is_dense(e.block)) {
-        const auto& zi = zinv.dense(e.block);
-        const auto& xb = x.dense(e.block);
-        double t = zi(e.col, f.row) * xb(f.col, e.row);
-        if (e.row != e.col) t += zi(e.row, f.row) * xb(f.col, e.col);
-        if (f.row != f.col) t += zi(e.col, f.col) * xb(f.row, e.row);
-        if (e.row != e.col && f.row != f.col) t += zi(e.row, f.col) * xb(f.row, e.col);
-        sum += e.value * f.value * t;
-      } else if (e.row == f.row) {
-        sum += e.value * f.value * zinv.diag(e.block)[e.row] * x.diag(e.block)[e.row];
-      }
-    }
-  }
-  return sum;
-}
-
 /// Largest alpha in (0, 1] with base + alpha*dir positive definite, times
 /// `fraction`. Backtracking on the Cholesky test. One scratch copy total:
 /// each try adjusts the trial in place by the alpha delta (the previous
@@ -95,9 +62,163 @@ double max_step(const BlockMatrix& base, const BlockMatrix& dir, double fraction
   return 0.0;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Wall time of the four interior-point leaves, summed over one solve in
+/// clock ticks so the unattributed remainder (sdp.solve.ms minus the four)
+/// is never negative.
+struct LeafTimes {
+  Clock::duration schur{};      // Schur complement assembly
+  Clock::duration factor{};     // Schur Cholesky, ridge retries included
+  Clock::duration direction{};  // predictor + corrector direction solves
+  Clock::duration step{};       // the four max_step searches
+};
+
+/// Adds the lifetime of the scope to one leaf.
+class LeafTimer {
+ public:
+  explicit LeafTimer(Clock::duration* sink) : sink_(sink), start_(Clock::now()) {}
+  ~LeafTimer() { *sink_ += Clock::now() - start_; }
+  LeafTimer(const LeafTimer&) = delete;
+  LeafTimer& operator=(const LeafTimer&) = delete;
+
+ private:
+  Clock::duration* sink_;
+  Clock::time_point start_;
+};
+
+double to_ms(Clock::duration d) { return std::chrono::duration<double, std::milli>(d).count(); }
+
 }  // namespace
 
-static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
+namespace detail {
+
+SchurAssembly::SchurAssembly(const SdpProblem& p) : num_blocks_(p.structure().size()) {
+  const int m = p.num_constraints();
+  stored_at_.reserve(static_cast<std::size_t>(m) + 1);
+  group_at_.reserve(static_cast<std::size_t>(m) * num_blocks_ + 1);
+  stored_at_.push_back(0);
+  group_at_.push_back(0);
+  for (int i = 0; i < m; ++i) {
+    const auto& entries = p.constraint(i).entries;
+    stored_.insert(stored_.end(), entries.begin(), entries.end());
+    stored_at_.push_back(stored_.size());
+    for (std::size_t b = 0; b < num_blocks_; ++b) {
+      for (const auto& e : entries) {
+        if (static_cast<std::size_t>(e.block) == b) grouped_.push_back({e.row, e.col, e.value});
+      }
+      group_at_.push_back(grouped_.size());
+    }
+  }
+}
+
+/// Each M_ij = tr(A_i Z^{-1} A_j X) is assembled directly from the two
+/// constraints' sparse entries. Writing A as a sum of symmetrized units
+/// S(r,c) = E_rc + [r!=c] E_cr, each pair of entries on one dense block
+/// contributes at most four Zi(.,.)*X(.,.) products:
+///
+///   tr(S(a,b) Zi S(c,d) X) =            Zi(b,c) X(d,a)
+///                            + [a!=b]   Zi(a,c) X(d,b)
+///                            + [c!=d]   Zi(b,d) X(c,a)
+///                            + [a!=b && c!=d] Zi(a,d) X(c,b)
+///
+/// so the cost is O(nnz_i * nnz_j), with no dense n^3 product per column.
+/// Diag blocks contribute elementwise products on shared rows. The sum
+/// walks e in A_i in stored order and, within it, the f in A_j on e's
+/// block in stored order: the same terms in the same order as a walk over
+/// all (e, f) pairs that skips mismatched blocks.
+la::Matrix SchurAssembly::assemble(const BlockMatrix& zinv, const BlockMatrix& x,
+                                   bool parallel) const {
+  const int m = static_cast<int>(stored_at_.size()) - 1;
+  const std::size_t nb = num_blocks_;
+  // Per-block base pointers and row strides (dense: row-major dim x dim;
+  // diag: the vector), so no product goes through a checked accessor.
+  std::vector<const double*> zbase(nb);
+  std::vector<const double*> xbase(nb);
+  std::vector<std::size_t> stride(nb, 0);
+  for (std::size_t b = 0; b < nb; ++b) {
+    if (zinv.is_dense(b)) {
+      zbase[b] = zinv.dense(b).row_ptr(0);
+      xbase[b] = x.dense(b).row_ptr(0);
+      stride[b] = zinv.dense(b).cols();
+    } else {
+      zbase[b] = zinv.diag(b).data();
+      xbase[b] = x.diag(b).data();
+    }
+  }
+  const ConstraintEntry* stored = stored_.data();
+  const Unit* grouped = grouped_.data();
+  // entry(i, j) with j's group offsets `at`: block b of A_j spans
+  // [grouped + at[b], grouped + at[b + 1]).
+  const auto entry = [&](int i, const std::size_t* at) {
+    double sum = 0.0;
+    for (std::size_t s = stored_at_[i]; s < stored_at_[i + 1]; ++s) {
+      const ConstraintEntry& e = stored[s];
+      const auto b = static_cast<std::size_t>(e.block);
+      const Unit* f = grouped + at[b];
+      const Unit* const f_end = grouped + at[b + 1];
+      const auto er = static_cast<std::size_t>(e.row);
+      const auto ec = static_cast<std::size_t>(e.col);
+      if (stride[b] != 0) {
+        const std::size_t n = stride[b];
+        const double* z_er = zbase[b] + er * n;
+        const double* z_ec = zbase[b] + ec * n;
+        const double* xb = xbase[b];
+        const bool e_off = er != ec;
+        for (; f != f_end; ++f) {
+          const auto fr = static_cast<std::size_t>(f->row);
+          const auto fc = static_cast<std::size_t>(f->col);
+          const double* x_fc = xb + fc * n;
+          double t = z_ec[fr] * x_fc[er];
+          if (e_off) t += z_er[fr] * x_fc[ec];
+          if (fr != fc) {
+            const double* x_fr = xb + fr * n;
+            t += z_ec[fc] * x_fr[er];
+            if (e_off) t += z_er[fc] * x_fr[ec];
+          }
+          sum += e.value * f->value * t;
+        }
+      } else {
+        for (; f != f_end; ++f) {
+          if (f->row == e.row) sum += e.value * f->value * zbase[b][er] * xbase[b][er];
+        }
+      }
+    }
+    return sum;
+  };
+
+  // M is symmetric exactly (trace cyclicity): entry(i, j) for i <= j is
+  // summed once into row j and mirrored. Rows are independent, so they
+  // parallelize without any shared reduction.
+  la::Matrix schur(static_cast<std::size_t>(m), static_cast<std::size_t>(m));
+  const auto schur_row = [&](int j) {
+    const std::size_t* at = group_at_.data() + static_cast<std::size_t>(j) * nb;
+    double* row = schur.row_ptr(static_cast<std::size_t>(j));
+    for (int i = 0; i <= j; ++i) row[i] = entry(i, at);
+  };
+  // Explicit branch, not an `if` clause on the pragma: serial solves of
+  // tiny problems must not pay OpenMP team setup every iteration.
+#ifdef _OPENMP
+  if (parallel && m > 8) {
+#pragma omp parallel for schedule(static, 1)
+    for (int j = 0; j < m; ++j) schur_row(j);
+  } else {
+    for (int j = 0; j < m; ++j) schur_row(j);
+  }
+#else
+  (void)parallel;
+  for (int j = 0; j < m; ++j) schur_row(j);
+#endif
+  for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
+    const double* row = schur.row_ptr(j);
+    for (std::size_t i = 0; i < j; ++i) schur(i, j) = row[i];
+  }
+  return schur;
+}
+
+}  // namespace detail
+
+static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt, LeafTimes* leaves) {
   const int m = p.num_constraints();
   const int n_total = total_dim(p.structure());
   const BlockMatrix c = p.objective_matrix();
@@ -120,6 +241,7 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
   double prev_gap = std::numeric_limits<double>::infinity();
   int stall_count = 0;
   WallTimer timer;
+  const detail::SchurAssembly schur_assembly(p);
 
   if (CPLA_FAULT_POINT("sdp.solve.numerical")) {
     res.status = SdpStatus::kNumerical;
@@ -182,48 +304,27 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     }
     const BlockMatrix zinv = zchol->inverse();
 
-    // Schur complement M_ij = tr(A_i Z^{-1} A_j X), assembled sparsely per
-    // entry pair (see schur_entry). Columns are independent, so the j loop
-    // parallelizes without any shared reduction: the matrix is bit-identical
-    // at any thread count. M is symmetric exactly (trace cyclicity), so only
-    // the upper triangle is computed and mirrored.
-    la::Matrix schur(static_cast<std::size_t>(m), static_cast<std::size_t>(m));
-    const auto schur_column = [&](int j) {
-      for (int i = 0; i <= j; ++i) {
-        schur(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-            schur_entry(p, i, j, zinv, res.x);
-      }
-    };
-    // Explicit branch, not an `if` clause on the pragma: serial solves of
-    // tiny problems must not pay OpenMP team setup every iteration.
-#ifdef _OPENMP
-    if (opt.parallel && m > 8) {
-#pragma omp parallel for schedule(static, 1)
-      for (int j = 0; j < m; ++j) schur_column(j);
-    } else {
-      for (int j = 0; j < m; ++j) schur_column(j);
-    }
-#else
-    for (int j = 0; j < m; ++j) schur_column(j);
-#endif
-    for (int j = 0; j < m; ++j) {
-      for (int i = 0; i < j; ++i) {
-        schur(static_cast<std::size_t>(j), static_cast<std::size_t>(i)) =
-            schur(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
-      }
+    // Schur complement M_ij = tr(A_i Z^{-1} A_j X) (see SchurAssembly).
+    la::Matrix schur;
+    {
+      LeafTimer leaf(&leaves->schur);
+      schur = schur_assembly.assemble(zinv, res.x, opt.parallel);
     }
 
+    // The ridge-free first try factors M itself; only a retry copies it to
+    // add a ridge of 1e-12 * max diag, growing 100x per try, 12 tries in all.
     std::optional<la::Cholesky> mchol;
-    double ridge = 0.0;
-    double max_diag = 1e-12;
-    for (int i = 0; i < m; ++i) max_diag = std::max(max_diag, schur(i, i));
-    for (int tries = 0; tries < 12 && !mchol; ++tries) {
-      la::Matrix reg = schur;
-      if (ridge > 0.0) {
+    {
+      LeafTimer leaf(&leaves->factor);
+      mchol = la::Cholesky::factor(schur);
+      double max_diag = 1e-12;
+      for (int i = 0; i < m; ++i) max_diag = std::max(max_diag, schur(i, i));
+      double ridge = 1e-12 * max_diag;
+      for (int tries = 1; tries < 12 && !mchol; ++tries, ridge *= 100.0) {
+        la::Matrix reg = schur;
         for (int i = 0; i < m; ++i) reg(i, i) += ridge;
+        mchol = la::Cholesky::factor(reg);
       }
-      mchol = la::Cholesky::factor(reg);
-      ridge = (ridge == 0.0) ? 1e-12 * max_diag : ridge * 100.0;
     }
     if (!mchol) {
       res.status = SdpStatus::kNumerical;
@@ -244,6 +345,7 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
 
     auto solve_direction = [&](double sigma_mu, const BlockMatrix* second_order,
                                la::Vector* dy, BlockMatrix* dz, BlockMatrix* dx) {
+      LeafTimer leaf(&leaves->direction);
       la::Vector rhs(static_cast<std::size_t>(m));
       for (int i = 0; i < m; ++i) {
         rhs[i] = b[i] - sigma_mu * a_zinv[i] + a_u[i];
@@ -270,8 +372,12 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     BlockMatrix dz_aff, dx_aff;
     solve_direction(0.0, nullptr, &dy_aff, &dz_aff, &dx_aff);
 
-    const double ap_aff = max_step(res.x, dx_aff, 1.0, opt.parallel);
-    const double ad_aff = max_step(res.z, dz_aff, 1.0, opt.parallel);
+    double ap_aff, ad_aff;
+    {
+      LeafTimer leaf(&leaves->step);
+      ap_aff = max_step(res.x, dx_aff, 1.0, opt.parallel);
+      ad_aff = max_step(res.z, dz_aff, 1.0, opt.parallel);
+    }
     BlockMatrix x_aff = res.x;
     x_aff.axpy(ap_aff, dx_aff);
     BlockMatrix z_aff = res.z;
@@ -287,8 +393,12 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt) {
     BlockMatrix dz, dx;
     solve_direction(sigma * mu, &second, &dy, &dz, &dx);
 
-    double ap = max_step(res.x, dx, opt.step_fraction, opt.parallel);
-    double ad = max_step(res.z, dz, opt.step_fraction, opt.parallel);
+    double ap, ad;
+    {
+      LeafTimer leaf(&leaves->step);
+      ap = max_step(res.x, dx, opt.step_fraction, opt.parallel);
+      ad = max_step(res.z, dz, opt.step_fraction, opt.parallel);
+    }
     ap = std::min(ap, 1.0);
     ad = std::min(ad, 1.0);
     if (ap <= 1e-10 && ad <= 1e-10) {
@@ -316,17 +426,35 @@ SdpResult solve(const SdpProblem& p, const SdpOptions& opt) {
   static obs::Counter& failures = obs::metrics().counter("sdp.solve.failures");
   static obs::Counter& stalls = obs::metrics().counter("sdp.solve.stalls");
   static obs::Histogram& wall = obs::metrics().histogram("sdp.solve.ms");
-  WallTimer timer;
+  static obs::Histogram& schur_ms = obs::metrics().histogram("sdp.solve.schur_ms");
+  static obs::Histogram& factor_ms = obs::metrics().histogram("sdp.solve.factor_ms");
+  static obs::Histogram& direction_ms = obs::metrics().histogram("sdp.solve.direction_ms");
+  static obs::Histogram& step_ms = obs::metrics().histogram("sdp.solve.step_ms");
+  static obs::Histogram& other_ms = obs::metrics().histogram("sdp.solve.other_ms");
+  const Clock::time_point start = Clock::now();
+  LeafTimes leaves;
+  // Every exit records sdp.solve.ms and its five-way split exactly once:
+  // the four leaves plus the unattributed remainder sum to the total.
+  const auto record_times = [&] {
+    const Clock::duration total = Clock::now() - start;
+    wall.record(to_ms(total));
+    schur_ms.record(to_ms(leaves.schur));
+    factor_ms.record(to_ms(leaves.factor));
+    direction_ms.record(to_ms(leaves.direction));
+    step_ms.record(to_ms(leaves.step));
+    other_ms.record(
+        to_ms(total - leaves.schur - leaves.factor - leaves.direction - leaves.step));
+  };
   calls.add();
   if (Status vs = p.validate(); !vs.is_ok()) {
     LOG_WARN("sdp: refusing malformed problem: %s", vs.to_string().c_str());
     failures.add();
     SdpResult res;
     res.status = SdpStatus::kBadProblem;
-    wall.record(timer.milliseconds());
+    record_times();
     return res;
   }
-  SdpResult res = solve_impl(p, opt);
+  SdpResult res = solve_impl(p, opt, &leaves);
   iterations.add(res.iterations);
   // Failure accounting: kNumerical/kDeadline/kBadProblem produced no usable
   // answer and count as failures. kStalled deliberately does NOT — a stall
@@ -335,7 +463,7 @@ SdpResult solve(const SdpProblem& p, const SdpOptions& opt) {
   // without polluting the failure signal.
   if (res.status == SdpStatus::kNumerical || res.status == SdpStatus::kDeadline) failures.add();
   if (res.status == SdpStatus::kStalled) stalls.add();
-  wall.record(timer.milliseconds());
+  record_times();
   return res;
 }
 

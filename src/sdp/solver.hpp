@@ -54,4 +54,35 @@ struct SdpResult {
 
 SdpResult solve(const SdpProblem& problem, const SdpOptions& options = {});
 
+namespace detail {
+
+/// The Schur complement M_ij = tr(A_i Z^{-1} A_j X) of one solve, over a
+/// read-only copy of the constraints built once per solve: each
+/// constraint's entries in stored order, and again grouped by block (stored
+/// order within a group). solve() is its only production caller; it is
+/// declared here so tests can hold it bitwise to the per-entry reference.
+class SchurAssembly {
+ public:
+  explicit SchurAssembly(const SdpProblem& problem);
+
+  /// The full symmetric m x m matrix. `parallel` spreads rows over OpenMP
+  /// threads; each entry is summed by one thread in a fixed order, so M is
+  /// bit-identical at any thread count.
+  la::Matrix assemble(const BlockMatrix& zinv, const BlockMatrix& x, bool parallel) const;
+
+ private:
+  struct Unit {
+    int row = 0;
+    int col = 0;
+    double value = 0.0;
+  };
+  std::size_t num_blocks_ = 0;
+  std::vector<ConstraintEntry> stored_;  // constraint i: [stored_at_[i], stored_at_[i + 1])
+  std::vector<std::size_t> stored_at_;
+  std::vector<Unit> grouped_;  // constraint i, block b: [group_at_[g], group_at_[g + 1]),
+  std::vector<std::size_t> group_at_;  // g = i * num_blocks_ + b
+};
+
+}  // namespace detail
+
 }  // namespace cpla::sdp

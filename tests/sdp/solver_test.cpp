@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -376,6 +380,257 @@ TEST(SdpDeterminism, ThreadCountDoesNotChangeBits) {
   expect_results_bit_identical(one, four);
 }
 #endif
+
+// The served partition shape (bench/micro_solvers.cpp,
+// BM_SdpServedPartition/10): 10 segments x 3 layer options, a 31-dim dense
+// block, a 6-pair via chain with every differing-layer combo's product-bound
+// rows, 14 capacity rows. m = 139 constraints over 98 diag slack rows.
+SdpProblem served_partition_problem(int vars, cpla::Rng* rng) {
+  constexpr int kLayers = 3;
+  const int caps = vars + 4;
+  const auto xi = [](int v, int k) { return 1 + v * kLayers + k; };
+  struct Combo {
+    int a, b;
+  };
+  std::vector<Combo> combos;
+  for (int v = 1; v + 3 <= vars; ++v) {
+    for (int kp = 0; kp < kLayers; ++kp) {
+      for (int kc = 0; kc < kLayers; ++kc) {
+        if (kp != kc) combos.push_back({xi(v - 1, kp), xi(v, kc)});
+      }
+    }
+  }
+  const int n_slack = caps + 2 * static_cast<int>(combos.size());
+  SdpProblem p({BlockSpec{BlockSpec::Kind::kDense, 1 + vars * kLayers},
+                BlockSpec{BlockSpec::Kind::kDiag, n_slack}});
+  for (int v = 0; v < vars; ++v) {
+    for (int k = 0; k < kLayers; ++k) p.add_objective_entry(0, xi(v, k), xi(v, k), rng->uniform(1.0, 10.0));
+  }
+  for (const Combo& c : combos) p.add_objective_entry(0, c.a, c.b, rng->uniform(0.25, 1.5));
+  p.add_entry(p.add_constraint(1.0), 0, 0, 0, 1.0);
+  for (int k = 1; k <= vars * kLayers; ++k) {
+    const int c = p.add_constraint(0.0);
+    p.add_entry(c, 0, k, k, 1.0);
+    p.add_entry(c, 0, 0, k, -0.5);
+  }
+  for (int v = 0; v < vars; ++v) {
+    const int c = p.add_constraint(1.0);
+    for (int k = 0; k < kLayers; ++k) p.add_entry(c, 0, 0, xi(v, k), 0.5);
+  }
+  int slack = 0;
+  for (int r = 0; r < caps; ++r) {
+    const int layer = r % kLayers;
+    const int c = p.add_constraint(static_cast<double>(rng->uniform_int(1, 3)));
+    for (int v = 0; v < vars; ++v) {
+      if (rng->chance(0.3)) p.add_entry(c, 0, 0, xi(v, layer), 0.5);
+    }
+    p.add_entry(c, 1, slack, slack, 1.0);
+    ++slack;
+  }
+  for (const Combo& c : combos) {
+    const int lo = p.add_constraint(0.0);
+    p.add_entry(lo, 0, c.a, c.b, 0.5);
+    p.add_entry(lo, 1, slack, slack, -1.0);
+    ++slack;
+    const int hi = p.add_constraint(-1.0);
+    p.add_entry(hi, 0, c.a, c.b, 0.5);
+    p.add_entry(hi, 0, 0, c.a, -0.5);
+    p.add_entry(hi, 0, 0, c.b, -0.5);
+    p.add_entry(hi, 1, slack, slack, -1.0);
+    ++slack;
+  }
+  return p;
+}
+
+/// FNV-1a 64 over the bit patterns of every entry, block by block.
+std::uint64_t bits_hash(const BlockMatrix& a) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](double v) {
+    std::uint64_t w;
+    std::memcpy(&w, &v, sizeof w);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (w >> (8 * byte)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (std::size_t k = 0; k < a.num_blocks(); ++k) {
+    if (a.is_dense(k)) {
+      const la::Matrix& d = a.dense(k);
+      for (std::size_t i = 0; i < d.rows(); ++i)
+        for (std::size_t j = 0; j < d.cols(); ++j) mix(d(i, j));
+    } else {
+      for (double v : a.diag(k)) mix(v);
+    }
+  }
+  return h;
+}
+
+// Golden for the served shape, pinned bit for bit: the interior-point
+// kernels may get faster but must not move a single result bit (the ECO
+// cache and every flow hash replay these solutions).
+TEST(SdpGolden, ServedPartitionShapeIsBitExact) {
+  cpla::Rng rng(7);
+  const SdpProblem p = served_partition_problem(10, &rng);
+  ASSERT_EQ(p.num_constraints(), 139);
+  const SdpResult r = solve(p);
+  EXPECT_EQ(r.status, SdpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 21);
+  EXPECT_EQ(r.primal_obj, 0x1.4edc118e27d73p+5);
+  EXPECT_EQ(r.dual_obj, 0x1.4edc0fef17d2ap+5);
+  EXPECT_EQ(bits_hash(r.x), 0x9e99f366a1581956ULL);
+}
+
+// The per-entry Schur kernel as it stood before the packed assembly,
+// verbatim: the bit-exact oracle for detail::SchurAssembly.
+double parent_schur_entry(const SdpProblem& p, int i, int j, const BlockMatrix& zinv,
+                          const BlockMatrix& x) {
+  double sum = 0.0;
+  for (const auto& e : p.constraint(i).entries) {
+    for (const auto& f : p.constraint(j).entries) {
+      if (e.block != f.block) continue;
+      if (zinv.is_dense(e.block)) {
+        const auto& zi = zinv.dense(e.block);
+        const auto& xb = x.dense(e.block);
+        double t = zi(e.col, f.row) * xb(f.col, e.row);
+        if (e.row != e.col) t += zi(e.row, f.row) * xb(f.col, e.col);
+        if (f.row != f.col) t += zi(e.col, f.col) * xb(f.row, e.row);
+        if (e.row != e.col && f.row != f.col) t += zi(e.row, f.col) * xb(f.row, e.col);
+        sum += e.value * f.value * t;
+      } else if (e.row == f.row) {
+        sum += e.value * f.value * zinv.diag(e.block)[e.row] * x.diag(e.block)[e.row];
+      }
+    }
+  }
+  return sum;
+}
+
+// Two dense blocks around a diag block, 1-7 entries per constraint drawn
+// across all three in random order (so blocks interleave within a
+// constraint), diag rows drawn from a small pool (so constraints share
+// them), and Z^{-1}, X filled with unsymmetric noise (so a swapped index
+// cannot hide behind symmetry).
+struct SchurCase {
+  SdpProblem problem;
+  BlockMatrix zinv;
+  BlockMatrix x;
+};
+
+SchurCase random_schur_case(std::uint64_t seed) {
+  cpla::Rng rng(seed);
+  const BlockStructure structure = {BlockSpec{BlockSpec::Kind::kDense, 9},
+                                    BlockSpec{BlockSpec::Kind::kDiag, 6},
+                                    BlockSpec{BlockSpec::Kind::kDense, 5}};
+  SchurCase c{SdpProblem(structure), BlockMatrix(structure), BlockMatrix(structure)};
+  const int m = 40;
+  for (int i = 0; i < m; ++i) {
+    const int ci = c.problem.add_constraint(rng.uniform(-1.0, 1.0));
+    const auto entries = rng.uniform_int(1, 7);
+    for (std::int64_t e = 0; e < entries; ++e) {
+      const int block = static_cast<int>(rng.uniform_int(0, 2));
+      const int dim = structure[static_cast<std::size_t>(block)].dim;
+      int row = static_cast<int>(rng.uniform_int(0, dim - 1));
+      int col = row;
+      if (structure[static_cast<std::size_t>(block)].kind == BlockSpec::Kind::kDense &&
+          rng.chance(0.6)) {
+        col = static_cast<int>(rng.uniform_int(0, dim - 1));
+        if (col < row) std::swap(row, col);
+      }
+      c.problem.add_entry(ci, block, row, col, rng.uniform(-2.0, 2.0));
+    }
+  }
+  for (BlockMatrix* w : {&c.zinv, &c.x}) {
+    for (std::size_t b = 0; b < structure.size(); ++b) {
+      if (w->is_dense(b)) {
+        la::Matrix& d = w->dense(b);
+        for (std::size_t r = 0; r < d.rows(); ++r)
+          for (std::size_t q = 0; q < d.cols(); ++q) d(r, q) = rng.normal();
+      } else {
+        for (double& v : w->diag(b)) v = rng.normal();
+      }
+    }
+  }
+  return c;
+}
+
+void expect_schur_is_parent(const SchurCase& c, bool parallel) {
+  const detail::SchurAssembly assembly(c.problem);
+  const la::Matrix schur = assembly.assemble(c.zinv, c.x, parallel);
+  const int m = c.problem.num_constraints();
+  ASSERT_EQ(schur.rows(), static_cast<std::size_t>(m));
+  ASSERT_EQ(schur.cols(), static_cast<std::size_t>(m));
+  for (int j = 0; j < m; ++j) {
+    for (int i = 0; i <= j; ++i) {
+      const double ref = parent_schur_entry(c.problem, i, j, c.zinv, c.x);
+      ASSERT_EQ(schur(i, j), ref) << i << "," << j;
+      ASSERT_EQ(schur(j, i), ref) << j << "," << i;
+    }
+  }
+}
+
+TEST(SchurAssembly, BitwiseTheParentKernelSerial) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_schur_is_parent(random_schur_case(seed), /*parallel=*/false);
+  }
+}
+
+#ifdef _OPENMP
+TEST(SchurAssembly, BitwiseTheParentKernelAtOneAndFourThreads) {
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (std::uint64_t seed = 11; seed <= 18; ++seed) {
+      expect_schur_is_parent(random_schur_case(seed), /*parallel=*/true);
+    }
+  }
+  omp_set_num_threads(saved);
+}
+#endif
+
+// The interior point's wall time splits into four leaves plus an
+// unattributed remainder, recorded once per solve on every exit path; the
+// five add back up to sdp.solve.ms.
+TEST(SdpSolverCounters, LeafTimesAddUpToSolveTime) {
+  obs::MetricsRegistry& reg = obs::metrics();
+  obs::Counter& calls = reg.counter("sdp.solve.calls");
+  obs::Histogram& total = reg.histogram("sdp.solve.ms");
+  obs::Histogram* leaves[] = {&reg.histogram("sdp.solve.schur_ms"),
+                              &reg.histogram("sdp.solve.factor_ms"),
+                              &reg.histogram("sdp.solve.direction_ms"),
+                              &reg.histogram("sdp.solve.step_ms"),
+                              &reg.histogram("sdp.solve.other_ms")};
+  const std::int64_t calls0 = calls.value();
+  const std::int64_t total_count0 = total.count();
+  const double total0 = total.sum();
+  std::int64_t counts0[5];
+  double sums0[5];
+  for (int k = 0; k < 5; ++k) {
+    counts0[k] = leaves[k]->count();
+    sums0[k] = leaves[k]->sum();
+  }
+
+  cpla::Rng rng(45);
+  ASSERT_EQ(solve(lifted_instance(4, 3, &rng)).status, SdpStatus::kOptimal);
+  ASSERT_EQ(solve(min_eig_instance()).status, SdpStatus::kOptimal);
+  SdpOptions capped;
+  capped.max_iterations = 2;
+  EXPECT_EQ(solve(min_eig_instance(), capped).status, SdpStatus::kIterLimit);
+  SdpProblem bad({BlockSpec{BlockSpec::Kind::kDiag, 2}});
+  bad.add_entry(bad.add_constraint(1.0), 0, 0, 1, 1.0);
+  EXPECT_EQ(solve(bad).status, SdpStatus::kBadProblem);
+
+  const std::int64_t solves = calls.value() - calls0;
+  ASSERT_EQ(solves, 4);
+  EXPECT_EQ(total.count() - total_count0, solves);
+  double split = 0.0;
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(leaves[k]->count() - counts0[k], solves) << k;
+    split += leaves[k]->sum() - sums0[k];
+  }
+  EXPECT_GE(leaves[4]->min(), 0.0);
+  const double spent = total.sum() - total0;
+  EXPECT_GT(spent, 0.0);
+  EXPECT_NEAR(split, spent, 1e-9 * spent);
+}
 
 }  // namespace
 }  // namespace cpla::sdp
