@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   for (auto& [name, run] : runs) {
     for (const Config& config : configs) {
       const bench::FlowOutcome out = bench::run_cpla_flow(&run, config.opt);
-      const std::string invalid = bench::check_landed_state(run, out.metrics);
+      const std::string invalid = bench::check_landed_state(run.prepared, run.critical, out.metrics);
       if (!invalid.empty()) {
         std::fprintf(stderr, "ablation_cpla: FAIL %s.%s: %s\n", name.c_str(), config.name,
                      invalid.c_str());

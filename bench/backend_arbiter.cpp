@@ -62,7 +62,7 @@ ModeOutcome run_mode(bench::BenchRun* run, const core::CplaOptions& opt) {
       core::compute_metrics(*run->prepared.state, *run->prepared.rc, run->critical);
   out.arbiter = res.arbiter_stats;
   out.guard = res.guard_stats;
-  out.invalid = bench::check_landed_state(*run, out.flow.metrics);
+  out.invalid = bench::check_landed_state(run->prepared, run->critical, out.flow.metrics);
   return out;
 }
 

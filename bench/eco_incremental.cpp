@@ -3,10 +3,14 @@
 // EcoSession::resolve() (warm partition-solution cache + timing cache) and
 // once as a from-scratch core::optimize() on an identically mutated control
 // copy — timing both and insisting the results stay bit-identical at every
-// step. Reports the aggregate speedup and the cache hit rate.
+// step. Reports the aggregate speedup, the cache hit rate and the share of
+// partitions that ran a solver. Every landed state is checked
+// independently (bench::check_landed_state); the artifact records
+// validated = 1.
 //
-// Exit status: nonzero when any step diverges (always), or when the warm
-// speedup falls below 3x (full mode only; --quick is too small to gate).
+// Exit status: nonzero when any step diverges or fails the landed-state
+// check (always), or when the warm speedup falls below 3x (full mode only;
+// --quick is too small to gate).
 //
 // Usage: eco_incremental [--quick] [--seed N] [--metrics-out FILE]
 
@@ -41,10 +45,20 @@ int main(int argc, char** argv) {
   // ECO premise: edits arrive against a converged assignment. Align both
   // sides on it (bit-identical by the equivalence contract) and warm the
   // cache in the same stroke.
+  bool validated = true;
+  auto check_landed = [&](const char* when, const core::OptimizeResult& landed) {
+    const std::string invalid =
+        bench::check_landed_state(live, session.critical(), landed.result.metrics);
+    if (!invalid.empty()) {
+      std::fprintf(stderr, "eco_incremental: FAIL %s: %s\n", when, invalid.c_str());
+      validated = false;
+    }
+  };
   {
     WallTimer timer;
-    session.resolve();
+    const core::OptimizeResult warmed = session.resolve();
     report.record_phase("warmup.resolve", timer.seconds() * 1e3);
+    check_landed("warmup", warmed);
   }
   core::optimize(control.state.get(), *control.rc, control_critical, opt.flow);
 
@@ -66,11 +80,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "eco_incremental: delta %d failed to apply\n", i);
       return 1;
     }
-    {
-      WallTimer timer;
-      session.resolve();
-      inc_s += timer.seconds();
-    }
+    WallTimer inc_timer;
+    const core::OptimizeResult landed = session.resolve();
+    inc_s += inc_timer.seconds();
     {
       WallTimer timer;
       core::optimize(control.state.get(), *control.rc, control_critical, opt.flow);
@@ -79,6 +91,7 @@ int main(int argc, char** argv) {
     for (int net = 0; net < control.state->num_nets(); ++net) {
       if (live.state->layers(net) != control.state->layers(net)) ++mismatch_nets;
     }
+    check_landed("resolve", landed);
     if ((i + 1) % 10 == 0) std::printf("  %d/%d deltas replayed\n", i + 1, num_deltas);
   }
 
@@ -87,14 +100,18 @@ int main(int argc, char** argv) {
   const long misses = s.cache_misses - warm.cache_misses;
   const double hit_rate = hits + misses > 0 ? double(hits) / double(hits + misses) : 0.0;
   const double speedup = inc_s > 0.0 ? full_s / inc_s : 0.0;
+  // Whole session, warm-up included: every partition looks the cache up
+  // once, and each miss runs the solver.
+  const double solve_share =
+      s.clean_partitions > 0 ? double(s.cache_misses) / double(s.clean_partitions) : 0.0;
 
   Table table({"metric", "value"});
   table.add_row({"incremental total (s)", fmt_num(inc_s, 2)});
   table.add_row({"from-scratch total (s)", fmt_num(full_s, 2)});
   table.add_row({"speedup", fmt_num(speedup, 2) + "x"});
   table.add_row({"cache hit rate", fmt_num(hit_rate * 100.0, 1) + "%"});
-  table.add_row({"dirty partitions", std::to_string(s.dirty_partitions)});
-  table.add_row({"clean partitions", std::to_string(s.clean_partitions)});
+  table.add_row({"partitions looked up", std::to_string(s.clean_partitions)});
+  table.add_row({"solve share", fmt_num(solve_share * 100.0, 1) + "%"});
   table.add_row({"mismatched nets", std::to_string(mismatch_nets)});
   table.print(stdout);
 
@@ -106,11 +123,17 @@ int main(int argc, char** argv) {
   report.record_phase("eco.inverse_speedup", speedup > 0.0 ? 1e3 / speedup : 1e9);
   report.record_value("eco.mismatch_nets", static_cast<double>(mismatch_nets));
   report.record_value("eco.cache.miss_rate", hits + misses > 0 ? 1.0 - hit_rate : 1.0);
+  report.record_value("eco.solve_share", solve_share);
+  report.record_value("validated", validated ? 1.0 : 0.0);
   const core::LaMetrics final_metrics =
       core::compute_metrics(*live.state, *live.rc, session.critical());
   report.record_value("eco.final.avg_tcp", final_metrics.avg_tcp);
   report.record_value("eco.final.max_tcp", final_metrics.max_tcp);
 
+  if (!validated) {
+    report.write();
+    return 1;
+  }
   if (mismatch_nets > 0) {
     std::fprintf(stderr, "eco_incremental: FAIL - incremental resolve diverged on %ld nets\n",
                  mismatch_nets);

@@ -5,7 +5,11 @@
 // final resolve must be never-worse than the warmed entry state, and the
 // p99 resolve latency under load must stay within a generous multiple of a
 // quiescent solo resolve (a machine-relative gate, so it survives CI
-// hardware churn where absolute wall clocks cannot).
+// hardware churn where absolute wall clocks cannot). The landed states the
+// bench can read without racing the worker — the entry resolve, before
+// the clients start, and the final one, after stop() — are checked
+// independently (bench::check_landed_state); the artifact records
+// validated = 1.
 //
 // Artifact notes (cpla-bench-v1): latency percentiles ride the `phases`
 // section so CI's --no-time skips them; the gates and the service's
@@ -14,8 +18,8 @@
 // on thread interleaving, so the registry is zeroed — registration kept,
 // presence still checked — before the artifact is written.
 //
-// Exit status: nonzero when replay diverges, the final state regresses, or
-// the relative latency gate trips.
+// Exit status: nonzero when replay diverges, the final state regresses or
+// fails the landed-state check, or the relative latency gate trips.
 //
 // Usage: eco_serve [--quick] [--seed N] [--metrics-out FILE]
 
@@ -110,6 +114,10 @@ int main(int argc, char** argv) {
   // an interleaving accident — off, so applied == submitted exactly.
   opt.coalesce = false;
   opt.max_queue = static_cast<std::size_t>(kSessions * kEditsPerSession + kWarmupEdits + 64);
+  // The service's session selects its critical set from this same
+  // untouched state, and capacity edits never change it.
+  const core::CriticalSet entry_critical =
+      core::select_critical(*live.state, *live.rc, opt.eco.critical_ratio);
   serve::EcoService service(live.design.get(), live.state.get(), live.rc.get(), opt);
   if (!service.start().is_ok()) {
     std::fprintf(stderr, "eco_serve: service start failed\n");
@@ -134,6 +142,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   report.record_phase("warmup.resolve", solo_ms);
+  // The worker is idle until the first client submits, so the state is
+  // quiescent here.
+  std::string invalid = bench::check_landed_state(live, entry_critical, entry.metrics);
+  if (!invalid.empty()) invalid = "entry resolve: " + invalid;
 
   std::atomic<int> failures{0};
   std::atomic<int> resolves_ok{1};  // the warmup resolve, already checked
@@ -178,6 +190,10 @@ int main(int argc, char** argv) {
   const std::uint64_t final_hash = service.snapshot()->hash;
   const serve::ServeStats stats = service.stats();
   service.stop();
+  if (invalid.empty()) {
+    invalid = bench::check_landed_state(live, service.engine().critical(), fin.metrics);
+    if (!invalid.empty()) invalid = "final resolve: " + invalid;
+  }
 
   // Recovery proof: the journal alone, replayed against a freshly
   // generated base, must land on the published final bits.
@@ -239,6 +255,7 @@ int main(int argc, char** argv) {
   report.record_value("serve.client_failures", static_cast<double>(failures.load()));
   report.record_value("serve.resolves_ok", static_cast<double>(resolves_ok.load()));
   report.record_value("serve.resolves_expected", static_cast<double>(expected_resolves));
+  report.record_value("validated", invalid.empty() ? 1.0 : 0.0);
 
   // Zero the obs registry (registration survives, so the comparator still
   // checks presence): batch and journal-record counts vary with thread
@@ -257,6 +274,10 @@ int main(int argc, char** argv) {
   }
   if (!never_worse_ok) {
     std::fprintf(stderr, "eco_serve: FAIL - final resolve worse than the entry state\n");
+    ok = false;
+  }
+  if (!invalid.empty()) {
+    std::fprintf(stderr, "eco_serve: FAIL %s\n", invalid.c_str());
     ok = false;
   }
   if (!latency_ok) {

@@ -216,14 +216,18 @@ inline FlowOutcome run_cpla_flow(BenchRun* run, const core::CplaOptions& opt = {
 
 /// Checks a landed state with code that did not produce it: the
 /// independent validator over every net's wires, and Avg/Max(Tcp)
-/// recomputed net by net with timing::critical_delay, which must equal
-/// `reported` exactly. Returns an empty string when both hold, else the
-/// first failure.
-inline std::string check_landed_state(const BenchRun& run, const core::LaMetrics& reported) {
-  const assign::AssignState& state = *run.prepared.state;
-  const grid::Design& design = *run.prepared.design;
+/// recomputed net by net with timing::critical_delay over `critical`,
+/// which must equal `reported` exactly. Nets an ECO stream added have no
+/// netlist pins to check against and are left out of the validator.
+/// Returns an empty string when both hold, else the first failure.
+inline std::string check_landed_state(const core::Prepared& prepared,
+                                      const core::CriticalSet& critical,
+                                      const core::LaMetrics& reported) {
+  const assign::AssignState& state = *prepared.state;
+  const grid::Design& design = *prepared.design;
+  const int netlist_nets = static_cast<int>(design.nets.size());
   std::vector<assign::RoutedNet> nets;
-  for (int n = 0; n < state.num_nets(); ++n) {
+  for (int n = 0; n < std::min(state.num_nets(), netlist_nets); ++n) {
     if (state.tree(n).segs.empty()) continue;
     nets.push_back({design.nets[static_cast<std::size_t>(n)].name, n, assign::net_wires(state, n)});
   }
@@ -234,13 +238,13 @@ inline std::string check_landed_state(const BenchRun& run, const core::LaMetrics
   }
   double sum = 0.0;
   double max_tcp = 0.0;
-  for (int net : run.critical.nets) {
-    const double tcp = timing::critical_delay(state.tree(net), state.layers(net), *run.prepared.rc);
+  for (int net : critical.nets) {
+    const double tcp = timing::critical_delay(state.tree(net), state.layers(net), *prepared.rc);
     sum += tcp;
     max_tcp = std::max(max_tcp, tcp);
   }
   const double avg_tcp =
-      run.critical.nets.empty() ? 0.0 : sum / static_cast<double>(run.critical.nets.size());
+      critical.nets.empty() ? 0.0 : sum / static_cast<double>(critical.nets.size());
   if (avg_tcp != reported.avg_tcp || max_tcp != reported.max_tcp) {
     char buf[160];
     std::snprintf(buf, sizeof buf, "recomputed Avg/Max %.17g/%.17g != reported %.17g/%.17g",

@@ -241,10 +241,10 @@ int main(int argc, char** argv) {
     table.print();
     const eco::EcoStats s = session.stats();
     std::printf(
-        "eco: %ld deltas, %ld resolves (%ld fallbacks), cache %ld hits / %ld misses, "
-        "partitions %ld dirty / %ld clean\n",
-        s.deltas_applied, s.resolves, s.fallbacks, s.cache_hits, s.cache_misses,
-        s.dirty_partitions, s.clean_partitions);
+        "eco: %ld deltas, %ld resolves (%ld fallbacks), %ld partitions looked up: "
+        "cache %ld hits / %ld misses\n",
+        s.deltas_applied, s.resolves, s.fallbacks, s.clean_partitions, s.cache_hits,
+        s.cache_misses);
     virtual_nets = prep.state->num_nets() != static_cast<int>(prep.design->nets.size());
   } else {
     // Entry selection: slack budget (--required-time) beats live-STA slack

@@ -65,8 +65,7 @@ struct PartitionProblem {
   const timing::RcTable* rc = nullptr;
   ModelOptions options;
   // Extent of the partition region the problem was built from, half-open
-  // [x0,x1) x [y0,y1). The ECO dirty-set test intersects design-delta
-  // bounding boxes with these.
+  // [x0,x1) x [y0,y1). Part of the ECO solution-cache key.
   int region_x0 = 0, region_y0 = 0, region_x1 = 0, region_y1 = 0;
 
   /// Quadratic via cost tv for a pair when child sits on lc and parent on

@@ -15,32 +15,7 @@ const char* to_string(DeltaKind kind) {
   return "unknown";
 }
 
-bool intersects(const Rect& r, int px0, int py0, int px1, int py1) {
-  if (r.empty()) return false;
-  return r.x0 < px1 && px0 < r.x1 && r.y0 < py1 && py0 < r.y1;
-}
-
-Rect tree_bbox(const route::SegTree& tree) {
-  Rect r;
-  if (tree.segs.empty()) return r;
-  int xmin = tree.segs[0].a.x, xmax = xmin, ymin = tree.segs[0].a.y, ymax = ymin;
-  for (const route::Segment& s : tree.segs) {
-    xmin = std::min({xmin, s.a.x, s.b.x});
-    xmax = std::max({xmax, s.a.x, s.b.x});
-    ymin = std::min({ymin, s.a.y, s.b.y});
-    ymax = std::max({ymax, s.a.y, s.b.y});
-  }
-  return Rect{xmin, ymin, xmax + 1, ymax + 1};
-}
-
 namespace {
-
-Rect rect_union(const Rect& a, const Rect& b) {
-  if (a.empty()) return b;
-  if (b.empty()) return a;
-  return Rect{std::min(a.x0, b.x0), std::min(a.y0, b.y0), std::max(a.x1, b.x1),
-              std::max(a.y1, b.y1)};
-}
 
 bool valid_net(const assign::AssignState& state, int net) {
   return net >= 0 && net < state.num_nets();
@@ -135,30 +110,6 @@ Delta Delta::net_removed(int net) {
   d.kind = DeltaKind::kNetRemoved;
   d.net = net;
   return d;
-}
-
-Rect bounding_region(const Delta& delta, const assign::AssignState& state) {
-  switch (delta.kind) {
-    case DeltaKind::kNetRerouted: {
-      Rect r = tree_bbox(delta.tree);
-      if (valid_net(state, delta.net)) r = rect_union(r, tree_bbox(state.tree(delta.net)));
-      return r;
-    }
-    case DeltaKind::kCriticalityChanged:
-    case DeltaKind::kNetRemoved:
-      return valid_net(state, delta.net) ? tree_bbox(state.tree(delta.net)) : Rect{};
-    case DeltaKind::kCapacityAdjusted: {
-      const auto& g = state.design().grid;
-      const bool horizontal =
-          delta.layer >= 0 && delta.layer < g.num_layers() && g.is_horizontal(delta.layer);
-      // The edge touches its two endpoint cells.
-      return horizontal ? Rect{delta.x, delta.y, delta.x + 2, delta.y + 1}
-                        : Rect{delta.x, delta.y, delta.x + 1, delta.y + 2};
-    }
-    case DeltaKind::kNetAdded:
-      return tree_bbox(delta.tree);
-  }
-  return Rect{};
 }
 
 Result<int> apply_delta(const Delta& delta, grid::Design* design, assign::AssignState* state,

@@ -2,13 +2,9 @@
 
 // Typed design deltas for the incremental ECO engine. An EcoSession (or a
 // test mirroring one) applies a stream of these to an AssignState + Design
-// + CriticalSet triple; each delta also yields a bounding region, which the
-// session intersects with partition extents to build the dirty-set for the
-// next resolve().
-//
-// The dirty-set is a performance hint only: correctness of cached
-// partition solutions comes from the content-addressed cache key (see
-// solution_cache.hpp), never from delta bookkeeping.
+// + CriticalSet triple. Deltas carry no region bookkeeping: which cached
+// partition solutions stay valid is decided by the content-addressed cache
+// key alone (see solution_cache.hpp).
 
 #include <vector>
 
@@ -30,18 +26,6 @@ enum class DeltaKind : int {
 
 const char* to_string(DeltaKind kind);
 
-/// Half-open cell-coordinate rectangle [x0,x1) x [y0,y1).
-struct Rect {
-  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
-  bool empty() const { return x0 >= x1 || y0 >= y1; }
-};
-
-/// True when `r` overlaps the half-open region [px0,px1) x [py0,py1).
-bool intersects(const Rect& r, int px0, int py0, int px1, int py1);
-
-/// Bounding box of a tree's segments, half-open. Empty tree -> empty rect.
-Rect tree_bbox(const route::SegTree& tree);
-
 struct Delta {
   DeltaKind kind = DeltaKind::kNetRerouted;
   int net = -1;             // reroute / criticality / remove target
@@ -60,10 +44,6 @@ struct Delta {
   static Delta net_added(route::SegTree tree, std::vector<int> layers = {});
   static Delta net_removed(int net);
 };
-
-/// Region of the state a delta can touch, evaluated against the
-/// *pre-application* state (a reroute covers the old and the new tree).
-Rect bounding_region(const Delta& delta, const assign::AssignState& state);
 
 /// Applies one delta to a design/state/critical-set triple — the single
 /// shared implementation used by EcoSession::apply and by equivalence

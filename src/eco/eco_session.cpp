@@ -25,15 +25,11 @@ EcoSession::EcoSession(grid::Design* design, assign::AssignState* state,
 }
 
 Result<int> EcoSession::apply(const Delta& delta) {
-  // The region is taken against the pre-application state so a reroute
-  // covers the *old* tree's partitions as well as the new one's.
-  const Rect region = bounding_region(delta, *state_);
   Result<int> applied = apply_delta(delta, design_, state_, &critical_);
   if (!applied.is_ok()) return applied;
 
   ++deltas_applied_;
   obs::metrics().counter("eco.deltas.applied").add();
-  if (!region.empty()) pending_.push_back(region);
 
   if (delta.kind == DeltaKind::kNetRerouted || delta.kind == DeltaKind::kNetAdded ||
       delta.kind == DeltaKind::kNetRemoved) {
@@ -57,14 +53,13 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
   // reverse and the critical set snapshot is restored wholesale (promote/
   // demote change the *order* of critical_.nets, which matters for flow
   // determinism, so membership-level undo would not be exact). Session
-  // bookkeeping (regions, version bumps, cache invalidations, counters) is
+  // bookkeeping (version bumps, cache invalidations, counters) is
   // deferred until the whole batch has applied.
   const core::CriticalSet critical_snapshot = critical_;
   std::vector<std::function<void()>> undo;
   undo.reserve(batch.size());
 
   std::vector<int> applied_nets;
-  std::vector<Rect> regions;
   std::vector<int> retree_nets;  // nets needing a version bump on commit
   applied_nets.reserve(batch.size());
 
@@ -74,7 +69,6 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
   };
 
   for (const Delta& delta : batch) {
-    const Rect region = bounding_region(delta, *state_);
     // Capture state-level undo *before* the mutation. Criticality changes
     // are covered by the critical-set snapshot alone.
     const std::size_t undo_before = undo.size();
@@ -132,7 +126,6 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
       retree_nets.push_back(applied.value());
     }
     applied_nets.push_back(applied.value());
-    if (!region.empty()) regions.push_back(region);
   }
 
   // Commit: only now does the session bookkeeping observe the batch.
@@ -145,7 +138,6 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
     timing_cache_.invalidate(net);
   }
   if (!retree_nets.empty() && sta_graph_ != nullptr) sta_graph_->invalidate_topology();
-  for (const Rect& r : regions) pending_.push_back(r);
   deltas_applied_ += static_cast<long>(batch.size());
   obs::metrics().counter("eco.deltas.applied").add(static_cast<long>(batch.size()));
   return applied_nets;
@@ -159,11 +151,12 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
 
   core::CplaOptions opts = options_.flow;
   opts.timing_cache = &timing_cache_;
-  opts.partition_solver = [this](const core::PartitionProblem& problem,
-                                 const assign::AssignState& state, core::GuardStats* stats) {
-    return solve_partition(problem, state, stats);
-  };
   if (request.deadline_ms > 0.0) opts.guard.deadline_ms = request.deadline_ms;
+  opts.partition_solver = [this, guard = opts.guard](const core::PartitionProblem& problem,
+                                                     const assign::AssignState& state,
+                                                     core::GuardStats* stats) {
+    return solve_partition(problem, state, guard, stats);
+  };
   opts.cancel = request.cancel;
 
   // Entry snapshot: a degraded run restores it before full_resolve() so the
@@ -175,8 +168,7 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
 
   core::OptimizeResult out = core::optimize(state_, *rc_, critical_, opts);
   if (out.result.cancelled) {
-    // The caller owns the decision to keep or roll back a partial run;
-    // pending regions stay queued so the next resolve re-covers them.
+    // The caller owns the decision to keep or roll back a partial run.
     obs::metrics().counter("eco.resolve.cancelled").add();
     retime_sta();
     return out;
@@ -196,7 +188,6 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
     }
     return full_resolve();
   }
-  pending_.clear();
   retime_sta();
   return out;
 }
@@ -205,7 +196,6 @@ core::OptimizeResult EcoSession::full_resolve() {
   ++full_resolves_;
   obs::metrics().counter("eco.resolve.full").add();
   core::OptimizeResult out = core::optimize(state_, *rc_, critical_, options_.flow);
-  pending_.clear();
   retime_sta();
   return out;
 }
@@ -223,7 +213,6 @@ void EcoSession::restore_critical(core::CriticalSet critical) {
   }
   tree_version_.resize(static_cast<std::size_t>(state_->num_nets()), 0);
   for (std::uint64_t& v : tree_version_) v = next_version_++;
-  pending_.clear();
   timing_cache_.clear();
   cache_.clear();
   // The design/state were swapped out from under the session: any attached
@@ -237,22 +226,11 @@ EcoStats EcoSession::stats() const {
   s.resolves = resolves_;
   s.full_resolves = full_resolves_;
   s.fallbacks = fallbacks_;
-  s.dirty_partitions = dirty_partitions_.load(std::memory_order_relaxed);
   s.clean_partitions = clean_partitions_.load(std::memory_order_relaxed);
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.cache_evictions = cache_.evictions();
   return s;
-}
-
-bool EcoSession::is_dirty(const core::PartitionProblem& problem) const {
-  for (const Rect& r : pending_) {
-    if (intersects(r, problem.region_x0, problem.region_y0, problem.region_x1,
-                   problem.region_y1)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 namespace {
@@ -271,17 +249,14 @@ bool replay_valid(const core::PartitionProblem& problem, const core::GuardedSolv
 
 }  // namespace
 
-core::Engine EcoSession::chosen_engine(const core::PartitionProblem& problem) const {
-  return arbiter_.choose(problem, options_.flow.guard, options_.flow.engine);
-}
-
 core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& problem,
                                                const assign::AssignState& state,
+                                               const core::GuardOptions& guard,
                                                core::GuardStats* stats) {
   const core::CplaOptions& f = options_.flow;
+  const core::Engine engine = arbiter_.choose(problem, guard, f.engine);
   auto solve_fresh = [&]() {
-    return core::guarded_solve(problem, state, chosen_engine(problem), f.sdp, f.ilp, f.guard,
-                               stats);
+    return core::guarded_solve(problem, state, engine, f.sdp, f.ilp, guard, stats);
   };
 
   if (CPLA_FAULT_POINT("eco.resolve.partition")) {
@@ -292,38 +267,36 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
   // (the whole run will be redone by full_resolve anyway).
   if (degraded_.load(std::memory_order_relaxed)) return solve_fresh();
 
-  if (is_dirty(problem)) {
-    dirty_partitions_.fetch_add(1, std::memory_order_relaxed);
-    obs::metrics().counter("eco.partitions.dirty").add();
-    const CacheKey key = build_key(problem, state);
-    const core::GuardedSolve solved = solve_fresh();
-    cache_.insert(key, solved);
-    return solved;
-  }
-
   clean_partitions_.fetch_add(1, std::memory_order_relaxed);
   obs::metrics().counter("eco.partitions.clean").add();
-  const CacheKey key = build_key(problem, state);
+  const CacheKey key = build_key(problem, state, engine);
   core::GuardedSolve cached;
   if (cache_.lookup(key, &cached)) {
     if (replay_valid(problem, cached)) {
-      if (stats != nullptr) {
-        ++stats->solves;
-        ++stats->tier_used[static_cast<int>(cached.tier)];
-      }
+      ++stats->solves;
+      ++stats->tier_used[static_cast<int>(cached.tier)];
       return cached;
     }
     // Corrupt entry: treat as a miss and overwrite below.
     obs::metrics().counter("eco.cache.replay_rejects").add();
   }
   if (cache_.poisoned()) degraded_.store(true, std::memory_order_relaxed);
+  const long deadline_hits = stats->deadline_hits;
   const core::GuardedSolve solved = solve_fresh();
-  cache_.insert(key, solved);
+  // A solve the wall clock truncated (deadline_ms or the forced
+  // solve_guard.deadline fault) is not a function of the key, which carries
+  // no deadline: replaying it in a later deadline-free resolve would break
+  // bit-identity with full_resolve().
+  if (stats->deadline_hits != deadline_hits) {
+    obs::metrics().counter("eco.cache.uncacheable").add();
+  } else {
+    cache_.insert(key, solved);
+  }
   return solved;
 }
 
 CacheKey EcoSession::build_key(const core::PartitionProblem& problem,
-                               const assign::AssignState& state) const {
+                               const assign::AssignState& state, core::Engine engine) const {
   CacheKey key;
   const auto& g = state.design().grid;
 
@@ -333,7 +306,7 @@ CacheKey EcoSession::build_key(const core::PartitionProblem& problem,
   // engine must never replay for a config that would route elsewhere.
   key.push_int(static_cast<int>(options_.flow.engine));
   key.push_int(static_cast<int>(options_.flow.backend.mode));
-  key.push_int(static_cast<int>(chosen_engine(problem)));
+  key.push_int(static_cast<int>(engine));
   key.push_int(g.num_layers());
   key.push_int(state.nv());
 

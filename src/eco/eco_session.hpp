@@ -12,11 +12,10 @@
 //   * per-net Elmore timing routes through a TimingCache keyed on the
 //     exact layer vector.
 //
-// The dirty-set (delta bounding regions intersected with partition
-// extents) only decides which partitions skip the cache lookup and always
-// re-solve; a clean partition whose content changed anyway (cross-
-// partition Gauss-Seidel coupling) simply misses and re-solves too.
-// Correctness never depends on dirty-set precision.
+// Every partition consults the cache: the key alone decides replay versus
+// solve, so a partition an edit touched misses because its content
+// changed, not because of where the edit landed. Solves truncated by a
+// wall-clock deadline are never inserted (the key carries no deadline).
 //
 // resolve() and full_resolve() carry core::optimize()'s transactional
 // never-crash / never-worse contract. If an `eco.cache.lookup` or
@@ -68,8 +67,7 @@ struct EcoStats {
   long resolves = 0;
   long full_resolves = 0;
   long fallbacks = 0;  // degraded resolves re-run as full_resolve()
-  long dirty_partitions = 0;
-  long clean_partitions = 0;
+  long clean_partitions = 0;  // partitions that consulted the cache
   long cache_hits = 0;
   long cache_misses = 0;
   long cache_evictions = 0;
@@ -82,8 +80,8 @@ class EcoSession {
   EcoSession(grid::Design* design, assign::AssignState* state, const timing::RcTable* rc,
              EcoOptions options = {});
 
-  /// Applies one delta to the design/state/critical-set and records its
-  /// dirty region for the next resolve(). Returns the affected net id
+  /// Applies one delta to the design/state/critical-set and invalidates
+  /// the per-net bookkeeping it touches. Returns the affected net id
   /// (the new id for kNetAdded, -1 for kCapacityAdjusted); on kBadInput
   /// nothing was mutated.
   Result<int> apply(const Delta& delta);
@@ -91,20 +89,19 @@ class EcoSession {
   /// Applies a batch of deltas transactionally: either every delta applies
   /// (returns the per-delta affected net ids, in order) or — on the first
   /// failure — everything already applied is undone and the session is
-  /// byte-identical to its pre-batch self (no dirty regions, no version
+  /// byte-identical to its pre-batch self (no version
   /// bumps, no counter changes). Requires every targeted net to be in the
   /// assigned state (the post-initial-assignment invariant): undo restores
   /// trees through replace_tree(), which always re-assigns.
   Result<std::vector<int>> apply_batch(const std::vector<Delta>& batch);
 
-  /// Incremental re-optimization: dirty partitions re-solve, clean ones
-  /// are served from the solution cache when their content key matches.
+  /// Incremental re-optimization: every partition is served from the
+  /// solution cache when its content key matches and solved otherwise.
   /// Bit-identical to full_resolve() on the same state by construction.
   core::OptimizeResult resolve() { return resolve(ResolveOptions{}); }
 
   /// resolve() with a per-request deadline and/or cancellation hook. A
-  /// cancelled run skips the degraded-fallback pass and leaves the dirty
-  /// regions pending (the next resolve still covers them).
+  /// cancelled run skips the degraded-fallback pass.
   core::OptimizeResult resolve(const ResolveOptions& request);
 
   /// From-scratch guarded optimize (no caches, no hooks) — the fallback
@@ -117,7 +114,7 @@ class EcoSession {
   /// restored from a checkpoint *outside* the session's apply() path,
   /// installs the checkpointed critical set and resynchronizes per-net
   /// bookkeeping — version counters are resized to the restored net count
-  /// and freshly bumped, the dirty-region list and both caches are cleared.
+  /// and freshly bumped, and both caches are cleared.
   void restore_critical(core::CriticalSet critical);
 
   /// Attaches a live STA graph (borrowed, already built on this session's
@@ -135,14 +132,14 @@ class EcoSession {
   assign::AssignState& state() { return *state_; }
 
  private:
+  // `guard` is the resolve's guard options (session default plus the
+  // request deadline).
   core::GuardedSolve solve_partition(const core::PartitionProblem& problem,
                                      const assign::AssignState& state,
-                                     core::GuardStats* stats);
-  CacheKey build_key(const core::PartitionProblem& problem,
-                     const assign::AssignState& state) const;
-  bool is_dirty(const core::PartitionProblem& problem) const;
+                                     const core::GuardOptions& guard, core::GuardStats* stats);
+  CacheKey build_key(const core::PartitionProblem& problem, const assign::AssignState& state,
+                     core::Engine engine) const;
   void retime_sta();
-  core::Engine chosen_engine(const core::PartitionProblem& problem) const;
 
   grid::Design* design_;
   assign::AssignState* state_;
@@ -154,7 +151,6 @@ class EcoSession {
   core::BackendArbiter arbiter_;
   core::CriticalSet critical_;
 
-  std::vector<Rect> pending_;  // delta regions since the last clean resolve
   // Bumped on every tree change of a net; part of the cache key (layer
   // vectors alone cannot distinguish two trees of the same shape count).
   std::vector<std::uint64_t> tree_version_;
@@ -170,7 +166,6 @@ class EcoSession {
   long full_resolves_ = 0;
   long fallbacks_ = 0;
   // Written from the OpenMP solve phase, hence atomic.
-  std::atomic<long> dirty_partitions_{0};
   std::atomic<long> clean_partitions_{0};
 };
 

@@ -39,6 +39,11 @@ inline constexpr const char* kBitIdentityTUs[] = {
     // Partition-level Lagrangian engine: its picks feed the ECO replay
     // cache.
     "src/core/lagr_engine.cpp",
+    // The interior-point solver and its Cholesky kernel: every served SDP
+    // pick is replayed from the ECO cache, which is sound only while a
+    // solve is bit-deterministic.
+    "src/la/cholesky.cpp",
+    "src/sdp/solver.cpp",
 };
 
 // Directories where container iteration order can reach solver inputs

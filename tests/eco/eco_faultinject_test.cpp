@@ -4,11 +4,14 @@
 // never crashes, falls back to full_resolve(), stays never-worse, and
 // (because the session restores its entry snapshot before the fallback)
 // ends bit-identical to a stock core::optimize() on an untouched copy.
+// The forced solve_guard.deadline fault checks that deadline-truncated
+// solves never enter the solution cache.
 
 #include <gtest/gtest.h>
 
 #include "src/eco/eco_session.hpp"
 #include "src/eco/edit_script.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/fault_inject.hpp"
 #include "tests/eco/eco_test_util.hpp"
 
@@ -108,6 +111,51 @@ TEST_F(EcoFaultInjectTest, IntermittentFaultOnAWarmSessionStaysNeverWorse) {
   const long fallbacks = session.stats().fallbacks;
   EXPECT_TRUE(session.resolve().status.is_ok());
   EXPECT_EQ(session.stats().fallbacks, fallbacks);
+}
+
+TEST_F(EcoFaultInjectTest, DeadlineTruncatedSolvesAreNeverReplayed) {
+  // Every guarded solve of the first resolve hits the forced deadline and
+  // keeps the current assignment. Those picks depend on the wall clock,
+  // not on the cache key, so the fault-free resolve that follows must
+  // solve for real and land where a stock optimize lands.
+  core::Prepared live = make_bench(94);
+  core::Prepared control = make_bench(94);
+  EcoOptions opt;
+  opt.critical_ratio = 0.03;
+  EcoSession session(live.design.get(), live.state.get(), live.rc.get(), opt);
+  const core::CriticalSet critical = session.critical();
+  obs::Counter& uncacheable = obs::metrics().counter("eco.cache.uncacheable");
+  const long uncacheable_before = uncacheable.value();
+
+  FaultInjector::instance().arm_always("solve_guard.deadline");
+  ASSERT_TRUE(session.resolve().status.is_ok());
+  ASSERT_TRUE(core::optimize(control.state.get(), *control.rc, critical, opt.flow).status.is_ok());
+  FaultInjector::instance().reset();
+  EXPECT_GT(uncacheable.value(), uncacheable_before);
+  EXPECT_EQ(session.cache().size(), 0u);
+  expect_assignments_equal(*live.state, *control.state);
+
+  ASSERT_TRUE(session.resolve().status.is_ok());
+  ASSERT_TRUE(core::optimize(control.state.get(), *control.rc, critical, opt.flow).status.is_ok());
+  expect_assignments_equal(*live.state, *control.state);
+  expect_metrics_equal(*live.state, *control.state, *live.rc, critical);
+  EXPECT_EQ(session.stats().fallbacks, 0);
+}
+
+TEST_F(EcoFaultInjectTest, RequestDeadlineReachesThePartitionSolves) {
+  core::Prepared live = make_bench(95);
+  EcoOptions opt;
+  opt.critical_ratio = 0.03;
+  EcoSession session(live.design.get(), live.state.get(), live.rc.get(), opt);
+  obs::Counter& deadline_hits = obs::metrics().counter("core.guard.deadline_hits");
+  const long before = deadline_hits.value();
+
+  // A deadline far below one clock read: every solve expires at tier 0.
+  ResolveOptions request;
+  request.deadline_ms = 1e-9;
+  ASSERT_TRUE(session.resolve(request).status.is_ok());
+  EXPECT_GT(deadline_hits.value(), before);
+  EXPECT_EQ(session.cache().size(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Unit tests for the ECO subsystem building blocks — deltas, reroute
 // helpers, the content-addressed solution cache, the assign-state ECO
 // mutators, the timing cache — plus EcoSession end-to-end behavior
-// (warm-cache hits, dirty/clean accounting, stats). Carries the `eco` and
-// `tsan` labels: the cache is hammered from an OpenMP region below.
+// (warm-cache hits, the cache key deciding replay vs solve, stats).
+// Carries the `eco` and `tsan` labels: the cache is hammered from an
+// OpenMP region below.
 
 #include <gtest/gtest.h>
 
@@ -18,33 +19,13 @@
 #include "src/eco/edit_script.hpp"
 #include "src/eco/reroute.hpp"
 #include "src/eco/solution_cache.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/timing/elmore.hpp"
 #include "src/timing/incremental.hpp"
 #include "tests/eco/eco_test_util.hpp"
 
 namespace cpla::eco {
 namespace {
-
-// --- Rect / region helpers -------------------------------------------
-
-TEST(RectTest, IntersectsIsHalfOpen) {
-  const Rect r{2, 3, 5, 6};
-  EXPECT_TRUE(intersects(r, 4, 5, 10, 10));
-  EXPECT_FALSE(intersects(r, 5, 3, 10, 10));  // touching edges don't overlap
-  EXPECT_FALSE(intersects(r, 0, 6, 10, 10));
-  EXPECT_TRUE(intersects(r, 0, 0, 3, 4));
-  EXPECT_FALSE(intersects(Rect{}, 0, 0, 10, 10));  // empty rect hits nothing
-}
-
-TEST(RectTest, TreeBboxCoversAllSegments) {
-  const route::SegTree tree = make_two_pin_tree({2, 7}, {6, 3});
-  const Rect b = tree_bbox(tree);
-  EXPECT_EQ(b.x0, 2);
-  EXPECT_EQ(b.y0, 3);
-  EXPECT_EQ(b.x1, 7);  // half-open: max coordinate + 1
-  EXPECT_EQ(b.y1, 8);
-  EXPECT_TRUE(tree_bbox(route::SegTree{}).empty());
-}
 
 // --- Reroute helpers --------------------------------------------------
 
@@ -354,22 +335,135 @@ TEST(EcoSessionTest, SecondResolveIsServedFromTheCache) {
   EXPECT_EQ(after_second.full_resolves, 0);
 }
 
-TEST(EcoSessionTest, DirtyAndCleanPartitionsAreBothAccounted) {
-  core::Prepared bench = make_bench(18);
-  EcoOptions opt;
-  opt.critical_ratio = 0.03;
-  EcoSession session(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
-  session.resolve();  // warm the cache with a clean baseline pass
+/// Partition solver calls made so far in this process (replays excluded:
+/// a cache hit never reaches core::guarded_solve).
+long solver_calls() { return obs::metrics().counter("core.guard.solves").value(); }
 
-  const std::vector<Delta> script =
-      make_edit_script(session.state(), session.critical(), {.count = 4, .seed = 7});
-  for (const Delta& d : script) ASSERT_TRUE(session.apply(d).is_ok());
-  session.resolve();
+/// A session resolved twice with no edits: the converged final round of
+/// the first resolve is what the second starts from.
+struct ConvergedSession {
+  core::Prepared bench;
+  EcoSession session;
 
-  const EcoStats s = session.stats();
-  EXPECT_GT(s.dirty_partitions, 0);  // delta regions marked someone dirty
-  EXPECT_GT(s.clean_partitions, 0);  // but far from everyone
-  EXPECT_EQ(s.fallbacks, 0);
+  explicit ConvergedSession(std::uint64_t seed)
+      : bench(make_bench(seed)),
+        session(bench.design.get(), bench.state.get(), bench.rc.get(), options()) {
+    session.resolve();
+    session.resolve();
+  }
+  static EcoOptions options() {
+    EcoOptions opt;
+    opt.critical_ratio = 0.03;
+    return opt;
+  }
+};
+
+TEST(EcoSessionTest, ResolveWithoutEditsRunsNoSolver) {
+  ConvergedSession warm(18);
+  const EcoStats before = warm.session.stats();
+  const long calls = solver_calls();
+
+  ASSERT_TRUE(warm.session.resolve().status.is_ok());
+  const EcoStats after = warm.session.stats();
+  EXPECT_EQ(solver_calls(), calls);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  // Every partition still consulted the cache, and every one hit.
+  EXPECT_GT(after.clean_partitions, before.clean_partitions);
+  EXPECT_EQ(after.cache_hits - before.cache_hits,
+            after.clean_partitions - before.clean_partitions);
+}
+
+/// Horizontal and vertical edges carry separate id spaces.
+long long directed_edge(bool horizontal, int edge) {
+  return (static_cast<long long>(edge) << 1) | (horizontal ? 1 : 0);
+}
+
+TEST(EcoSessionTest, EditInsideARegionButOutsideItsInputsReplays) {
+  ConvergedSession warm(18);
+  const assign::AssignState& state = warm.session.state();
+  const auto& g = state.design().grid;
+  const core::CriticalSet& critical = warm.session.critical();
+
+  // Every edge any net's wire crosses: a capacity edit there could reach a
+  // partition key, victim displacement or the overflow totals.
+  std::vector<char> used(static_cast<std::size_t>(2 * (g.num_h_edges() + g.num_v_edges()) + 2),
+                         0);
+  for (int net = 0; net < state.num_nets(); ++net) {
+    for (const route::Segment& seg : state.tree(net).segs) {
+      state.for_each_edge(net, seg.id, [&](int e) {
+        used[static_cast<std::size_t>(directed_edge(seg.horizontal, e))] = 1;
+      });
+    }
+  }
+
+  // An edge touching the midpoint cell of a released segment — so the
+  // edit's cells meet that segment's partition region — that no wire
+  // crosses on any layer.
+  int layer = -1, x = -1, y = -1;
+  for (int net : critical.nets) {
+    for (const route::Segment& seg : state.tree(net).segs) {
+      const int mx = (seg.a.x + seg.b.x) / 2, my = (seg.a.y + seg.b.y) / 2;
+      for (const bool horizontal : {true, false}) {
+        for (const int back : {0, 1}) {
+          const int ex = horizontal ? mx - back : mx, ey = horizontal ? my : my - back;
+          const bool in_grid = ex >= 0 && ey >= 0 &&
+                               (horizontal ? ex + 1 < g.xsize() : ey + 1 < g.ysize());
+          if (layer >= 0 || !in_grid) continue;
+          const int e = horizontal ? g.h_edge_id(ex, ey) : g.v_edge_id(ex, ey);
+          if (used[static_cast<std::size_t>(directed_edge(horizontal, e))]) continue;
+          for (int l = 0; l < g.num_layers() && layer < 0; ++l) {
+            if (g.is_horizontal(l) == horizontal) layer = l;
+          }
+          x = ex;
+          y = ey;
+        }
+      }
+    }
+  }
+  ASSERT_GE(layer, 0) << "no unused edge inside a released segment's region";
+  const int edge = g.is_horizontal(layer) ? g.h_edge_id(x, y) : g.v_edge_id(x, y);
+  const int cap = g.edge_capacity(layer, edge);
+
+  const EcoStats before = warm.session.stats();
+  const long calls = solver_calls();
+  ASSERT_TRUE(warm.session.apply(Delta::capacity_adjusted(layer, x, y, cap + 2)).is_ok());
+  ASSERT_TRUE(warm.session.resolve().status.is_ok());
+  const EcoStats after = warm.session.stats();
+  EXPECT_EQ(solver_calls(), calls) << "an edit no partition reads forced a re-solve";
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_GT(after.cache_hits, before.cache_hits);
+}
+
+TEST(EcoSessionTest, CapacityEditOnAVarEdgeMisses) {
+  ConvergedSession warm(18);
+  const assign::AssignState& state = warm.session.state();
+  const auto& g = state.design().grid;
+
+  // The first edge of a released net's first horizontal segment, on that
+  // segment's current layer: a var of its partition reads this capacity.
+  int layer = -1, x = -1, y = -1;
+  for (int net : warm.session.critical().nets) {
+    const route::SegTree& tree = state.tree(net);
+    for (const route::Segment& seg : tree.segs) {
+      if (!seg.horizontal || seg.a.x == seg.b.x) continue;
+      layer = state.layers(net)[static_cast<std::size_t>(seg.id)];
+      x = std::min(seg.a.x, seg.b.x);
+      y = seg.a.y;
+      break;
+    }
+    if (layer >= 0) break;
+  }
+  ASSERT_GE(layer, 0);
+  const int cap = g.edge_capacity(layer, g.h_edge_id(x, y));
+
+  const EcoStats before = warm.session.stats();
+  const long calls = solver_calls();
+  ASSERT_TRUE(warm.session.apply(Delta::capacity_adjusted(layer, x, y, cap + 2)).is_ok());
+  ASSERT_TRUE(warm.session.resolve().status.is_ok());
+  const EcoStats after = warm.session.stats();
+  EXPECT_GT(after.cache_misses, before.cache_misses);
+  EXPECT_GT(solver_calls(), calls);
+  EXPECT_EQ(after.fallbacks, 0);
 }
 
 TEST(EcoSessionTest, FailedBatchRestoresCapacityAndWireOverflow) {

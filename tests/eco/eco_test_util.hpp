@@ -1,9 +1,14 @@
 #pragma once
 
-// Shared fixtures for the ECO suites: a small deterministic bench instance
-// and the state-equality assertions the equivalence contract is stated in.
+// Shared fixtures for the ECO suites: a small deterministic bench instance,
+// the state-equality assertions the equivalence contract is stated in, and
+// a scoped OpenMP thread count.
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <cstdint>
 
@@ -42,5 +47,21 @@ inline void expect_metrics_equal(const assign::AssignState& a, const assign::Ass
   EXPECT_EQ(ma.via_count, mb.via_count);
   EXPECT_EQ(ma.wire_overflow, mb.wire_overflow);
 }
+
+#ifdef _OPENMP
+/// Sets the calling thread's OpenMP thread count for one scope.
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int threads) : saved_(omp_get_max_threads()) {
+    omp_set_num_threads(threads);
+  }
+  ~ScopedOmpThreads() { omp_set_num_threads(saved_); }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  int saved_;
+};
+#endif
 
 }  // namespace cpla::eco

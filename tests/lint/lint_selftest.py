@@ -156,6 +156,16 @@ class Suppression(unittest.TestCase):
         self.assertTrue(entry["file"].endswith("noisy.cpp"))
 
 
+# The fault points the registered TUs carry (lagr_engine.cpp, cholesky.cpp,
+# solver.cpp), keyed by their registry constant.
+MINI_REPO_FAULT_SITES = {
+    "kLagrSolve": "lagr.solve",
+    "kCholeskyFactor": "la.cholesky.factor",
+    "kSdpNumerical": "sdp.solve.numerical",
+    "kSdpIterlimit": "sdp.solve.iterlimit",
+}
+
+
 class DeterminismAcceptance(unittest.TestCase):
     """The contract the registry header promises: removing -ffp-contract=off
     from a registered TU's CMake lists, or adding an OpenMP reduction to the
@@ -176,23 +186,31 @@ class DeterminismAcceptance(unittest.TestCase):
             "src/sta/CMakeLists.txt",
             "src/core/lagr_engine.cpp",
             "src/core/CMakeLists.txt",
+            "src/la/cholesky.cpp",
+            "src/la/CMakeLists.txt",
+            "src/sdp/solver.cpp",
+            "src/sdp/CMakeLists.txt",
         ):
             dst = root / rel
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy(REPO_ROOT / rel, dst)
-        # lagr_engine.cpp carries the "lagr.solve" fault point; declare
-        # exactly the sites the mini repo uses (copying the real registry
-        # would trip fault-site-unused for every site whose TU isn't here).
-        sites = root / "src" / "util" / "fault_sites.hpp"
-        sites.parent.mkdir(parents=True, exist_ok=True)
-        sites.write_text(
+        # Declare exactly the fault sites the copied TUs use (copying the
+        # real registry would trip fault-site-unused for every site whose TU
+        # isn't here).
+        self.write_fault_sites(root, MINI_REPO_FAULT_SITES)
+        return root
+
+    @staticmethod
+    def write_fault_sites(root: Path, sites: dict[str, str]) -> None:
+        path = root / "src" / "util" / "fault_sites.hpp"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
             "#pragma once\n"
             "namespace cpla::fault_sites {\n"
-            'inline constexpr char kLagrSolve[] = "lagr.solve";\n'
-            "inline constexpr const char* kAll[] = {kLagrSolve};\n"
+            + "".join(f'inline constexpr char {k}[] = "{v}";\n' for k, v in sites.items())
+            + f"inline constexpr const char* kAll[] = {{{', '.join(sites)}}};\n"
             "}  // namespace cpla::fault_sites\n"
         )
-        return root
 
     def test_copied_production_files_are_clean(self) -> None:
         with tempfile.TemporaryDirectory() as tmp:
@@ -303,9 +321,10 @@ class DeterminismAcceptance(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             root = self.make_mini_repo(tmp)
             (root / "src" / "core" / "lagr_engine.cpp").unlink()
-            # The TU carried the mini repo's only fault site; drop the site
-            # registry with it so only the determinism check can fire.
-            (root / "src" / "util" / "fault_sites.hpp").unlink()
+            # Drop the TU's fault site with it so only the determinism check
+            # can fire.
+            sites = {k: v for k, v in MINI_REPO_FAULT_SITES.items() if v != "lagr.solve"}
+            self.write_fault_sites(root, sites)
             rc, doc = run_lint("--root", str(root))
             self.assertEqual(rc, 1)
             self.assertEqual(

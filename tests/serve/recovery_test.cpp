@@ -300,19 +300,6 @@ TEST(RecoveryTest, ReplayIsDeterministicUnderBothPartitioningShapes) {
 }
 
 #ifdef _OPENMP
-/// Sets the calling thread's OpenMP thread count for one scope.
-class ScopedOmpThreads {
- public:
-  explicit ScopedOmpThreads(int threads) : saved_(omp_get_max_threads()) {
-    omp_set_num_threads(threads);
-  }
-  ~ScopedOmpThreads() { omp_set_num_threads(saved_); }
-  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
-  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
-
- private:
-  int saved_;
-};
 
 TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
   // The auto commit batch follows the OpenMP thread count of the thread
@@ -327,7 +314,7 @@ TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
   TempDir dir;
   std::uint64_t final_hash = 0;
   {
-    const ScopedOmpThreads threads(2);
+    const eco::ScopedOmpThreads threads(2);
     core::Prepared bench = dense_base();
     EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
                        durable_options(dir));
@@ -341,7 +328,7 @@ TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
     service.stop();
   }
 
-  const ScopedOmpThreads threads(1);
+  const eco::ScopedOmpThreads threads(1);
   {
     core::Prepared bench = dense_base();
     EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(),
