@@ -102,12 +102,8 @@ int main(int argc, char** argv) {
   for (auto& [name, run] : runs) {
     for (const Config& config : configs) {
       const bench::FlowOutcome out = bench::run_cpla_flow(&run, config.opt);
-      const std::string invalid = bench::check_landed_state(run.prepared, run.critical, out.metrics);
-      if (!invalid.empty()) {
-        std::fprintf(stderr, "ablation_cpla: FAIL %s.%s: %s\n", name.c_str(), config.name,
-                     invalid.c_str());
-        validated = false;
-      }
+      validated &= bench::landed_state_ok("ablation_cpla", name + "." + config.name,
+                                          run.prepared, run.critical, out.metrics);
       report.record_flow(name + "." + config.name, out);
       table.add_row({name, config.name, fmt_num(out.metrics.avg_tcp / 1e3, 2),
                      fmt_num(out.metrics.max_tcp / 1e3, 2), fmt_num(out.seconds, 2)});

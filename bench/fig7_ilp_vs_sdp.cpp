@@ -4,6 +4,9 @@
 //
 // Paper shape: (a) average and (b) maximum critical-path timing nearly
 // identical between ILP and SDP; (c) SDP significantly faster.
+//
+// Every landed state is checked independently (bench::check_landed_state);
+// the artifact records validated = 1, and any failure exits nonzero.
 
 #include "bench/harness.hpp"
 
@@ -19,6 +22,7 @@ int main(int argc, char** argv) {
 
   double sum_ilp_cpu = 0.0, sum_sdp_cpu = 0.0;
   double sum_ilp_avg = 0.0, sum_sdp_avg = 0.0;
+  bool validated = true;
   for (const auto& name : gen::small_case_names()) {
     bench::BenchRun run = bench::make_run(name, 0.005, args.seed);
 
@@ -29,10 +33,14 @@ int main(int argc, char** argv) {
     ilp_opt.max_rounds = 3;
     ilp_opt.ilp.time_limit_s = 10.0;  // per-partition cap; ILP is the slow reference
     const bench::FlowOutcome ilp = bench::run_cpla_flow(&run, ilp_opt);
+    validated &= bench::landed_state_ok("fig7_ilp_vs_sdp", name + ".ilp", run.prepared,
+                                        run.critical, ilp.metrics);
 
     core::CplaOptions sdp_opt;
     sdp_opt.max_rounds = 3;
     const bench::FlowOutcome sdp = bench::run_cpla_flow(&run, sdp_opt);
+    validated &= bench::landed_state_ok("fig7_ilp_vs_sdp", name + ".sdp", run.prepared,
+                                        run.critical, sdp.metrics);
     report.record_flow(name + ".ilp", ilp);
     report.record_flow(name + ".sdp", sdp);
 
@@ -51,5 +59,6 @@ int main(int argc, char** argv) {
               sum_sdp_avg / sum_ilp_avg, sum_ilp_cpu / std::max(0.01, sum_sdp_cpu));
   std::printf("(paper: quality ~1.0, ILP much slower — it cannot finish large cases)\n");
   report.record_value("ratio.quality", sum_sdp_avg / sum_ilp_avg);
-  return report.write() ? 0 : 1;
+  report.record_value("validated", validated ? 1.0 : 0.0);
+  return report.write() && validated ? 0 : 1;
 }

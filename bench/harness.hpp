@@ -254,4 +254,17 @@ inline std::string check_landed_state(const core::Prepared& prepared,
   return {};
 }
 
+/// check_landed_state for one labelled flow of a bench binary: a failure
+/// goes to stderr as "<bench>: FAIL <label>: <reason>". Returns whether
+/// the landed state checked out; benches record the conjunction as
+/// `validated` and exit nonzero when it is false.
+inline bool landed_state_ok(const char* bench, const std::string& label,
+                            const core::Prepared& prepared, const core::CriticalSet& critical,
+                            const core::LaMetrics& reported) {
+  const std::string invalid = check_landed_state(prepared, critical, reported);
+  if (invalid.empty()) return true;
+  std::fprintf(stderr, "%s: FAIL %s: %s\n", bench, label.c_str(), invalid.c_str());
+  return false;
+}
+
 }  // namespace cpla::bench

@@ -6,6 +6,9 @@
 // and Max(Tcp) (0.96x), reduces via overflow (0.90x), keeps via count flat
 // (1.00x), and pays a multiple of TILA's runtime (3.16x).
 //
+// Every landed state is checked independently (bench::check_landed_state);
+// the artifact records validated = 1, and any failure exits nonzero.
+//
 // Usage: table2_main_comparison [--quick] [--seed N] [--metrics-out FILE]
 // (--quick runs the 6 small cases)
 
@@ -29,11 +32,16 @@ int main(int argc, char** argv) {
   double sum_t_avg = 0, sum_t_max = 0, sum_t_cpu = 0;
   double sum_s_avg = 0, sum_s_max = 0, sum_s_cpu = 0;
   double sum_t_ov = 0, sum_t_via = 0, sum_s_ov = 0, sum_s_via = 0;
+  bool validated = true;
 
   for (const auto& name : names) {
     bench::BenchRun run = bench::make_run(name, 0.005, args.seed);
     const bench::FlowOutcome tila = bench::run_tila_flow(&run);
+    validated &= bench::landed_state_ok("table2_main_comparison", name + ".tila", run.prepared,
+                                        run.critical, tila.metrics);
     const bench::FlowOutcome sdp = bench::run_cpla_flow(&run);
+    validated &= bench::landed_state_ok("table2_main_comparison", name + ".sdp", run.prepared,
+                                        run.critical, sdp.metrics);
     report.record_flow(name + ".tila", tila);
     report.record_flow(name + ".sdp", sdp);
 
@@ -74,5 +82,6 @@ int main(int argc, char** argv) {
               " Avg 0.86, Max 0.96, OV 0.90, via 1.00, CPU 3.16)\n");
   report.record_value("ratio.avg_tcp", sum_s_avg / sum_t_avg);
   report.record_value("ratio.max_tcp", sum_s_max / sum_t_max);
-  return report.write() ? 0 : 1;
+  report.record_value("validated", validated ? 1.0 : 0.0);
+  return report.write() && validated ? 0 : 1;
 }

@@ -26,7 +26,6 @@
 //     --write-gr <path>   dump the (generated) benchmark in ISPD'08 syntax
 //     --write-routes <p>  dump the routed solution (contest output format)
 //     --validate          audit the solution with the independent checker
-//     --antenna           antenna-ratio report
 //     --quiet             warnings only
 //
 // ECO script format (one op per line, '#' comments):
@@ -51,7 +50,6 @@
 
 #include "bench/harness.hpp"
 #include "examples/common.hpp"
-#include "src/assign/antenna.hpp"
 #include "src/assign/route_io.hpp"
 #include "src/assign/validate.hpp"
 #include "src/eco/eco_session.hpp"
@@ -321,11 +319,6 @@ int main(int argc, char** argv) {
                 report.wire_overflow, report.via_overflow);
     for (const auto& err : report.errors) std::printf("  error: %s\n", err.c_str());
     if (!report.ok) return 1;
-  }
-  if (has_flag(argc, argv, "--antenna")) {
-    const assign::AntennaReport report = assign::check_antennas(*prep.state);
-    std::printf("antenna: %ld sinks checked, worst ratio %.1f, %zu violations\n",
-                report.sinks_checked, report.worst_ratio, report.violations.size());
   }
   return 0;
 }

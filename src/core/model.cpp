@@ -9,11 +9,27 @@
 
 namespace cpla::core {
 
+namespace {
+
+constexpr double kViaPenaltyScale = 40.0;  // lambda scale for via-site congestion
+
+/// Penalty for a via stack against fixed via-site congestion.
+double stack_penalty(const assign::AssignState& state, int cell, int la, int lb) {
+  double cost = 0.0;
+  for (int l = std::min(la, lb) + 1; l < std::max(la, lb); ++l) {
+    const double cap = std::max(1, state.via_cap(l, cell));
+    cost += kViaPenaltyScale * static_cast<double>(state.via_load(l, cell)) / cap;
+  }
+  return cost;
+}
+
+}  // namespace
+
 double PartitionProblem::pair_cost(const VarPair& pair, int lp, int lc) const {
   if (lp == lc) return 0.0;
   double cost = rc->via_stack_res(lp, lc) * pair.scale;
   for (int l = std::min(lp, lc) + 1; l < std::max(lp, lc); ++l) {
-    cost += options.via_penalty_scale * pair.load_ratio[l];
+    cost += kViaPenaltyScale * pair.load_ratio[l];
   }
   return cost;
 }
@@ -28,21 +44,6 @@ double PartitionProblem::evaluate(const std::vector<int>& pick) const {
   }
   return total;
 }
-
-namespace {
-
-/// Penalty for a via stack against fixed via-site congestion.
-double stack_penalty(const assign::AssignState& state, const ModelOptions& opt, int cell,
-                     int la, int lb) {
-  double cost = 0.0;
-  for (int l = std::min(la, lb) + 1; l < std::max(la, lb); ++l) {
-    const double cap = std::max(1, state.via_cap(l, cell));
-    cost += opt.via_penalty_scale * static_cast<double>(state.via_load(l, cell)) / cap;
-  }
-  return cost;
-}
-
-}  // namespace
 
 PartitionProblem build_partition_problem(
     const assign::AssignState& state, const timing::RcTable& rc,
@@ -118,21 +119,20 @@ PartitionProblem build_partition_problem(
       for (const route::SinkAttach& sink : tree.sinks) {
         if (sink.seg_id != var.seg) continue;
         cost += var.weight * rc.via_stack_res(l, sink.pin_layer) * rc.sink_cap();
-        cost += stack_penalty(state, options, g.cell_id(seg.b.x, seg.b.y), l, sink.pin_layer);
+        cost += stack_penalty(state, g.cell_id(seg.b.x, seg.b.y), l, sink.pin_layer);
       }
 
       if (seg.parent < 0) {
         // Source via drives the whole subtree.
         const double subtree = rc.cap(l) * len + cd;
         cost += var.weight * rc.via_stack_res(tree.root_pin_layer, l) * subtree;
-        cost += stack_penalty(state, options, g.cell_id(seg.a.x, seg.a.y), l,
-                              tree.root_pin_layer);
+        cost += stack_penalty(state, g.cell_id(seg.a.x, seg.a.y), l, tree.root_pin_layer);
       } else if (!var_of.count(key(var.net, seg.parent))) {
         // Parent is outside the partition: a fixed-layer via (Eqn 3).
         const int lp = fixed_layers[seg.parent];
         const double load = std::min(cd, t.downstream_cap[seg.parent]);
         cost += var.weight * rc.via_stack_res(lp, l) * load;
-        cost += stack_penalty(state, options, g.cell_id(seg.a.x, seg.a.y), l, lp);
+        cost += stack_penalty(state, g.cell_id(seg.a.x, seg.a.y), l, lp);
       }
       // Fixed children.
       for (int c : seg.children) {
@@ -142,7 +142,7 @@ PartitionProblem build_partition_problem(
         const double load = std::min(cd, t.downstream_cap[c]);
         const route::Segment& cseg = tree.segs[c];
         cost += w * rc.via_stack_res(l, lc) * load;
-        cost += stack_penalty(state, options, g.cell_id(cseg.a.x, cseg.a.y), l, lc);
+        cost += stack_penalty(state, g.cell_id(cseg.a.x, cseg.a.y), l, lc);
       }
       var.cost[k] = cost;
     }

@@ -19,9 +19,7 @@
 namespace cpla::core {
 
 struct ModelOptions {
-  double branch_weight = 0.3;       // weight floor for off-critical-path segments
-  double via_penalty_scale = 40.0;  // lambda scale for via-site congestion
-  double alpha = 2000.0;            // ILP relaxation weight for Vo (Sec 3.1)
+  double branch_weight = 0.3;  // weight floor for off-critical-path segments
   // Exponent of the global net-criticality factor (net Tcp / worst released
   // Tcp)^gamma multiplied into segment weights. Problem 1 minimizes the
   // *maximum* path timing; this makes the globally-worst nets win capacity

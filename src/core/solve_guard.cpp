@@ -264,9 +264,11 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
   // primary the retry is a *full* SDP solve instead: a cross-backend
   // rescue, since the two engines' failure modes are disjoint.
   if (engine == Engine::kSdp && !deadline_expired()) {
+    constexpr double kRetryTolScale = 100.0;  // retry tolerance = tol * scale
+    constexpr int kRetryMaxIterations = 30;
     sdp::SdpOptions relaxed = sdp_budget(sdp_options);
-    relaxed.tol = sdp_options.tol * guard.retry_tol_scale;
-    relaxed.max_iterations = std::min(sdp_options.max_iterations, guard.retry_max_iterations);
+    relaxed.tol = sdp_options.tol * kRetryTolScale;
+    relaxed.max_iterations = std::min(sdp_options.max_iterations, kRetryMaxIterations);
     if (attempt(GuardTier::kRetry, solve_partition_sdp(p, state, relaxed))) return out;
   } else if (engine == Engine::kLagr && !deadline_expired()) {
     if (attempt(GuardTier::kRetry, solve_partition_sdp(p, state, sdp_budget(sdp_options)))) {
@@ -276,10 +278,12 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
 
   // Tier 2: exact ILP for small partitions (GAP-LA-style engine switch:
   // below this size the exact search is cheap and has no PSD numerics).
+  constexpr int kIlpFallbackMaxVars = 10;
+  constexpr double kIlpFallbackTimeS = 2.0;  // ILP tier time budget
   if (engine != Engine::kIlp && !deadline_expired() &&
-      static_cast<int>(p.vars.size()) <= guard.ilp_fallback_max_vars) {
+      static_cast<int>(p.vars.size()) <= kIlpFallbackMaxVars) {
     ilp::MipOptions mip = ilp_options;
-    mip.time_limit_s = guard.ilp_fallback_time_s;
+    mip.time_limit_s = kIlpFallbackTimeS;
     if (guard.deadline_ms > 0.0) {
       mip.time_limit_s =
           std::min(mip.time_limit_s, std::max(0.001, (guard.deadline_ms - timer.milliseconds()) * 1e-3));

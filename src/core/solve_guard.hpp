@@ -50,17 +50,10 @@ struct GuardOptions {
   // Wall-clock budget per partition solve; 0 = unlimited. Applies to the
   // SDP tiers (the ILP honors MipOptions::time_limit_s).
   double deadline_ms = 0.0;
-  double retry_tol_scale = 100.0;  // retry tolerance = tol * scale
-  int retry_max_iterations = 30;
-  int ilp_fallback_max_vars = 10;      // ILP tier only below this size
-  double ilp_fallback_time_s = 2.0;    // ILP tier time budget
   // Primary-tier settings for Engine::kLagr (the other engines carry their
   // options through the guarded_solve signature; adding a fourth parameter
   // for every caller would churn the whole call graph for one engine).
   LagrPartitionOptions lagr;
-  // Per-partition transactional commits in the flow: re-validate capacity
-  // and timing after mapping a partition and roll it back on regression.
-  bool transactional_commit = true;
 };
 
 /// Per-tier escalation counters, aggregated across a flow run and reported

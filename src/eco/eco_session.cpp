@@ -256,7 +256,8 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
   const core::CplaOptions& f = options_.flow;
   const core::Engine engine = arbiter_.choose(problem, guard, f.engine);
   auto solve_fresh = [&]() {
-    return core::guarded_solve(problem, state, engine, f.sdp, f.ilp, guard, stats);
+    return core::guarded_solve(problem, state, engine, core::effective_sdp_options(f), f.ilp,
+                               guard, stats);
   };
 
   if (CPLA_FAULT_POINT("eco.resolve.partition")) {

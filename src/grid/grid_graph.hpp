@@ -101,7 +101,7 @@ class GridGraph {
 
   /// Version of the wire capacities: construction and every capacity write
   /// draw a fresh process-wide value, so two grids (or one grid at two
-  /// moments) share a stamp only if one is an unmodified copy of the other.
+  /// points in time) share a stamp only if one is an unmodified copy of the other.
   /// Lets holders of capacity-derived totals detect a stale cache.
   std::uint64_t capacity_stamp() const { return capacity_stamp_; }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -142,6 +143,9 @@ Result<grid::Design> parse_ispd08(std::istream& in, const std::string& design_na
   if (tile_w <= 0.0 || tile_h <= 0.0) {
     return bad_line(reader.line(), str_format("non-positive tile size %g x %g", tile_w, tile_h));
   }
+  if (!std::isfinite(tile_w * xsize) || !std::isfinite(tile_h * ysize)) {
+    return bad_line(reader.line(), str_format("implausible tile size %g x %g", tile_w, tile_h));
+  }
 
   // Direction per layer from which capacity is nonzero; RC profile from the
   // canonical stack (the file format carries no electrical data).
@@ -163,8 +167,8 @@ Result<grid::Design> parse_ispd08(std::istream& in, const std::string& design_na
   grid::GridGraph g(xsize, ysize, layers, geom);
   for (int l = 0; l < num_layers; ++l) {
     const int raw = layers[l].horizontal ? hc[l] : vc[l];
-    const int pitch = std::max(1, mw[l] + ms[l]);
-    g.fill_layer_capacity(l, raw / pitch);  // tracks per edge
+    const long long pitch = std::max(1LL, static_cast<long long>(mw[l]) + ms[l]);
+    g.fill_layer_capacity(l, static_cast<int>(raw / pitch));  // tracks per edge
   }
 
   grid::Design design(design_name, std::move(g));
@@ -180,15 +184,21 @@ Result<grid::Design> parse_ispd08(std::istream& in, const std::string& design_na
   // Maps an absolute pin coordinate to its g-cell; a point exactly on the
   // far boundary belongs to the last cell, anything further out is an
   // input error (the old behavior of silently clamping hid corrupt files).
+  // The range test runs in floating point: a far-out (or non-finite)
+  // coordinate must be rejected before anything converts it to int.
   auto to_cell = [&](double p, double origin, double tile, int size, int* cell) {
     const double offset = p - origin;
-    const int c = static_cast<int>(offset / tile);
-    if (offset < 0.0 || c > size || (c == size && offset > size * tile)) return false;
+    const double t = offset / tile;
+    if (!(offset >= 0.0) || !(t < size + 1.0)) return false;
+    const int c = static_cast<int>(t);
+    if (c == size && offset > size * tile) return false;
     *cell = std::min(c, size - 1);
     return true;
   };
 
-  design.nets.reserve(static_cast<std::size_t>(std::min(num_nets, 10'000'000)));
+  // The declared count is untrusted: reserve no more than a small bound
+  // up front, so a one-line header cannot allocate gigabytes.
+  design.nets.reserve(static_cast<std::size_t>(std::min(num_nets, 1 << 16)));
   for (int n = 0; n < num_nets; ++n) {
     if (!reader.next(&toks) || toks.size() < 3) {
       return bad_line(reader.eof_line(), str_format("truncated net header (net %d of %d)", n,
@@ -206,7 +216,7 @@ Result<grid::Design> parse_ispd08(std::istream& in, const std::string& design_na
       return bad_line(reader.line(), str_format("implausible pin count %d for net %s", num_pins,
                                                 net.name.c_str()));
     }
-    net.pins.reserve(static_cast<std::size_t>(num_pins));
+    net.pins.reserve(static_cast<std::size_t>(std::min(num_pins, 1 << 10)));
     for (int k = 0; k < num_pins; ++k) {
       if (!reader.next(&toks)) {
         return bad_line(reader.eof_line(), str_format("truncated pin list for net %s (pin %d of %d)",
@@ -310,27 +320,43 @@ std::optional<grid::Design> read_ispd08_file(const std::string& path) {
 
 void write_ispd08(const grid::Design& design, std::ostream& out) {
   const auto& g = design.grid;
+  const grid::GeomParams& geom = g.geom();
   const int nl = g.num_layers();
+  // Full precision: the tile size and pin coordinates re-parse exactly.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "grid " << g.xsize() << " " << g.ysize() << " " << nl << "\n";
 
-  // Layer default capacity = the most common per-edge value.
-  std::vector<int> def(nl, 0);
+  // The reader divides a header capacity by the layer pitch (minimum width
+  // + spacing) and infers each layer's direction from which header value is
+  // larger, so the header states pitch * default tracks per layer. The
+  // default is edge 0's capacity, except where the header could not carry
+  // it: a vertical layer needs a positive value to stay vertical, and the
+  // product must fit an int. Those layers fall back to the smallest stated
+  // value that works. Edges that deviate from the default become
+  // adjustment records, which the reader applies in tracks.
+  const long long pitch =
+      std::max(1LL, std::llround(geom.wire_width) + std::llround(geom.wire_spacing));
+  std::vector<long long> header(static_cast<std::size_t>(nl), 0);
+  std::vector<int> def(static_cast<std::size_t>(nl), 0);
   for (int l = 0; l < nl; ++l) {
-    // Use edge 0 as the default; deviations become adjustments below.
-    def[l] = g.num_edges_on_layer(l) > 0 ? g.edge_capacity(l, 0) : 0;
+    long long raw = pitch * g.edge_capacity(l, 0);
+    if (raw > INT_MAX) raw = pitch <= INT_MAX ? pitch : 0;
+    if (!g.is_horizontal(l) && raw == 0) raw = 1;
+    header[l] = raw;
+    def[l] = static_cast<int>(raw / pitch);
   }
 
   out << "vertical capacity";
-  for (int l = 0; l < nl; ++l) out << " " << (g.is_horizontal(l) ? 0 : def[l]);
+  for (int l = 0; l < nl; ++l) out << " " << (g.is_horizontal(l) ? 0 : header[l]);
   out << "\nhorizontal capacity";
-  for (int l = 0; l < nl; ++l) out << " " << (g.is_horizontal(l) ? def[l] : 0);
+  for (int l = 0; l < nl; ++l) out << " " << (g.is_horizontal(l) ? header[l] : 0);
   out << "\nminimum width";
-  for (int l = 0; l < nl; ++l) out << " " << 1;
+  for (int l = 0; l < nl; ++l) out << " " << geom.wire_width;
   out << "\nminimum spacing";
-  for (int l = 0; l < nl; ++l) out << " " << 0;
+  for (int l = 0; l < nl; ++l) out << " " << geom.wire_spacing;
   out << "\nvia spacing";
-  for (int l = 0; l < nl; ++l) out << " " << 0;
-  const double tile = g.geom().tile_width;
+  for (int l = 0; l < nl; ++l) out << " " << geom.via_spacing;
+  const double tile = geom.tile_width;
   out << "\n0 0 " << tile << " " << tile << "\n\n";
 
   out << "num net " << design.nets.size() << "\n";

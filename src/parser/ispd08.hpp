@@ -49,7 +49,8 @@ std::optional<grid::Design> read_ispd08_file(const std::string& path);
 
 /// Writes a design back out in ISPD'08 syntax (capacity adjustments are not
 /// reconstructed; per-edge deviations from the layer default are emitted as
-/// adjustment records).
+/// adjustment records). Re-parsing the output yields the same grid, layer
+/// directions, edge capacities, via-model geometry and pins.
 void write_ispd08(const grid::Design& design, std::ostream& out);
 bool write_ispd08_file(const grid::Design& design, const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "src/sta/corner.hpp"
 
+#include <cmath>
 #include <exception>
 #include <fstream>
 #include <iterator>
@@ -67,7 +68,7 @@ Result<std::vector<RcCorner>> parse_corners(std::istream& in) {
       } catch (const std::exception&) {
         consumed = 0;
       }
-      if (consumed != token.size()) {
+      if (consumed != token.size() || !std::isfinite(value)) {
         return Status(StatusCode::kBadInput, "malformed number '" + token + "'", lineno);
       }
       *optional_fields[opt++] = value;
@@ -83,7 +84,7 @@ Result<std::vector<RcCorner>> parse_corners(std::istream& in) {
     out.push_back(std::move(corner));
   }
   if (out.empty()) {
-    return Status(StatusCode::kBadInput, "corner table defines no corners");
+    return Status(StatusCode::kBadInput, "corner table defines no corners", lineno + 1);
   }
   return out;
 }

@@ -6,7 +6,6 @@
 
 #include "src/obs/metrics.hpp"
 #include "src/timing/elmore.hpp"
-#include "src/timing/moments.hpp"
 #include "src/util/check.hpp"
 
 namespace cpla::sta {
@@ -226,16 +225,9 @@ void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   // corners_->size(), not num_corners(): build() retimes before the
   // arrival arrays (which num_corners() measures) are allocated.
   for (int c = 0; c < corners_->size(); ++c) {
-    if (options_.use_d2m) {
-      const timing::NetMoments moments = timing::compute_moments(tree, *layers, corners_->rc(c));
-      for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-        edge_delay_[c][first_edge + k] = moments.d2m[k];
-      }
-    } else {
-      const timing::NetTiming nt = timing::compute_timing(tree, *layers, corners_->rc(c));
-      for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-        edge_delay_[c][first_edge + k] = nt.sink_delay[k];
-      }
+    const timing::NetTiming nt = timing::compute_timing(tree, *layers, corners_->rc(c));
+    for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
+      edge_delay_[c][first_edge + k] = nt.sink_delay[k];
     }
   }
 }

@@ -10,7 +10,7 @@
 // Edges:
 //
 //   * net edges  driver(n) -> sink(n, k), one per sink, whose per-corner
-//     delay is the Elmore (or D2M) root-to-sink delay of net n under the
+//     delay is the Elmore root-to-sink delay of net n under the
 //     corner's RcTable — recomputed whenever the net's layer vector
 //     changes;
 //   * stage edges  sink(a, k) -> driver(b)  whenever sink k of net a sits
@@ -57,7 +57,6 @@ class TimingGraph {
   struct Options {
     double stage_delay = 0.0;  // per-corner delay of every stage edge
     bool parallel = true;      // OpenMP over nodes within a level
-    bool use_d2m = false;      // D2M sink delays instead of Elmore
   };
 
   struct Stats {

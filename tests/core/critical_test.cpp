@@ -116,27 +116,6 @@ TEST(SelectCriticalSta, ReleasesTheWorstSlackNetsWorstFirst) {
   }
 }
 
-TEST(SelectByBudgetSta, ReleasesExactlyTheNegativeSlackNets) {
-  Prepared run = bench();
-  // A fixed-budget corner tight enough that some nets violate: required at
-  // half the worst endpoint arrival of the derived corner.
-  const sta::CornerSet probe_set = sta::CornerSet::single(*run.rc);
-  sta::TimingGraph probe;
-  probe.build(*run.state, probe_set, sta::TimingGraph::Options{});
-  const double budget = probe.corner_required(0) * 0.5;
-
-  const sta::CornerSet set(*run.rc, {sta::RcCorner{"tight", 1.0, 1.0, 1.0, budget}});
-  const sta::TimingGraph graph = build_graph(run, set);
-
-  const CriticalSet cs = select_by_budget(*run.state, graph);
-  ASSERT_FALSE(cs.nets.empty());
-  for (const int n : cs.nets) EXPECT_LT(graph.net_slack(n), 0.0) << n;
-  for (int n = 0; n < run.state->num_nets(); ++n) {
-    if (run.state->tree(n).segs.empty() || !graph.has_net(n)) continue;
-    EXPECT_EQ(static_cast<bool>(cs.released[n]), graph.net_slack(n) < 0.0) << n;
-  }
-}
-
 TEST(SelectCriticalSta, FlowRediscoversThroughAnAttachedGraph) {
   Prepared run = bench();
   const sta::CornerSet set = sta::CornerSet::single(*run.rc);

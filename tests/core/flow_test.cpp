@@ -103,5 +103,20 @@ TEST(Flow, CriticalRatioScalesReleasedCount) {
   EXPECT_EQ(large.nets.size(), 15u);  // ceil(0.05 * 300)
 }
 
+TEST(Flow, SerialFlowGatesTheSolversInnerParallelism) {
+  CplaOptions opt;
+  opt.sdp.tol = 1e-7;
+  EXPECT_TRUE(effective_sdp_options(opt).parallel);
+  EXPECT_EQ(effective_sdp_options(opt).tol, 1e-7);  // the rest passes through
+
+  opt.parallel = false;
+  EXPECT_FALSE(effective_sdp_options(opt).parallel);
+  EXPECT_EQ(effective_commit_batch(opt), 1);
+
+  opt.parallel = true;
+  opt.sdp.parallel = false;
+  EXPECT_FALSE(effective_sdp_options(opt).parallel);
+}
+
 }  // namespace
 }  // namespace cpla::core

@@ -29,6 +29,7 @@ struct EquivalenceRun {
   int batches = 3;  // resolve() after every `deltas / batches` edits
   core::PartitionOptions partition;  // default = quadtree enabled
   int commit_batch = 0;  // CplaOptions::commit_batch (0 = auto)
+  bool parallel = true;  // CplaOptions::parallel
 };
 
 // Drives a session and an independent control copy of the same design
@@ -43,6 +44,7 @@ void run_equivalence(const EquivalenceRun& run) {
   opt.critical_ratio = 0.03;
   opt.flow.partition = run.partition;
   opt.flow.commit_batch = run.commit_batch;
+  opt.flow.parallel = run.parallel;
   EcoSession session(live.design.get(), live.state.get(), live.rc.get(), opt);
 
   // Mirror of the session's critical set for the control side.
@@ -124,6 +126,19 @@ TEST(EcoEquivalenceTest, WideCommitBatch) {
   run.commit_batch = 16;
   run_equivalence(run);
 }
+
+#ifdef _OPENMP
+TEST(EcoEquivalenceTest, SerialFlowUnderFourThreads) {
+  // flow.parallel = false must keep the whole resolve serial, the ECO
+  // partition hook's SDP solves included (core::effective_sdp_options),
+  // exactly as in a fresh serial optimize — even with threads to spare.
+  ScopedOmpThreads threads(4);
+  EquivalenceRun run;
+  run.seed = 7;
+  run.parallel = false;
+  run_equivalence(run);
+}
+#endif
 
 TEST(EcoEquivalenceTest, SingleDeltaPerResolve) {
   // The finest-grained ECO loop: resolve after every single edit. This is

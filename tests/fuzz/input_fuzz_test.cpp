@@ -1,0 +1,319 @@
+// Seeded mutation fuzz over the three text input surfaces: the ISPD'08
+// reader, the RC corner table and the ECO service's request line. Valid
+// seed inputs are mutated deterministically (byte edits, line edits and
+// boundary-value token swaps) and every mutant must
+//
+//   * not crash, throw or trip a sanitizer;
+//   * if rejected, come back as kBadInput — carrying its 1-based input line
+//     for the two line grammars (ISPD'08, corners);
+//   * if an ISPD'08 mutant is accepted, survive write_ispd08 -> re-parse
+//     unchanged: same grid, layer directions, edge capacities, via-model
+//     geometry and pins, and the rewritten text is a fixpoint.
+//
+// Iteration counts keep the run at a few seconds under ASan+UBSan.
+// Crashing inputs found here go into tests/parser/data/ as regression
+// cases (see tests/parser/ispd08_test.cpp).
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/gen/synth.hpp"
+#include "src/parser/ispd08.hpp"
+#include "src/serve/protocol.hpp"
+#include "src/sta/corner.hpp"
+#include "src/util/rng.hpp"
+
+namespace cpla {
+namespace {
+
+// Mutants declaring more cells than this are valid inputs that only cost
+// memory (the reader accepts grids up to 1e8 cells); they are skipped to
+// keep the fuzz small, and counted so the skip stays visible.
+constexpr long long kMaxFuzzCells = 1 << 16;
+
+const char* const kInteresting[] = {
+    "0",   "-1",   "1",    "2",    "7",    "2147483647", "2147483648", "-2147483649",
+    "1e308", "1e999", "-1e308", "1e-320", "nan", "inf",  "-0",         "0.5",
+    "x",   "#",    "",     "99999", "corner", "grid",     "num",        "net",
+};
+constexpr char kAlphabet[] = " \n\t0123456789-+.eE#xabgridnumetco";
+
+/// Uniform index into a container of `size` (> 0) elements.
+std::size_t pick(Rng* rng, std::size_t size) {
+  return static_cast<std::size_t>(rng->uniform_int(0, static_cast<std::int64_t>(size) - 1));
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + "\n";
+  return out;
+}
+
+char random_char(Rng* rng) { return kAlphabet[pick(rng, sizeof(kAlphabet) - 1)]; }
+
+/// Replaces one whitespace-delimited token with a boundary value.
+void swap_token(std::string* text, Rng* rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;  // (begin, length)
+  for (std::size_t i = 0; i < text->size();) {
+    if (std::isspace(static_cast<unsigned char>((*text)[i]))) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < text->size() && !std::isspace(static_cast<unsigned char>((*text)[i]))) ++i;
+    tokens.push_back({begin, i - begin});
+  }
+  if (tokens.empty()) return;
+  const auto [begin, length] = tokens[pick(rng, tokens.size())];
+  text->replace(begin, length, kInteresting[pick(rng, std::size(kInteresting))]);
+}
+
+/// One random edit: byte flip/insert/erase, truncation, a boundary-value
+/// token swap, or a line duplicate/delete/swap.
+void mutate_once(std::string* text, Rng* rng) {
+  const std::size_t at = pick(rng, text->size() + 1);
+  const std::int64_t op = rng->uniform_int(0, 7);
+  if (op == 0 && !text->empty()) {
+    (*text)[std::min(at, text->size() - 1)] = random_char(rng);
+  } else if (op == 1) {
+    text->insert(at, 1, random_char(rng));
+  } else if (op == 2) {
+    text->erase(at, static_cast<std::size_t>(rng->uniform_int(1, 8)));
+  } else if (op == 3) {
+    text->resize(at);
+  } else if (op == 4) {
+    swap_token(text, rng);
+  } else if (op >= 5) {
+    std::vector<std::string> lines = split_lines(*text);
+    if (lines.empty()) return;
+    const std::size_t a = pick(rng, lines.size());
+    const std::size_t b = pick(rng, lines.size());
+    if (op == 5) {
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(a), lines[a]);
+    } else if (op == 6) {
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a));
+    } else {
+      std::swap(lines[a], lines[b]);
+    }
+    *text = join_lines(lines);
+  }
+}
+
+std::string mutate(const std::string& seed, Rng* rng) {
+  std::string text = seed;
+  const int edits = static_cast<int>(rng->uniform_int(1, 4));
+  for (int i = 0; i < edits; ++i) mutate_once(&text, rng);
+  return text;
+}
+
+// --- ISPD'08 ------------------------------------------------------------
+
+const char* kSample = R"(grid 10 8 4
+vertical capacity 0 12 0 12
+horizontal capacity 12 0 12 0
+minimum width 1 1 1 1
+minimum spacing 1 1 1 1
+via spacing 1 1 1 1
+0 0 10 10
+
+num net 2
+netA 0 2 1
+15 15 1
+85 25 1
+netB 1 3 1
+5 5 1
+5 75 1
+95 75 2
+
+2
+1 2 1   2 2 1   4
+3 3 2   3 4 2   0
+)";
+
+std::string read_corpus(const char* name) {
+  std::ifstream in(std::string(CPLA_TEST_DATA_DIR) + "/" + name);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<std::string> ispd_seeds() {
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = 6;
+  spec.num_nets = 6;
+  spec.num_layers = 4;
+  spec.seed = 11;
+  std::stringstream synth;
+  parser::write_ispd08(gen::generate(spec), synth);
+  return {kSample, synth.str(), read_corpus("truncated_net.gr"),
+          read_corpus("negative_capacity.gr"), read_corpus("pin_out_of_bounds.gr")};
+}
+
+/// Cells declared by a "grid X Y L" first line; 0 when it does not parse.
+long long declared_cells(const std::string& text) {
+  std::istringstream in(text);
+  std::string word;
+  long long x = 0, y = 0;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    if (!(fields >> word)) continue;
+    if (word != "grid" || !(fields >> x >> y) || x <= 0 || y <= 0) return 0;
+    return x > kMaxFuzzCells || y > kMaxFuzzCells ? kMaxFuzzCells + 1 : x * y;
+  }
+  return 0;
+}
+
+/// Describes the first difference between two designs, or "" if none.
+std::string design_diff(const grid::Design& a, const grid::Design& b) {
+  const grid::GridGraph& ga = a.grid;
+  const grid::GridGraph& gb = b.grid;
+  if (ga.xsize() != gb.xsize() || ga.ysize() != gb.ysize() ||
+      ga.num_layers() != gb.num_layers()) {
+    return "grid shape";
+  }
+  const grid::GeomParams& pa = ga.geom();
+  const grid::GeomParams& pb = gb.geom();
+  if (pa.wire_width != pb.wire_width || pa.wire_spacing != pb.wire_spacing ||
+      pa.via_width != pb.via_width || pa.via_spacing != pb.via_spacing ||
+      pa.tile_width != pb.tile_width) {
+    return "via-model geometry";
+  }
+  for (int l = 0; l < ga.num_layers(); ++l) {
+    if (ga.is_horizontal(l) != gb.is_horizontal(l)) {
+      return "direction of layer " + std::to_string(l);
+    }
+    for (int e = 0; e < ga.num_edges_on_layer(l); ++e) {
+      if (ga.edge_capacity(l, e) != gb.edge_capacity(l, e)) {
+        return "capacity of layer " + std::to_string(l) + " edge " + std::to_string(e);
+      }
+    }
+  }
+  if (a.nets.size() != b.nets.size()) return "net count";
+  for (std::size_t n = 0; n < a.nets.size(); ++n) {
+    if (a.nets[n].name != b.nets[n].name || a.nets[n].pins != b.nets[n].pins) {
+      return "net " + a.nets[n].name;
+    }
+  }
+  return "";
+}
+
+TEST(InputFuzz, Ispd08ReaderRejectsCleanlyAndRoundTripsWhatItAccepts) {
+  const std::vector<std::string> seeds = ispd_seeds();
+  Rng rng(20081);
+  int accepted = 0, rejected = 0, skipped = 0;
+  for (int iter = 0; iter < 12000; ++iter) {
+    const std::string input = mutate(seeds[static_cast<std::size_t>(iter) % seeds.size()], &rng);
+    if (declared_cells(input) > kMaxFuzzCells) {
+      ++skipped;
+      continue;
+    }
+    std::istringstream in(input);
+    Result<grid::Design> parsed = parser::parse_ispd08(in, "fuzz");
+    if (!parsed.is_ok()) {
+      ++rejected;
+      ASSERT_EQ(parsed.status().code(), StatusCode::kBadInput) << input;
+      ASSERT_GE(parsed.status().line(), 1) << parsed.status().to_string() << "\n" << input;
+      continue;
+    }
+    ++accepted;
+    std::stringstream written;
+    parser::write_ispd08(parsed.value(), written);
+    const std::string text = written.str();
+    std::istringstream again(text);
+    Result<grid::Design> reparsed = parser::parse_ispd08(again, "fuzz");
+    ASSERT_TRUE(reparsed.is_ok()) << reparsed.status().to_string() << "\ninput:\n"
+                                  << input << "\nwritten:\n" << text;
+    const std::string diff = design_diff(parsed.value(), reparsed.value());
+    ASSERT_EQ(diff, "") << "input:\n" << input << "\nwritten:\n" << text;
+    std::stringstream rewritten;
+    parser::write_ispd08(reparsed.value(), rewritten);
+    ASSERT_EQ(rewritten.str(), text) << "input:\n" << input;
+  }
+  // The mutation mix must exercise both outcomes, or the test shows nothing.
+  RecordProperty("accepted", accepted);
+  RecordProperty("rejected", rejected);
+  RecordProperty("skipped", skipped);
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+  EXPECT_LT(skipped, 1200);
+}
+
+// --- RC corner table ------------------------------------------------------
+
+TEST(InputFuzz, CornerTableRejectsCleanly) {
+  const std::vector<std::string> seeds = {
+      "corner typ 1 1\n",
+      "# name res cap driver required\n"
+      "corner slow 1.2 1.1 1.05\n"
+      "corner fast 0.8 0.9 0.95 5000\n"
+      "\n"
+      "corner typ 1 1 1 -1  # derived budget\n",
+  };
+  Rng rng(20082);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 12000; ++iter) {
+    const std::string input = mutate(seeds[static_cast<std::size_t>(iter) % seeds.size()], &rng);
+    std::istringstream in(input);
+    const Result<std::vector<sta::RcCorner>> parsed = sta::parse_corners(in);
+    if (!parsed.is_ok()) {
+      ++rejected;
+      ASSERT_EQ(parsed.status().code(), StatusCode::kBadInput) << input;
+      ASSERT_GE(parsed.status().line(), 1) << parsed.status().to_string() << "\n" << input;
+      continue;
+    }
+    ++accepted;
+    for (const sta::RcCorner& c : parsed.value()) {
+      EXPECT_TRUE(std::isfinite(c.res_scale) && c.res_scale > 0.0) << input;
+      EXPECT_TRUE(std::isfinite(c.cap_scale) && c.cap_scale > 0.0) << input;
+      EXPECT_TRUE(std::isfinite(c.driver_scale) && c.driver_scale > 0.0) << input;
+      EXPECT_TRUE(std::isfinite(c.required_time)) << input;
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+// --- ECO service request line --------------------------------------------
+
+TEST(InputFuzz, RequestLineRejectsCleanly) {
+  const std::vector<std::string> seeds = {
+      "capacity 2 3 4 5", "release 7",  "demote 7",      "reroute 3",
+      "add 1 2 3 4",      "remove 12",  "resolve",       "resolve 250",
+      "sync",             "query hash", "query net 5",   "query metrics",
+      "quit",             "# comment",  "",
+  };
+  Rng rng(20083);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 12000; ++iter) {
+    std::string input = mutate(seeds[static_cast<std::size_t>(iter) % seeds.size()], &rng);
+    const Result<serve::Request> parsed = serve::parse_request(input);
+    if (!parsed.is_ok()) {
+      ++rejected;
+      ASSERT_EQ(parsed.status().code(), StatusCode::kBadInput) << input;
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(std::isfinite(parsed.value().deadline_ms)) << input;
+    EXPECT_GE(parsed.value().deadline_ms, 0.0) << input;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+}  // namespace
+}  // namespace cpla

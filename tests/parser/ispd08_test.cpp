@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "src/gen/synth.hpp"
@@ -188,6 +189,59 @@ TEST(Ispd08Corpus, PinOutsideGridBounds) {
   EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
   EXPECT_EQ(result.status().line(), 11);
   EXPECT_NE(result.status().message().find("outside"), std::string::npos);
+}
+
+TEST(Ispd08Corpus, PinCoordinateBeyondIntRange) {
+  // Found by the input fuzz (tests/fuzz): the cell index was converted to
+  // int before the range test, so a huge coordinate wrapped to INT_MIN and
+  // the pin was accepted.
+  const auto result = parse_ispd08_file(data_path("pin_coordinate_overflow.gr"));
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
+  EXPECT_EQ(result.status().line(), 11);
+  EXPECT_NE(result.status().message().find("outside"), std::string::npos);
+}
+
+TEST(Ispd08Diagnostics, TileTooLargeForTheGrid) {
+  // A tile whose grid extent overflows a double would let the writer emit
+  // "inf" pin coordinates.
+  std::string text = kSample;
+  text.replace(text.find("0 0 10 10"), 9, "0 0 1e308 10");
+  std::istringstream in(text);
+  const auto result = parse_ispd08(in, "bad");
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
+  EXPECT_EQ(result.status().line(), 7);
+  EXPECT_NE(result.status().message().find("implausible tile"), std::string::npos);
+}
+
+TEST(Ispd08RoundTrip, WriterKeepsGeometryAndLayerDirections) {
+  // A vertical layer whose edge 0 has no tracks must stay vertical, a
+  // default whose pitch multiple overflows an int must still round-trip,
+  // and the via-model geometry (width, spacing, via spacing, tile) must
+  // come back unchanged: the header capacities are stated in pitch units.
+  std::istringstream in(kSample);
+  Result<grid::Design> parsed = parse_ispd08(in, "sample");
+  ASSERT_TRUE(parsed.is_ok());
+  grid::Design& original = parsed.value();
+  original.grid.set_edge_capacity(1, 0, 0);
+  ASSERT_FALSE(original.grid.is_horizontal(1));
+  original.grid.set_edge_capacity(0, 0, std::numeric_limits<int>::max());
+
+  std::stringstream buf;
+  write_ispd08(original, buf);
+  const auto reread = read_ispd08(buf, "sample");
+  ASSERT_TRUE(reread.has_value());
+  for (int l = 0; l < original.grid.num_layers(); ++l) {
+    EXPECT_EQ(reread->grid.is_horizontal(l), original.grid.is_horizontal(l)) << l;
+    for (int e = 0; e < original.grid.num_edges_on_layer(l); ++e) {
+      ASSERT_EQ(reread->grid.edge_capacity(l, e), original.grid.edge_capacity(l, e)) << l;
+    }
+  }
+  EXPECT_EQ(reread->grid.geom().wire_width, original.grid.geom().wire_width);
+  EXPECT_EQ(reread->grid.geom().wire_spacing, original.grid.geom().wire_spacing);
+  EXPECT_EQ(reread->grid.geom().via_spacing, original.grid.geom().via_spacing);
+  EXPECT_EQ(reread->grid.geom().tile_width, original.grid.geom().tile_width);
 }
 
 TEST(Ispd08RoundTrip, WriteThenReadPreservesStructure) {

@@ -54,6 +54,8 @@ TEST(ParseCorners, ErrorsCarryTheLineNumber) {
       {"corner a 1 1\ncorner b 0 1\n", 2},        // non-positive scale
       {"corner a 1 1\ncorner a 1 1\n", 2},        // duplicate name
       {"corner a 1 1 1 12000junk\n", 1},          // partially-numeric token
+      {"corner a 1 1 nan\n", 1},                  // non-finite driver scale
+      {"corner a 1 1 1 inf\n", 1},                // non-finite required time
   };
   for (const Case& c : cases) {
     auto result = parse(c.text);
@@ -67,6 +69,7 @@ TEST(ParseCorners, EmptyTableIsAnError) {
   auto result = parse("# only comments\n\n");
   ASSERT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
+  EXPECT_EQ(result.status().line(), 3);  // one past the last line
 }
 
 TEST(ParseCornersFile, MissingFileIsBadInput) {

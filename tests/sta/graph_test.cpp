@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "src/timing/elmore.hpp"
-#include "src/timing/moments.hpp"
 #include "tests/sta/sta_test_util.hpp"
 
 namespace cpla::sta {
@@ -209,30 +208,6 @@ TEST(TimingGraphOptions, StageDelayOnlyEverIncreasesArrivals) {
   }
   // The bench has stage edges, so a nonzero stage delay must show up.
   EXPECT_TRUE(any_grew);
-}
-
-TEST(TimingGraphOptions, D2mSinkDelaysComeFromTheMomentsLayer) {
-  core::Prepared run = sta_bench(12, 60);
-  CornerSet set(*run.rc, three_corners());
-  TimingGraph graph;
-  TimingGraph::Options options;
-  options.use_d2m = true;
-  graph.build(*run.state, set, options);
-
-  for (int n = 0; n < run.state->num_nets(); ++n) {
-    if (!graph.has_net(n)) continue;
-    const route::SegTree& tree = run.state->tree(n);
-    for (int c = 0; c < set.size(); ++c) {
-      const timing::NetMoments nm =
-          timing::compute_moments(tree, run.state->layers(n), set.rc(c));
-      const NodeId driver = graph.driver_node(n);
-      for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-        const int e = graph.out_edge_begin(driver) + k;
-        EXPECT_TRUE(same_bits(graph.edge_delay(c, e), nm.d2m[k]))
-            << "net " << n << " sink " << k << " corner " << c;
-      }
-    }
-  }
 }
 
 }  // namespace
