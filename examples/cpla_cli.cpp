@@ -37,8 +37,9 @@
 //                                      design netlist, so --write-routes and
 //                                      --validate are skipped after one)
 //     remove <net>                     delete a net added earlier
-//     resolve                          incremental re-optimization
+//     resolve [<deadline_ms>]          incremental re-optimization
 // A trailing resolve is implied when the script ends with pending edits.
+// A token after an op's fields that is not a '#' comment is an error.
 
 #include <cstdio>
 #include <cstdlib>

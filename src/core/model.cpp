@@ -1,9 +1,10 @@
 #include "src/core/model.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <map>
+#include <utility>
 
 #include "src/util/check.hpp"
 
@@ -71,8 +72,11 @@ PartitionProblem build_partition_problem(
     return std::pow(t.max_sink_delay / global_max, options.max_focus_gamma);
   };
 
-  // Pass 1: create variables and the (net, seg) -> var index map.
-  std::unordered_map<long long, int> var_of;
+  // Pass 1: create variables and the (net, seg) -> var index map, a
+  // sorted vector of (key, var) pairs: a partition holds a handful of
+  // segments, and the build runs once per partition per round.
+  std::vector<std::pair<long long, int>> var_index;
+  var_index.reserve(region.segments.size());
   auto key = [](int net, int seg) { return (static_cast<long long>(net) << 24) | seg; };
   for (const SegRef& ref : region.segments) {
     const route::SegTree& tree = state.tree(ref.net);
@@ -93,11 +97,18 @@ PartitionProblem build_partition_problem(
     // merely-full layers here would freeze segments below congested upper
     // layers that other released segments are about to vacate.
     const route::Segment& seg = tree.segs[ref.seg];
-    for (int l : state.allowed_layers(seg.horizontal)) var.layers.push_back(l);
+    var.layers = state.allowed_layers(seg.horizontal);
     CPLA_ASSERT(!var.layers.empty());
-    var_of[key(ref.net, ref.seg)] = static_cast<int>(p.vars.size());
+    var_index.emplace_back(key(ref.net, ref.seg), static_cast<int>(p.vars.size()));
     p.vars.push_back(std::move(var));
   }
+  std::sort(var_index.begin(), var_index.end());
+  // Var of (net, seg), or -1; a repeated segment maps to its last var.
+  auto var_of = [&](int net, int seg) {
+    const auto it = std::upper_bound(var_index.begin(), var_index.end(),
+                                     std::make_pair(key(net, seg), INT_MAX));
+    return it != var_index.begin() && (it - 1)->first == key(net, seg) ? (it - 1)->second : -1;
+  };
 
   // Pass 2: linear costs and quadratic pairs.
   for (std::size_t vi = 0; vi < p.vars.size(); ++vi) {
@@ -127,7 +138,7 @@ PartitionProblem build_partition_problem(
         const double subtree = rc.cap(l) * len + cd;
         cost += var.weight * rc.via_stack_res(tree.root_pin_layer, l) * subtree;
         cost += stack_penalty(state, g.cell_id(seg.a.x, seg.a.y), l, tree.root_pin_layer);
-      } else if (!var_of.count(key(var.net, seg.parent))) {
+      } else if (var_of(var.net, seg.parent) < 0) {
         // Parent is outside the partition: a fixed-layer via (Eqn 3).
         const int lp = fixed_layers[seg.parent];
         const double load = std::min(cd, t.downstream_cap[seg.parent]);
@@ -136,7 +147,7 @@ PartitionProblem build_partition_problem(
       }
       // Fixed children.
       for (int c : seg.children) {
-        if (var_of.count(key(var.net, c))) continue;
+        if (var_of(var.net, c) >= 0) continue;
         const int lc = fixed_layers[c];
         const double w = std::max(options.branch_weight, t.criticality[c] * net_factor(t));
         const double load = std::min(cd, t.downstream_cap[c]);
@@ -149,11 +160,11 @@ PartitionProblem build_partition_problem(
 
     // Quadratic pair with an in-partition parent.
     if (seg.parent >= 0) {
-      auto it = var_of.find(key(var.net, seg.parent));
-      if (it != var_of.end()) {
+      const int parent = var_of(var.net, seg.parent);
+      if (parent >= 0) {
         VarPair pair;
         pair.child = static_cast<int>(vi);
-        pair.parent = it->second;
+        pair.parent = parent;
         pair.junction = seg.a;
         pair.scale = var.weight * std::min(cd, t.downstream_cap[seg.parent]);
         pair.load_ratio.resize(static_cast<std::size_t>(g.num_layers()), 0.0);
@@ -170,32 +181,48 @@ PartitionProblem build_partition_problem(
   // Pass 3: capacity rows, pruned to edges where the partition could
   // actually overflow. "Remaining" capacity excludes everything except the
   // in-partition segments themselves.
-  struct Bucket {
-    std::vector<int> members;
-    int self_usage = 0;  // in-partition members currently assigned to this layer
+  //
+  // One flat entry per (var, allowed layer, crossed edge), stable-sorted by
+  // (layer, edge): the cap_rows emission order is solver-visible (it feeds
+  // the SDP Schur assembly and the ILP row order), so rows come out in key
+  // order and each row keeps its members in var order.
+  struct Entry {
+    long long key;  // (layer << 32) | edge
+    int var;
+    bool is_current;  // the var currently sits on this layer
   };
-  // Ordered map: the cap_rows emission order below is solver-visible (it
-  // feeds the SDP Schur assembly and the ILP row order), so iterate the
-  // buckets in (layer, edge) key order, not hash-bucket order.
-  std::map<long long, Bucket> buckets;  // (layer, edge) -> bucket
-  auto ekey = [](int l, int e) { return (static_cast<long long>(l) << 32) | e; };
+  std::vector<Entry> entries;
+  std::size_t num_entries = 0;
+  for (const VarGroup& var : p.vars) {
+    const int edges = state.tree(var.net).segs[var.seg].length();
+    num_entries += var.layers.size() * static_cast<std::size_t>(edges);
+  }
+  entries.reserve(num_entries);
   for (std::size_t vi = 0; vi < p.vars.size(); ++vi) {
     const VarGroup& var = p.vars[vi];
     for (int l : var.layers) {
       state.for_each_edge(var.net, var.seg, [&](int e) {
-        Bucket& b = buckets[ekey(l, e)];
-        b.members.push_back(static_cast<int>(vi));
-        if (l == var.current_layer) b.self_usage += 1;
+        entries.push_back(Entry{(static_cast<long long>(l) << 32) | e, static_cast<int>(vi),
+                                l == var.current_layer});
       });
     }
   }
-  for (auto& [ke, bucket] : buckets) {
-    const int l = static_cast<int>(ke >> 32);
-    const int e = static_cast<int>(ke & 0xffffffff);
-    const int others = state.wire_usage(l, e) - bucket.self_usage;
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  for (std::size_t lo = 0, hi = 0; lo < entries.size(); lo = hi) {
+    int self_usage = 0;  // in-partition members currently assigned to this layer
+    for (hi = lo; hi < entries.size() && entries[hi].key == entries[lo].key; ++hi) {
+      self_usage += entries[hi].is_current ? 1 : 0;
+    }
+    const int l = static_cast<int>(entries[lo].key >> 32);
+    const int e = static_cast<int>(entries[lo].key & 0xffffffff);
+    const int others = state.wire_usage(l, e) - self_usage;
     const int remaining = std::max(0, state.wire_cap(l, e) - others);
-    if (static_cast<int>(bucket.members.size()) > remaining) {
-      p.cap_rows.push_back(CapRow{l, e, remaining, std::move(bucket.members)});
+    if (static_cast<int>(hi - lo) > remaining) {
+      CapRow row{l, e, remaining, {}};
+      row.members.reserve(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) row.members.push_back(entries[i].var);
+      p.cap_rows.push_back(std::move(row));
     }
   }
 

@@ -1,6 +1,8 @@
 #include "src/grid/grid_graph.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
 
 namespace cpla::grid {
@@ -11,6 +13,10 @@ std::uint64_t next_capacity_stamp() {
   static std::atomic<std::uint64_t> next{1};  // 0 stays free: a never-valid stamp
   return next.fetch_add(1);
 }
+
+/// Edge capacities are ints up to INT_MAX, so their sums run in 64 bits and
+/// saturate at the int range instead of overflowing.
+int clamp_to_int(long long v) { return static_cast<int>(std::min<long long>(v, INT_MAX)); }
 
 }  // namespace
 
@@ -46,7 +52,7 @@ int GridGraph::via_capacity(int l, int x, int y) const {
   CPLA_ASSERT(l >= 0 && l < num_layers());
   // The two layer-l edges incident to cell (x,y) along the preferred
   // direction; a boundary cell has only one.
-  int cap0 = 0, cap1 = 0;
+  long long cap0 = 0, cap1 = 0;
   if (is_horizontal(l)) {
     if (x > 0) cap0 = edge_capacity(l, h_edge_id(x - 1, y));
     if (x < xsize_ - 1) cap1 = edge_capacity(l, h_edge_id(x, y));
@@ -57,23 +63,23 @@ int GridGraph::via_capacity(int l, int x, int y) const {
   const double num = (geom_.wire_width + geom_.wire_spacing) * geom_.tile_width *
                      static_cast<double>(cap0 + cap1);
   const double den = (geom_.via_width + geom_.via_spacing) * (geom_.via_width + geom_.via_spacing);
-  return static_cast<int>(std::floor(num / den));
+  return static_cast<int>(std::min(std::floor(num / den), static_cast<double>(INT_MAX)));
 }
 
 int GridGraph::projected_capacity_h(int x, int y) const {
-  int sum = 0;
+  long long sum = 0;
   for (int l = 0; l < num_layers(); ++l) {
     if (is_horizontal(l)) sum += edge_capacity(l, h_edge_id(x, y));
   }
-  return sum;
+  return clamp_to_int(sum);
 }
 
 int GridGraph::projected_capacity_v(int x, int y) const {
-  int sum = 0;
+  long long sum = 0;
   for (int l = 0; l < num_layers(); ++l) {
     if (!is_horizontal(l)) sum += edge_capacity(l, v_edge_id(x, y));
   }
-  return sum;
+  return clamp_to_int(sum);
 }
 
 }  // namespace cpla::grid

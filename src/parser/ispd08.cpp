@@ -69,16 +69,6 @@ bool to_double(const std::string& t, double* out) {
   return true;
 }
 
-/// Reads the numeric tail of a header line like "vertical capacity 0 10 ...".
-std::vector<int> numeric_tail(const std::vector<std::string>& toks) {
-  std::vector<int> vals;
-  for (const auto& t : toks) {
-    int v = 0;
-    if (to_int(t, &v)) vals.push_back(v);
-  }
-  return vals;
-}
-
 Status bad_line(int line, std::string message) {
   return Status(StatusCode::kBadInput, std::move(message), line);
 }
@@ -105,18 +95,30 @@ Result<grid::Design> parse_ispd08(std::istream& in, const std::string& design_na
                                               num_layers));
   }
 
+  // A per-layer header line: its two keywords (checked, since the lines'
+  // order alone decides which capacities are vertical), then exactly one
+  // integer per layer.
   auto read_layer_vals = [&](const char* what) -> Result<std::vector<int>> {
     if (!reader.next(&toks)) {
       return bad_line(reader.eof_line(), str_format("missing '%s' line", what));
     }
-    auto vals = numeric_tail(toks);
-    if (static_cast<int>(vals.size()) != num_layers) {
-      return bad_line(reader.line(), str_format("'%s' expects %d values, got %zu", what,
-                                                num_layers, vals.size()));
+    const std::vector<std::string> keywords = cpla::split_ws(what);
+    if (toks.size() < keywords.size() ||
+        !std::equal(keywords.begin(), keywords.end(), toks.begin())) {
+      return bad_line(reader.line(), str_format("expected a '%s' line", what));
     }
-    for (int v : vals) {
-      if (v < 0) {
-        return bad_line(reader.line(), str_format("negative value %d in '%s'", v, what));
+    if (toks.size() - keywords.size() != static_cast<std::size_t>(num_layers)) {
+      return bad_line(reader.line(), str_format("'%s' expects %d values, got %zu", what,
+                                                num_layers, toks.size() - keywords.size()));
+    }
+    std::vector<int> vals(static_cast<std::size_t>(num_layers), 0);
+    for (int l = 0; l < num_layers; ++l) {
+      const std::string& t = toks[keywords.size() + static_cast<std::size_t>(l)];
+      if (!to_int(t, &vals[l])) {
+        return bad_line(reader.line(), str_format("bad value '%s' in '%s'", t.c_str(), what));
+      }
+      if (vals[l] < 0) {
+        return bad_line(reader.line(), str_format("negative value %d in '%s'", vals[l], what));
       }
     }
     return vals;

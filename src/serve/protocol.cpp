@@ -1,5 +1,8 @@
 #include "src/serve/protocol.hpp"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "src/eco/reroute.hpp"
@@ -25,50 +28,86 @@ bool is_edit(RequestKind kind) {
   return false;
 }
 
+namespace {
+
+/// True if `t` is a whole finite decimal number (no unit suffix, no junk).
+bool to_finite_double(const std::string& t, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(t.c_str(), &end);
+  if (end == t.c_str() || *end != '\0' || errno == ERANGE || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// Reads the next token unless the line is spent or the rest is a '#'
+/// comment (which then ends the line for every later read too).
+bool next_token(std::istringstream& in, std::string* tok) {
+  if (!(in >> *tok)) return false;
+  if ((*tok)[0] != '#') return true;
+  in.setstate(std::ios::failbit);
+  return false;
+}
+
+}  // namespace
+
 Result<Request> parse_request(std::string_view line) {
   std::istringstream in{std::string(line)};
   std::string op;
   Request req;
-  if (!(in >> op) || op[0] == '#') return req;  // kEmpty
+  if (!next_token(in, &op)) return req;  // kEmpty
 
   auto fail = [](const char* why) { return Status(StatusCode::kBadInput, why); };
+  // Every field is read as a whole token: a line with anything after its
+  // last field (a typo, a unit suffix, a half-read number) is rejected
+  // rather than silently truncated.
+  auto done = [&]() -> Result<Request> {
+    std::string extra;
+    if (next_token(in, &extra)) return fail("unexpected trailing token");
+    return req;
+  };
 
   if (op == "capacity") {
     req.kind = RequestKind::kCapacity;
     if (!(in >> req.layer >> req.x >> req.y >> req.cap)) {
       return fail("expected: capacity LAYER X Y CAP");
     }
-    return req;
+    return done();
   }
   if (op == "release" || op == "demote") {
     req.kind = op == "release" ? RequestKind::kRelease : RequestKind::kDemote;
     if (!(in >> req.net)) return fail("expected a net id");
-    return req;
+    return done();
   }
   if (op == "reroute") {
     req.kind = RequestKind::kReroute;
     if (!(in >> req.net)) return fail("expected a net id");
-    return req;
+    return done();
   }
   if (op == "add") {
     req.kind = RequestKind::kAdd;
     if (!(in >> req.x >> req.y >> req.x2 >> req.y2)) return fail("expected: add X1 Y1 X2 Y2");
-    return req;
+    return done();
   }
   if (op == "remove") {
     req.kind = RequestKind::kRemove;
     if (!(in >> req.net)) return fail("expected a net id");
-    return req;
+    return done();
   }
   if (op == "resolve") {
     req.kind = RequestKind::kResolve;
-    in >> req.deadline_ms;  // optional; absent leaves the service default
-    if (req.deadline_ms < 0.0) return fail("resolve deadline must be >= 0");
-    return req;
+    std::string deadline;  // optional; absent leaves the service default
+    if (next_token(in, &deadline)) {
+      if (!to_finite_double(deadline, &req.deadline_ms)) {
+        return fail("expected: resolve [DEADLINE_MS]");
+      }
+      if (req.deadline_ms < 0.0) return fail("resolve deadline must be >= 0");
+    }
+    return done();
   }
   if (op == "sync") {
     req.kind = RequestKind::kSync;
-    return req;
+    return done();
   }
   if (op == "query") {
     req.kind = RequestKind::kQuery;
@@ -79,11 +118,11 @@ Result<Request> parse_request(std::string_view line) {
                req.query != "stats") {
       return fail("expected: query hash|seq|metrics|stats|net");
     }
-    return req;
+    return done();
   }
   if (op == "quit") {
     req.kind = RequestKind::kQuit;
-    return req;
+    return done();
   }
   return fail("unknown op");
 }

@@ -56,6 +56,9 @@ bool is_edit(RequestKind kind);
 
 /// Parses one protocol line. kBadInput carries a description of the
 /// malformed token; comments/blank lines come back as kEmpty requests.
+/// Fields are whole tokens, and nothing but a '#' comment may follow the
+/// last one: `release 3 junk` and `resolve 5ms` are errors, not `release 3`
+/// and a 5 ms resolve.
 Result<Request> parse_request(std::string_view line);
 
 /// Builds the delta for an edit request against the current state (a

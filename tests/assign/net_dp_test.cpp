@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <tuple>
+
 #include "src/grid/layer_stack.hpp"
 #include "src/util/rng.hpp"
 
@@ -151,6 +155,118 @@ TEST_P(NetDpSweep, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, NetDpSweep, ::testing::Range(0, 24));
+
+// The nested-vector DP that solve_net_dp replaced with flat tables, kept
+// verbatim as an oracle: same evaluation order, same strict `<`.
+std::vector<int> parent_solve_net_dp(
+    const route::SegTree& tree, const std::function<const std::vector<int>&(int s)>& allowed,
+    const NetDpCosts& costs) {
+  const std::size_t n = tree.segs.size();
+  std::vector<int> result(n, 0);
+  if (n == 0) return result;
+  std::vector<std::vector<double>> best(n);
+  std::vector<std::vector<std::vector<int>>> choice(n);
+  for (std::size_t i = n; i-- > 0;) {
+    const route::Segment& seg = tree.segs[i];
+    const std::vector<int>& opts = allowed(static_cast<int>(i));
+    best[i].assign(opts.size(), 0.0);
+    choice[i].assign(opts.size(), std::vector<int>(seg.children.size(), 0));
+    for (std::size_t k = 0; k < opts.size(); ++k) {
+      const int l = opts[k];
+      double total = costs.seg_cost(static_cast<int>(i), l);
+      for (std::size_t ci = 0; ci < seg.children.size(); ++ci) {
+        const int c = seg.children[ci];
+        const std::vector<int>& copts = allowed(c);
+        double child_best = std::numeric_limits<double>::infinity();
+        int child_pick = 0;
+        for (std::size_t ck = 0; ck < copts.size(); ++ck) {
+          const double v = best[c][ck] + costs.via_cost(c, l, copts[ck]);
+          if (v < child_best) {
+            child_best = v;
+            child_pick = static_cast<int>(ck);
+          }
+        }
+        total += child_best;
+        choice[i][k][ci] = child_pick;
+      }
+      best[i][k] = total;
+    }
+  }
+  std::vector<int> pick(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tree.segs[i].parent >= 0) continue;
+    const std::vector<int>& opts = allowed(static_cast<int>(i));
+    double root_best = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < opts.size(); ++k) {
+      const double v = best[i][k] + costs.root_via_cost(static_cast<int>(i), opts[k]);
+      if (v < root_best) {
+        root_best = v;
+        pick[i] = static_cast<int>(k);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const route::Segment& seg = tree.segs[i];
+    result[i] = allowed(static_cast<int>(i))[pick[i]];
+    for (std::size_t ci = 0; ci < seg.children.size(); ++ci) {
+      pick[seg.children[ci]] = choice[i][pick[i]][ci];
+    }
+  }
+  return result;
+}
+
+// Bit identity with the oracle over seeded random forests: option lists of
+// 1-4 layers per segment and small integer costs, so ties are common and
+// the first-wins rule decides many picks. Every cost callback is logged,
+// so the evaluation order is compared too.
+TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
+  using Call = std::tuple<char, int, int, int>;
+  const std::vector<std::vector<int>> option_sets = {
+      {0}, {0, 2}, {2, 0, 4}, {0, 2, 4, 6}, {1}, {1, 3}, {3, 1, 5}, {1, 3, 5, 7}};
+  cpla::Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_segs = 1 + static_cast<int>(rng.uniform_int(0, 30));
+    route::SegTree tree = random_tree(&rng, num_segs);
+    // Cut a few subtrees loose: a forest has several roots.
+    for (int s = 1; s < num_segs; ++s) {
+      if (rng.uniform_int(0, 9) != 0) continue;
+      auto& siblings = tree.segs[tree.segs[s].parent].children;
+      siblings.erase(std::find(siblings.begin(), siblings.end(), s));
+      tree.segs[s].parent = -1;
+    }
+    std::vector<int> set_of(static_cast<std::size_t>(num_segs));
+    for (int s = 0; s < num_segs; ++s) {
+      set_of[s] = static_cast<int>(rng.uniform_int(0, 3)) + (tree.segs[s].horizontal ? 0 : 4);
+    }
+    auto allowed = [&](int s) -> const std::vector<int>& { return option_sets[set_of[s]]; };
+    std::vector<double> seg_table(static_cast<std::size_t>(num_segs) * 8);
+    std::vector<double> via_table(static_cast<std::size_t>(num_segs) * 64);
+    for (double& v : seg_table) v = static_cast<double>(rng.uniform_int(0, 3));
+    for (double& v : via_table) v = static_cast<double>(rng.uniform_int(0, 2));
+
+    std::vector<Call> log;
+    NetDpCosts costs;
+    costs.seg_cost = [&](int s, int l) {
+      log.emplace_back('s', s, l, -1);
+      return seg_table[static_cast<std::size_t>(s) * 8 + l];
+    };
+    costs.root_via_cost = [&](int s, int l) {
+      log.emplace_back('r', s, l, -1);
+      return static_cast<double>(l % 2);
+    };
+    costs.via_cost = [&](int c, int lp, int lc) {
+      log.emplace_back('v', c, lp, lc);
+      return via_table[static_cast<std::size_t>(c) * 64 + lp * 8 + lc];
+    };
+
+    const std::vector<int> expected = parent_solve_net_dp(tree, allowed, costs);
+    const std::vector<Call> expected_log = std::move(log);
+    log.clear();
+    const std::vector<int> got = solve_net_dp(tree, allowed, costs);
+    ASSERT_EQ(got, expected) << "trial " << trial;
+    ASSERT_EQ(log, expected_log) << "trial " << trial;
+  }
+}
 
 }  // namespace
 }  // namespace cpla::assign

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/core/pipeline.hpp"
 #include "src/core/tila.hpp"
 #include "src/gen/synth.hpp"
+#include "src/sta/corner.hpp"
+#include "src/sta/timing_graph.hpp"
 
 namespace cpla::core {
 namespace {
@@ -116,6 +120,49 @@ TEST(Flow, SerialFlowGatesTheSolversInnerParallelism) {
   opt.parallel = true;
   opt.sdp.parallel = false;
   EXPECT_FALSE(effective_sdp_options(opt).parallel);
+}
+
+// Pins the paper flow as the flow_lagr_sta benchmark runs it (Engine::kLagr,
+// a live 3-corner timing graph, ratio 0.03, one partition per commit) bit
+// for bit on one suite instance: the Table-2 columns and an FNV-1a hash of
+// every net's layers, non-released nets included, so victim displacement,
+// the net DP and the partition builder all show up here.
+TEST(Flow, LagrStaGoldenMetrics) {
+  Prepared bench = prepare(gen::generate(gen::suite_spec("newblue1")));
+  const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.03);
+  std::vector<std::vector<int>> entry;
+  for (int n = 0; n < bench.state->num_nets(); ++n) entry.push_back(bench.state->layers(n));
+  const sta::CornerSet corners(*bench.rc, {{"typ", 1.0, 1.0, 1.0, -1.0},
+                                           {"slow", 1.15, 1.10, 1.10, -1.0},
+                                           {"fast", 0.90, 0.92, 0.90, -1.0}});
+  sta::TimingGraph graph;
+  graph.build(*bench.state, corners);
+
+  CplaOptions opt;
+  opt.critical_ratio = 0.03;
+  opt.engine = Engine::kLagr;
+  opt.sta_graph = &graph;
+  opt.commit_batch = 1;  // results must not depend on the OpenMP thread count
+  const OptimizeResult res = optimize(bench.state.get(), *bench.rc, critical, opt);
+  ASSERT_TRUE(res.status.is_ok()) << res.status.to_string();
+
+  const LaMetrics m = compute_metrics(*bench.state, *bench.rc, critical);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  int moved_outside = 0;  // nets outside the entry critical set that moved
+  for (int n = 0; n < bench.state->num_nets(); ++n) {
+    for (int l : bench.state->layers(n)) {
+      hash = (hash ^ static_cast<std::uint64_t>(l + 1)) * 0x100000001b3ull;
+    }
+    hash = (hash ^ 0xffu) * 0x100000001b3ull;  // net separator
+    moved_outside += !critical.released[n] && bench.state->layers(n) != entry[n];
+  }
+  EXPECT_EQ(m.avg_tcp, 55041.952380958704);
+  EXPECT_EQ(m.max_tcp, 120947.56421973699);
+  EXPECT_EQ(m.via_overflow, 724);
+  EXPECT_EQ(m.wire_overflow, 40);
+  EXPECT_EQ(m.via_count, 22092);
+  EXPECT_EQ(hash, 10355410205460496028ull);
+  EXPECT_EQ(moved_outside, 237);  // displaced victims and rediscovered nets
 }
 
 }  // namespace

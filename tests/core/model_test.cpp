@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "src/core/critical.hpp"
 #include "src/core/pipeline.hpp"
@@ -162,6 +163,100 @@ TEST_F(ModelTest, EvaluateMatchesManualSum) {
     manual += p.pair_cost(pair, p.vars[pair.parent].layers[0], p.vars[pair.child].layers[0]);
   }
   EXPECT_NEAR(p.evaluate(pick), manual, 1e-9);
+}
+
+// The ordered-map capacity-row builder that build_partition_problem
+// replaced with a stable-sorted flat vector, kept verbatim as an oracle
+// (rebuilt from the problem's own vars). Row order and member order are
+// solver-visible, so the two must agree exactly.
+std::vector<CapRow> parent_cap_rows(const assign::AssignState& state,
+                                    const PartitionProblem& p) {
+  struct Bucket {
+    std::vector<int> members;
+    int self_usage = 0;
+  };
+  std::map<long long, Bucket> buckets;
+  auto ekey = [](int l, int e) { return (static_cast<long long>(l) << 32) | e; };
+  for (std::size_t vi = 0; vi < p.vars.size(); ++vi) {
+    const VarGroup& var = p.vars[vi];
+    for (int l : var.layers) {
+      state.for_each_edge(var.net, var.seg, [&](int e) {
+        Bucket& b = buckets[ekey(l, e)];
+        b.members.push_back(static_cast<int>(vi));
+        if (l == var.current_layer) b.self_usage += 1;
+      });
+    }
+  }
+  std::vector<CapRow> rows;
+  for (auto& [ke, bucket] : buckets) {
+    const int l = static_cast<int>(ke >> 32);
+    const int e = static_cast<int>(ke & 0xffffffff);
+    const int others = state.wire_usage(l, e) - bucket.self_usage;
+    const int remaining = std::max(0, state.wire_cap(l, e) - others);
+    if (static_cast<int>(bucket.members.size()) > remaining) {
+      rows.push_back(CapRow{l, e, remaining, std::move(bucket.members)});
+    }
+  }
+  return rows;
+}
+
+/// Asserts that every partition's cap_rows equal the oracle's, and returns
+/// the number of rows compared.
+int expect_oracle_rows(const Prepared& run, const CriticalSet& critical,
+                       const std::vector<PartitionRegion>& regions) {
+  std::unordered_map<int, timing::NetTiming> t;
+  for (int net : critical.nets) {
+    t.emplace(net, timing::compute_timing(run.state->tree(net), run.state->layers(net), *run.rc));
+  }
+  int compared = 0;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const PartitionProblem p = build_partition_problem(*run.state, *run.rc, t, regions[r], {});
+    const std::vector<CapRow> expected = parent_cap_rows(*run.state, p);
+    EXPECT_EQ(p.cap_rows.size(), expected.size()) << "region " << r;
+    if (p.cap_rows.size() != expected.size()) return compared;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(p.cap_rows[i].layer, expected[i].layer) << "region " << r << " row " << i;
+      EXPECT_EQ(p.cap_rows[i].edge, expected[i].edge) << "region " << r << " row " << i;
+      EXPECT_EQ(p.cap_rows[i].cap_remaining, expected[i].cap_remaining)
+          << "region " << r << " row " << i;
+      EXPECT_EQ(p.cap_rows[i].members, expected[i].members) << "region " << r << " row " << i;
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+std::vector<SegRef> refs_of(const assign::AssignState& state, const CriticalSet& critical) {
+  std::vector<SegRef> refs;
+  for (int net : critical.nets) {
+    for (const auto& seg : state.tree(net).segs) {
+      refs.push_back(SegRef{net, seg.id, {(seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2}});
+    }
+  }
+  return refs;
+}
+
+// Every partition of a flow round on a suite design, plus one region
+// spanning the whole grid: thousands of (layer, edge) entries, so member
+// order within a row depends on the sort being stable.
+TEST(CapRowsOracle, FlatBuilderMatchesTheOrderedMap) {
+  const Prepared run = prepare(gen::generate(gen::suite_spec("newblue1")));
+  const CriticalSet critical = select_critical(*run.state, *run.rc, 0.03);
+  const std::vector<SegRef> refs = refs_of(*run.state, critical);
+  const auto& g = run.design->grid;
+  const PartitionResult parts = partition(g.xsize(), g.ysize(), refs, {});
+  ASSERT_GT(parts.leaves.size(), 10u);
+  const int leaf_rows = expect_oracle_rows(run, critical, parts.leaves);
+  RecordProperty("leaf_rows", leaf_rows);
+  EXPECT_GT(leaf_rows, 0);
+
+  PartitionRegion whole;
+  whole.x1 = g.xsize();
+  whole.y1 = g.ysize();
+  whole.segments = refs;
+  const int whole_rows = expect_oracle_rows(run, critical, {whole});
+  RecordProperty("whole_rows", whole_rows);
+  EXPECT_GT(whole_rows, 100);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 
@@ -200,6 +201,57 @@ TEST(Ispd08Corpus, PinCoordinateBeyondIntRange) {
   EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
   EXPECT_EQ(result.status().line(), 11);
   EXPECT_NE(result.status().message().find("outside"), std::string::npos);
+}
+
+TEST(Ispd08Corpus, SwappedCapacityLinesAreRejected) {
+  // Read by position alone, the swapped header lines would flip every
+  // layer's direction.
+  const auto result = parse_ispd08_file(data_path("swapped_capacity_lines.gr"));
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kBadInput);
+  EXPECT_EQ(result.status().line(), 2);
+  EXPECT_NE(result.status().message().find("vertical capacity"), std::string::npos);
+}
+
+TEST(Ispd08Diagnostics, HeaderLineKeywordsAndValuesAreChecked) {
+  const struct {
+    const char* from;
+    const char* to;
+    int line;
+  } cases[] = {
+      {"vertical capacity", "vertical capacities", 2},
+      {"horizontal capacity", "capacity horizontal", 3},
+      {"minimum width", "minimum wid#h", 4},
+      {"minimum spacing 1 1 1 1", "minimum spacing 1 1 x 1", 5},
+      {"via spacing 1 1 1 1", "via spacing 1 1 1 1 1", 6},
+      {"via spacing 1 1 1 1", "via", 6},
+  };
+  for (const auto& c : cases) {
+    std::string text = kSample;
+    text.replace(text.find(c.from), std::string(c.from).size(), c.to);
+    const Status s = parse_status(text);
+    EXPECT_EQ(s.code(), StatusCode::kBadInput) << c.to;
+    EXPECT_EQ(s.line(), c.line) << c.to;
+  }
+}
+
+TEST(Ispd08Corpus, CapacitySumsSaturateInsteadOfOverflowing) {
+  // Two adjacent INT_MAX edges on layer 0, and an INT_MAX edge on the other
+  // horizontal layer: the via-capacity and projected-capacity sums
+  // overflowed int (UBSan under the asan preset; via_capacity read -20).
+  const auto result = parse_ispd08_file(data_path("capacity_sum_overflow.gr"));
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const grid::GridGraph& g = result.value().grid;
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_EQ(g.via_capacity(0, 1, 0), kMax);
+  EXPECT_EQ(g.projected_capacity_h(0, 0), kMax);
+  // In-range sums are unchanged: 5 tracks per edge (10 / pitch 2).
+  EXPECT_EQ(g.projected_capacity_h(2, 0), 10);
+  const grid::GeomParams& geom = g.geom();
+  const double via_pitch = geom.via_width + geom.via_spacing;
+  EXPECT_EQ(g.via_capacity(0, 3, 1),
+            static_cast<int>(std::floor((geom.wire_width + geom.wire_spacing) *
+                                        geom.tile_width * 5 / (via_pitch * via_pitch))));
 }
 
 TEST(Ispd08Diagnostics, TileTooLargeForTheGrid) {

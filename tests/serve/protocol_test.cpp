@@ -57,6 +57,23 @@ TEST(ProtocolTest, MalformedLinesFailWithBadInput) {
   }
 }
 
+TEST(ProtocolTest, TrailingTokensAndBadDeadlinesAreRejected) {
+  for (const char* bad : {"resolve abc", "resolve 5ms", "resolve nan", "resolve inf",
+                          "release 3 junk", "demote 3x", "reroute 2 2", "remove 1.5",
+                          "capacity 1 2 3 4 5", "add 1 2 3 4 x", "sync now", "quit 1",
+                          "query hash x", "query net 3 4"}) {
+    Result<Request> r = parse_request(bad);
+    ASSERT_FALSE(r.is_ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kBadInput) << bad;
+  }
+  // A bare resolve takes the service default; a trailing '#' comment is
+  // not a token.
+  EXPECT_EQ(parse_ok("resolve").deadline_ms, 0.0);
+  EXPECT_EQ(parse_ok("resolve   # default budget").deadline_ms, 0.0);
+  EXPECT_EQ(parse_ok("resolve 5 # ms").deadline_ms, 5.0);
+  EXPECT_EQ(parse_ok("reroute 17          # flip net 17").net, 17);
+}
+
 TEST(ProtocolTest, MaterializeBuildsTheSameDeltasAsTheCliGrammar) {
   core::Prepared bench = eco::make_bench(601, 12, 50);
 
