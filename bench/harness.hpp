@@ -214,15 +214,10 @@ inline FlowOutcome run_cpla_flow(BenchRun* run, const core::CplaOptions& opt = {
   return out;
 }
 
-/// Checks a landed state with code that did not produce it: the
-/// independent validator over every net's wires, and Avg/Max(Tcp)
-/// recomputed net by net with timing::critical_delay over `critical`,
-/// which must equal `reported` exactly. Nets an ECO stream added have no
-/// netlist pins to check against and are left out of the validator.
-/// Returns an empty string when both hold, else the first failure.
-inline std::string check_landed_state(const core::Prepared& prepared,
-                                      const core::CriticalSet& critical,
-                                      const core::LaMetrics& reported) {
+/// The independent validator over every routed net of a landed state. Nets
+/// an ECO stream added have no netlist pins to check against and are left
+/// out.
+inline assign::ValidationReport validate_landed(const core::Prepared& prepared) {
   const assign::AssignState& state = *prepared.state;
   const grid::Design& design = *prepared.design;
   const int netlist_nets = static_cast<int>(design.nets.size());
@@ -231,7 +226,19 @@ inline std::string check_landed_state(const core::Prepared& prepared,
     if (state.tree(n).segs.empty()) continue;
     nets.push_back({design.nets[static_cast<std::size_t>(n)].name, n, assign::net_wires(state, n)});
   }
-  const assign::ValidationReport report = assign::validate_solution(design, nets);
+  return assign::validate_solution(design, nets);
+}
+
+/// Checks a landed state with code that did not produce it: the
+/// independent validator over every net's wires, and Avg/Max(Tcp)
+/// recomputed net by net with timing::critical_delay over `critical`,
+/// which must equal `reported` exactly. Returns an empty string when both
+/// hold, else the first failure.
+inline std::string check_landed_state(const core::Prepared& prepared,
+                                      const core::CriticalSet& critical,
+                                      const core::LaMetrics& reported) {
+  const assign::AssignState& state = *prepared.state;
+  const assign::ValidationReport report = validate_landed(prepared);
   if (!report.ok) {
     return "validator: " +
            (report.errors.empty() ? std::string("rejected the solution") : report.errors.front());

@@ -7,7 +7,15 @@
 // scale). Reports the aggregate incremental-vs-scratch speedup and the
 // top-K extraction cost for K in {1, 8, 64}.
 //
-// Exit status: nonzero when any step diverges bitwise (always), or when
+// The final mutated state is then checked by code that did not produce it:
+// the independent validator (assign::validate_solution) over every net's
+// wires, whose wire overflow must equal the state's running total, and a
+// from-scratch Elmore recomputation of every net arc at every corner, which
+// must equal the live graph's edge delays bitwise. The artifact records
+// validated = 1.
+//
+// Exit status: nonzero when any step diverges bitwise or the final state
+// fails its independent checks (always), or when
 // the incremental speedup falls below the --gate floor (default 5x, full
 // mode only; --quick is too small to gate). The floor lives in-binary for
 // the same reason backend_arbiter's does: bench_compare.py's bigger-is-worse
@@ -19,6 +27,7 @@
 #include "src/sta/corner.hpp"
 #include "src/sta/path_enum.hpp"
 #include "src/sta/timing_graph.hpp"
+#include "src/timing/elmore.hpp"
 #include "src/util/rng.hpp"
 
 #include <cmath>
@@ -70,6 +79,38 @@ void mutate_one_net(assign::AssignState* state, Rng* rng) {
     state->set_layers(n, std::move(layers));
     return;
   }
+}
+
+/// Independent checks of the final state (see the header comment); returns
+/// an empty string when they hold, else the first failure.
+std::string check_final_state(const core::Prepared& run, const sta::TimingGraph& live,
+                              const sta::CornerSet& corners) {
+  const assign::ValidationReport report = bench::validate_landed(run);
+  if (!report.ok) {
+    return "validator: " +
+           (report.errors.empty() ? std::string("rejected the solution") : report.errors.front());
+  }
+  if (report.wire_overflow != run.state->wire_overflow()) {
+    return "validator wire overflow " + std::to_string(report.wire_overflow) +
+           " != state's " + std::to_string(run.state->wire_overflow());
+  }
+  for (int net = 0; net < run.state->num_nets(); ++net) {
+    if (!live.has_net(net)) continue;
+    const route::SegTree& tree = run.state->tree(net);
+    const int first_edge = live.out_edge_begin(live.driver_node(net));
+    for (int c = 0; c < corners.size(); ++c) {
+      const timing::NetTiming fresh =
+          timing::compute_timing(tree, run.state->layers(net), corners.rc(c));
+      for (std::size_t k = 0; k < fresh.sink_delay.size(); ++k) {
+        const double graph_delay = live.edge_delay(c, first_edge + static_cast<int>(k));
+        if (!bits_equal(fresh.sink_delay[k], graph_delay)) {
+          return "net " + std::to_string(net) + " sink " + std::to_string(k) + " corner " +
+                 std::to_string(c) + ": graph delay differs from a fresh Elmore recomputation";
+        }
+      }
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -185,6 +226,13 @@ int main(int argc, char** argv) {
   report.record_value("sta.graph.num_levels", static_cast<double>(live.num_levels()));
   report.record_value("sta.final.worst_slack", live.worst_slack());
 
+  const std::string invalid = check_final_state(run, live, corner_set);
+  report.record_value("validated", invalid.empty() ? 1.0 : 0.0);
+  if (!invalid.empty()) {
+    std::fprintf(stderr, "sta_incremental: FAIL final state: %s\n", invalid.c_str());
+    report.write();
+    return 1;
+  }
   if (mismatches > 0 || path_mismatches > 0) {
     std::fprintf(stderr,
                  "sta_incremental: FAIL - incremental update diverged "

@@ -21,37 +21,6 @@ bool valid_net(const assign::AssignState& state, int net) {
   return net >= 0 && net < state.num_nets();
 }
 
-/// Structural sanity of an ECO-supplied tree: ids dense and topologically
-/// ordered, segments axis-aligned and inside the grid, optional explicit
-/// layers direction-consistent. Keeps malformed input out of the usage
-/// maps (where it would trip hard asserts) and reports kBadInput instead.
-Status validate_tree(const grid::GridGraph& g, const route::SegTree& tree,
-                     const std::vector<int>& layers) {
-  if (!layers.empty() && layers.size() != tree.segs.size()) {
-    return Status(StatusCode::kBadInput, "eco: layers/segments size mismatch");
-  }
-  for (std::size_t i = 0; i < tree.segs.size(); ++i) {
-    const route::Segment& s = tree.segs[i];
-    if (s.id != static_cast<int>(i) || s.parent >= s.id) {
-      return Status(StatusCode::kBadInput, "eco: tree segments not in topological id order");
-    }
-    const bool aligned = s.horizontal ? (s.a.y == s.b.y) : (s.a.x == s.b.x);
-    if (!aligned) return Status(StatusCode::kBadInput, "eco: segment not axis-aligned");
-    for (const grid::XY& p : {s.a, s.b}) {
-      if (p.x < 0 || p.x >= g.xsize() || p.y < 0 || p.y >= g.ysize()) {
-        return Status(StatusCode::kBadInput, "eco: segment endpoint outside the grid");
-      }
-    }
-    if (!layers.empty()) {
-      const int l = layers[i];
-      if (l < 0 || l >= g.num_layers() || g.is_horizontal(l) != s.horizontal) {
-        return Status(StatusCode::kBadInput, "eco: layer direction mismatch");
-      }
-    }
-  }
-  return Status::ok();
-}
-
 void promote(core::CriticalSet* critical, int net) {
   if (net < static_cast<int>(critical->released.size()) && critical->released[net]) return;
   if (net >= static_cast<int>(critical->released.size())) {
@@ -69,6 +38,56 @@ void demote(core::CriticalSet* critical, int net) {
 }
 
 }  // namespace
+
+Status validate_tree(const grid::GridGraph& g, const route::SegTree& tree,
+                     const std::vector<int>& layers) {
+  auto inside = [&](const grid::XY& p) {
+    return p.x >= 0 && p.x < g.xsize() && p.y >= 0 && p.y < g.ysize();
+  };
+  auto metal = [&](int l) { return l >= 0 && l < g.num_layers(); };
+  const int num_segs = static_cast<int>(tree.segs.size());
+  if (!layers.empty() && layers.size() != tree.segs.size()) {
+    return Status(StatusCode::kBadInput, "eco: layers/segments size mismatch");
+  }
+  if (!inside(tree.root) || !metal(tree.root_pin_layer)) {
+    return Status(StatusCode::kBadInput, "eco: tree root outside the grid or layer stack");
+  }
+  std::size_t num_children = 0;
+  for (int i = 0; i < num_segs; ++i) {
+    const route::Segment& s = tree.segs[static_cast<std::size_t>(i)];
+    if (s.id != i || s.parent < -1 || s.parent >= s.id) {
+      return Status(StatusCode::kBadInput, "eco: tree segments not in topological id order");
+    }
+    for (int c : s.children) {
+      if (c <= i || c >= num_segs || tree.segs[static_cast<std::size_t>(c)].parent != i) {
+        return Status(StatusCode::kBadInput, "eco: tree child list disagrees with the parents");
+      }
+    }
+    num_children += s.children.size();
+    const bool aligned = s.horizontal ? (s.a.y == s.b.y) : (s.a.x == s.b.x);
+    if (!aligned) return Status(StatusCode::kBadInput, "eco: segment not axis-aligned");
+    if (!inside(s.a) || !inside(s.b)) {
+      return Status(StatusCode::kBadInput, "eco: segment endpoint outside the grid");
+    }
+    if (!layers.empty()) {
+      const int l = layers[static_cast<std::size_t>(i)];
+      if (!metal(l) || g.is_horizontal(l) != s.horizontal) {
+        return Status(StatusCode::kBadInput, "eco: layer direction mismatch");
+      }
+    }
+  }
+  const auto rooted = std::count_if(tree.segs.begin(), tree.segs.end(),
+                                    [](const route::Segment& s) { return s.parent < 0; });
+  if (num_children + static_cast<std::size_t>(rooted) != tree.segs.size()) {
+    return Status(StatusCode::kBadInput, "eco: tree child list disagrees with the parents");
+  }
+  for (const route::SinkAttach& sink : tree.sinks) {
+    if (sink.seg_id < -1 || sink.seg_id >= num_segs || !metal(sink.pin_layer)) {
+      return Status(StatusCode::kBadInput, "eco: sink attach outside the tree or layer stack");
+    }
+  }
+  return Status::ok();
+}
 
 Delta Delta::net_rerouted(int net, route::SegTree tree, std::vector<int> layers) {
   Delta d;

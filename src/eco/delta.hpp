@@ -45,6 +45,16 @@ struct Delta {
   static Delta net_removed(int net);
 };
 
+/// Structural sanity of a tree from outside the flow (an ECO delta, a
+/// journal record, a checkpoint): segment ids dense, every parent earlier
+/// in the list and every child list the exact inverse of the parents,
+/// segments axis-aligned and inside the grid, the root and every sink
+/// attach inside the grid and the layer stack, and `layers` (if not empty)
+/// one direction-legal layer per segment. kBadInput on the first violation;
+/// a tree that passes is safe to hand to AssignState and the timers.
+Status validate_tree(const grid::GridGraph& g, const route::SegTree& tree,
+                     const std::vector<int>& layers);
+
 /// Applies one delta to a design/state/critical-set triple — the single
 /// shared implementation used by EcoSession::apply and by equivalence
 /// tests mirroring a session onto a control state. Returns the id of the

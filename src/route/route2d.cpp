@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/check.hpp"
+
 namespace cpla::route {
 
 void NetRoute::normalize() {
@@ -28,11 +30,21 @@ Usage2D::Usage2D(const grid::GridGraph& g) {
       v_cap_[g.v_edge_id(x, y)] = g.projected_capacity_v(x, y);
     }
   }
+  h_cost_.resize(h_usage_.size());
+  v_cost_.resize(v_usage_.size());
+  for (std::size_t i = 0; i < h_cost_.size(); ++i) h_cost_[i] = edge_cost(0, h_cap_[i], 0.0);
+  for (std::size_t i = 0; i < v_cost_.size(); ++i) v_cost_[i] = edge_cost(0, v_cap_[i], 0.0);
 }
 
 void Usage2D::add(const NetRoute& r, int delta) {
-  for (int id : r.h_edges) h_usage_[id] += delta;
-  for (int id : r.v_edges) v_usage_[id] += delta;
+  for (int id : r.h_edges) {
+    h_usage_[id] += delta;
+    h_cost_[id] = edge_cost(h_usage_[id], h_cap_[id], h_hist_[id]);
+  }
+  for (int id : r.v_edges) {
+    v_usage_[id] += delta;
+    v_cost_[id] = edge_cost(v_usage_[id], v_cap_[id], v_hist_[id]);
+  }
 }
 
 long Usage2D::total_overflow() const {
@@ -47,11 +59,16 @@ long Usage2D::total_overflow() const {
 }
 
 void Usage2D::bump_history(double amount) {
+  CPLA_ASSERT_MSG(amount >= 0.0, "negative history would let an edge cost less than 1");
   for (std::size_t i = 0; i < h_usage_.size(); ++i) {
-    if (h_usage_[i] > h_cap_[i]) h_hist_[i] += amount;
+    if (h_usage_[i] <= h_cap_[i]) continue;
+    h_hist_[i] += amount;
+    h_cost_[i] = edge_cost(h_usage_[i], h_cap_[i], h_hist_[i]);
   }
   for (std::size_t i = 0; i < v_usage_.size(); ++i) {
-    if (v_usage_[i] > v_cap_[i]) v_hist_[i] += amount;
+    if (v_usage_[i] <= v_cap_[i]) continue;
+    v_hist_[i] += amount;
+    v_cost_[i] = edge_cost(v_usage_[i], v_cap_[i], v_hist_[i]);
   }
 }
 

@@ -37,8 +37,6 @@ class Usage2D {
   int h_cap(int id) const { return h_cap_[id]; }
   int v_cap(int id) const { return v_cap_[id]; }
 
-  double& h_history(int id) { return h_hist_[id]; }
-  double& v_history(int id) { return v_hist_[id]; }
   double h_history(int id) const { return h_hist_[id]; }
   double v_history(int id) const { return v_hist_[id]; }
 
@@ -46,17 +44,21 @@ class Usage2D {
   long total_overflow() const;
 
   /// Bumps history on every currently-overflowed edge (negotiation step).
+  /// `amount` must be >= 0: history never lowers a cost, so every edge
+  /// costs at least 1 (maze routing's bucket queue relies on it).
   void bump_history(double amount);
 
-  /// Routing cost of pushing one more wire through the edge.
-  double h_cost(int id) const { return edge_cost(h_usage_[id], h_cap_[id], h_hist_[id]); }
-  double v_cost(int id) const { return edge_cost(v_usage_[id], v_cap_[id], v_hist_[id]); }
+  /// Routing cost of pushing one more wire through the edge, kept current
+  /// by add() and bump_history().
+  double h_cost(int id) const { return h_cost_[id]; }
+  double v_cost(int id) const { return v_cost_[id]; }
 
  private:
   static double edge_cost(int usage, int cap, double hist);
   std::vector<int> h_usage_, v_usage_;
   std::vector<int> h_cap_, v_cap_;
   std::vector<double> h_hist_, v_hist_;
+  std::vector<double> h_cost_, v_cost_;
 };
 
 }  // namespace cpla::route

@@ -6,6 +6,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/route/maze.hpp"
 #include "src/route/topology.hpp"
+#include "src/util/check.hpp"
 #include "src/util/logging.hpp"
 
 namespace cpla::route {
@@ -109,7 +110,8 @@ std::vector<int> route_cells(const grid::GridGraph& g, const NetRoute& r) {
 
 /// Full maze reroute of one net: grow a component from the driver, maze to
 /// each remaining pin (nearest first).
-NetRoute maze_reroute(const grid::GridGraph& g, const Usage2D& usage, const grid::Net& net) {
+NetRoute maze_reroute(const grid::GridGraph& g, const Usage2D& usage, const grid::Net& net,
+                      MazeRouter* maze) {
   NetRoute out;
   const auto cells = net.distinct_cells();
   if (cells.size() < 2) return out;
@@ -126,7 +128,7 @@ NetRoute maze_reroute(const grid::GridGraph& g, const Usage2D& usage, const grid
     const int target = g.cell_id(pin.x, pin.y);
     if (std::find(component.begin(), component.end(), target) != component.end()) continue;
     NetRoute path;
-    const bool ok = maze_route(g, usage, component, {target}, &path);
+    const bool ok = maze->route(g, usage, component, target, &path);
     CPLA_ASSERT_MSG(ok, "maze routing failed on a connected grid");
     out.h_edges.insert(out.h_edges.end(), path.h_edges.begin(), path.h_edges.end());
     out.v_edges.insert(out.v_edges.end(), path.v_edges.begin(), path.v_edges.end());
@@ -142,6 +144,8 @@ NetRoute maze_reroute(const grid::GridGraph& g, const Usage2D& usage, const grid
 }  // namespace
 
 RoutingResult route_all(const grid::Design& design, const RouterOptions& options) {
+  CPLA_ASSERT_MSG(options.history_step >= 0.0,
+                  "history_step must be >= 0: maze routing relies on every edge costing >= 1");
   const grid::GridGraph& g = design.grid;
   RoutingResult result;
   result.routes.resize(design.nets.size());
@@ -168,6 +172,7 @@ RoutingResult route_all(const grid::Design& design, const RouterOptions& options
 
   // Negotiated rip-up and reroute.
   long reroutes = 0;
+  MazeRouter maze;
   for (int round = 0; round < options.max_negotiation_rounds; ++round) {
     const long overflow = usage.total_overflow();
     result.overflow = overflow;
@@ -196,7 +201,7 @@ RoutingResult route_all(const grid::Design& design, const RouterOptions& options
       if (!congested) continue;
 
       usage.add(r, -1);
-      r = maze_reroute(g, usage, design.nets[idx]);
+      r = maze_reroute(g, usage, design.nets[idx], &maze);
       usage.add(r, +1);
       ++reroutes;
     }

@@ -1,6 +1,8 @@
 #include "src/serve/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 namespace cpla::serve {
 
@@ -197,52 +199,81 @@ std::string serialize_state(const assign::AssignState& state,
 Status restore_state(std::string_view blob, grid::Design* design, assign::AssignState* state,
                      core::CriticalSet* critical) {
   CPLA_ASSERT(design != nullptr && state != nullptr && critical != nullptr);
+  // Decode and check the whole blob before touching the triple: a rejected
+  // blob leaves design, state and critical set exactly as they were.
   ByteReader r(blob);
   const auto& g = design->grid;
 
   const std::uint32_t num_layers = r.u32();
   CPLA_CHECK(r.ok() && num_layers == static_cast<std::uint32_t>(g.num_layers()),
              Status(StatusCode::kBadInput, "serve: checkpoint layer count mismatch"));
+  std::vector<std::vector<int>> caps(static_cast<std::size_t>(g.num_layers()));
   for (int l = 0; l < g.num_layers(); ++l) {
     const std::uint32_t num_edges = r.u32();
     CPLA_CHECK(r.ok() && num_edges == static_cast<std::uint32_t>(g.num_edges_on_layer(l)),
                Status(StatusCode::kBadInput, "serve: checkpoint edge count mismatch"));
-    for (std::uint32_t e = 0; e < num_edges; ++e) {
-      const int cap = r.i32();
-      if (!r.ok()) break;
-      design->grid.set_edge_capacity(l, static_cast<int>(e), cap);
-    }
+    caps[l].reserve(num_edges);
+    for (std::uint32_t e = 0; e < num_edges && r.ok(); ++e) caps[l].push_back(r.i32());
+    CPLA_CHECK(std::all_of(caps[l].begin(), caps[l].end(), [](int cap) { return cap >= 0; }),
+               Status(StatusCode::kBadInput, "serve: negative checkpoint capacity"));
   }
   CPLA_CHECK(r.ok(), Status(StatusCode::kBadInput, "serve: truncated checkpoint capacities"));
 
   const std::uint32_t num_nets = r.u32();
   CPLA_CHECK(r.ok() && num_nets >= static_cast<std::uint32_t>(state->num_nets()),
              Status(StatusCode::kBadInput, "serve: checkpoint has fewer nets than the base"));
+  std::vector<route::SegTree> trees;
+  std::vector<std::vector<int>> net_layers;
   for (std::uint32_t net = 0; net < num_nets; ++net) {
-    route::SegTree tree = read_tree(&r);
-    std::vector<int> layers;
+    trees.push_back(read_tree(&r));
+    std::vector<int>& layers = net_layers.emplace_back();
     const std::uint32_t num_net_layers = r.u32();
-    layers.reserve(num_net_layers);
     for (std::uint32_t i = 0; i < num_net_layers && r.ok(); ++i) layers.push_back(r.i32());
     CPLA_CHECK(r.ok(), Status(StatusCode::kBadInput, "serve: truncated checkpoint net"));
-    if (static_cast<int>(net) < state->num_nets()) {
-      state->replace_tree(static_cast<int>(net), std::move(tree), std::move(layers));
-    } else {
-      state->add_net(std::move(tree), std::move(layers));
-    }
+    const Status tree_ok = eco::validate_tree(g, trees.back(), layers);
+    CPLA_CHECK(tree_ok.is_ok(), Status(StatusCode::kBadInput, "serve: checkpoint net " +
+                                                                  std::to_string(net) + ": " +
+                                                                  tree_ok.message()));
   }
 
   core::CriticalSet restored;
   const std::uint32_t num_critical = r.u32();
-  restored.nets.reserve(num_critical);
   for (std::uint32_t i = 0; i < num_critical && r.ok(); ++i) restored.nets.push_back(r.i32());
   const std::uint32_t num_released = r.u32();
-  restored.released.reserve(num_released);
   for (std::uint32_t i = 0; i < num_released && r.ok(); ++i) {
     restored.released.push_back(static_cast<char>(r.u8()));
   }
   CPLA_CHECK(r.ok() && r.at_end(),
              Status(StatusCode::kBadInput, "serve: malformed checkpoint state blob"));
+  // Every listed critical net is in range, flagged 1 in `released` and
+  // listed once, and no other net is flagged.
+  CPLA_CHECK(num_released <= num_nets,
+             Status(StatusCode::kBadInput, "serve: checkpoint flags more nets than it has"));
+  std::vector<char> unlisted = restored.released;
+  bool critical_ok = true;
+  for (int net : restored.nets) {
+    critical_ok = critical_ok && net >= 0 && static_cast<std::size_t>(net) < unlisted.size() &&
+                  unlisted[net] == 1;
+    if (critical_ok) unlisted[net] = 0;
+  }
+  critical_ok = critical_ok && std::all_of(unlisted.begin(), unlisted.end(),
+                                           [](char flag) { return flag == 0; });
+  CPLA_CHECK(critical_ok,
+             Status(StatusCode::kBadInput, "serve: checkpoint critical set is inconsistent"));
+
+  for (int l = 0; l < g.num_layers(); ++l) {
+    for (std::size_t e = 0; e < caps[l].size(); ++e) {
+      design->grid.set_edge_capacity(l, static_cast<int>(e), caps[l][e]);
+    }
+  }
+  for (std::size_t net = 0; net < trees.size(); ++net) {
+    if (static_cast<int>(net) < state->num_nets()) {
+      state->replace_tree(static_cast<int>(net), std::move(trees[net]),
+                          std::move(net_layers[net]));
+    } else {
+      state->add_net(std::move(trees[net]), std::move(net_layers[net]));
+    }
+  }
   *critical = std::move(restored);
   return Status::ok();
 }

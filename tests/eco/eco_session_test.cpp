@@ -198,6 +198,24 @@ TEST(DeltaTest, InvalidDeltasRejectWithoutMutation) {
   EXPECT_FALSE(
       apply_delta(Delta::net_added(bad), bench.design.get(), bench.state.get(), &critical)
           .is_ok());
+  // Trees whose indices point outside themselves or the layer stack (a
+  // journal record or checkpoint can carry any bytes).
+  const route::SegTree good = make_two_pin_tree({1, 1}, {4, 3});
+  ASSERT_GE(good.segs.size(), 2u);
+  std::vector<route::SegTree> broken(5, good);
+  broken[0].segs[0].parent = -5;
+  broken[1].segs[0].children.push_back(7);
+  broken[2].segs[0].children.clear();
+  broken[3].sinks[0].seg_id = static_cast<int>(good.segs.size());
+  broken[4].root_pin_layer = g.num_layers();
+  for (const route::SegTree& tree : broken) {
+    const Result<int> applied =
+        apply_delta(Delta::net_added(tree), bench.design.get(), bench.state.get(), &critical);
+    EXPECT_EQ(applied.status().code(), StatusCode::kBadInput);
+  }
+  EXPECT_TRUE(
+      apply_delta(Delta::net_added(good), bench.design.get(), bench.state.get(), &critical)
+          .is_ok());
 }
 
 // --- PartitionSolutionCache -------------------------------------------

@@ -1,34 +1,48 @@
-// Seeded mutation fuzz over the three text input surfaces: the ISPD'08
-// reader, the RC corner table and the ECO service's request line. Valid
-// seed inputs are mutated deterministically (byte edits, line edits and
-// boundary-value token swaps) and every mutant must
+// Seeded mutation fuzz over the three text input surfaces — the ISPD'08
+// reader, the RC corner table and the ECO service's request line — and the
+// binary checkpoint codec. Valid seed inputs are mutated deterministically
+// (byte edits, line edits and boundary-value token swaps; for checkpoints,
+// byte and 32-bit field edits with the CRC re-sealed so every mutant reaches
+// the state parser) and every mutant must
 //
 //   * not crash, throw or trip a sanitizer;
 //   * if rejected, come back as kBadInput — carrying its 1-based input line
-//     for the two line grammars (ISPD'08, corners);
+//     for the two line grammars (ISPD'08, corners) and leaving the restored
+//     triple untouched for checkpoints;
 //   * if an ISPD'08 mutant is accepted, survive write_ispd08 -> re-parse
 //     unchanged: same grid, layer directions, edge capacities, via-model
-//     geometry and pins, and the rewritten text is a fixpoint.
+//     geometry and pins, and the rewritten text is a fixpoint;
+//   * if a checkpoint mutant is accepted, leave a state the timer can walk
+//     and whose own checkpoint restores to the same bytes.
 //
 // Iteration counts keep the run at a few seconds under ASan+UBSan.
 // Crashing inputs found here go into tests/parser/data/ as regression
-// cases (see tests/parser/ispd08_test.cpp).
+// cases (see tests/parser/ispd08_test.cpp and the checkpoint corpus test
+// below).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/core/critical.hpp"
+#include "src/core/pipeline.hpp"
+#include "src/eco/delta.hpp"
 #include "src/gen/synth.hpp"
 #include "src/parser/ispd08.hpp"
+#include "src/serve/checkpoint.hpp"
+#include "src/serve/codec.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/sta/corner.hpp"
+#include "src/timing/elmore.hpp"
 #include "src/util/rng.hpp"
 
 namespace cpla {
@@ -313,6 +327,152 @@ TEST(InputFuzz, RequestLineRejectsCleanly) {
   }
   EXPECT_GT(accepted, 100);
   EXPECT_GT(rejected, 100);
+}
+
+// --- Checkpoint state codec -----------------------------------------------
+
+/// The base design every checkpoint below restores into.
+core::Prepared checkpoint_base() {
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = 10;
+  spec.num_nets = 24;
+  spec.num_layers = 4;
+  spec.seed = 41;
+  return core::prepare(gen::generate(spec));
+}
+
+/// Two valid state blobs: the routed base, and the base after ECO edits
+/// (an added net, a removed net, a capacity change, a promotion).
+std::vector<std::string> checkpoint_seeds() {
+  core::Prepared base = checkpoint_base();
+  core::CriticalSet critical = core::select_critical(*base.state, *base.rc, 0.2);
+  std::vector<std::string> seeds = {serve::serialize_state(*base.state, critical)};
+  const route::SegTree& donor = base.state->tree(critical.nets.front());
+  const eco::Delta edits[] = {
+      eco::Delta::net_added(donor),
+      eco::Delta::net_removed(critical.nets.back()),
+      eco::Delta::capacity_adjusted(0, 2, 3, 0),
+      eco::Delta::criticality_changed(base.state->num_nets(), true),
+  };
+  for (const eco::Delta& edit : edits) {
+    const Result<int> applied =
+        eco::apply_delta(edit, base.design.get(), base.state.get(), &critical);
+    EXPECT_TRUE(applied.is_ok()) << applied.status().to_string();
+  }
+  seeds.push_back(serve::serialize_state(*base.state, critical));
+  return seeds;
+}
+
+const std::uint32_t kInterestingWords[] = {
+    0u, 1u, 2u, 3u, 0x7fffffffu, 0x80000000u, 0xffffffffu, 0xfffffffeu, 0x10000u, 1000000u,
+};
+
+/// One binary edit: a byte set, an aligned 32-bit field set to a boundary
+/// value, an insert or erase of 1-8 bytes, a truncation, or a duplicated
+/// span.
+void mutate_blob(std::string* blob, Rng* rng) {
+  const std::size_t at = pick(rng, blob->size() + 1);
+  const std::int64_t op = rng->uniform_int(0, 5);
+  if (op == 0 && !blob->empty()) {
+    (*blob)[std::min(at, blob->size() - 1)] = static_cast<char>(rng->uniform_int(0, 255));
+  } else if (op == 1 && blob->size() >= 4) {
+    const std::size_t field = pick(rng, blob->size() / 4) * 4;
+    const std::uint32_t word = kInterestingWords[pick(rng, std::size(kInterestingWords))];
+    for (int b = 0; b < 4; ++b) (*blob)[field + b] = static_cast<char>((word >> (8 * b)) & 0xffu);
+  } else if (op == 2) {
+    for (std::int64_t n = rng->uniform_int(1, 8); n > 0; --n) {
+      blob->insert(at, 1, static_cast<char>(rng->uniform_int(0, 255)));
+    }
+  } else if (op == 3) {
+    blob->erase(at, static_cast<std::size_t>(rng->uniform_int(1, 8)));
+  } else if (op == 4) {
+    blob->resize(at);
+  } else {
+    const std::size_t length = static_cast<std::size_t>(rng->uniform_int(1, 32));
+    blob->insert(at, blob->substr(at, length));
+  }
+}
+
+/// Loads the checkpoint at `path` and restores it into a fresh base triple;
+/// returns the restore status (or the load status when the frame is bad).
+Status restore_checkpoint_file(const std::string& path) {
+  const Result<serve::Checkpoint> loaded = serve::load_checkpoint(path);
+  if (!loaded.is_ok()) return loaded.status();
+  core::Prepared base = checkpoint_base();
+  core::CriticalSet critical;
+  return serve::restore_state(loaded.value().state_blob, base.design.get(), base.state.get(),
+                              &critical);
+}
+
+TEST(InputFuzz, CheckpointRestoreRejectsCleanlyAndLeavesTheStateAlone) {
+  const std::vector<std::string> seeds = checkpoint_seeds();
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cpla_fuzz_checkpoint.ckpt").string();
+  Rng rng(20084);
+  core::Prepared live = checkpoint_base();
+  const core::CriticalSet live_critical;
+  const std::uint64_t live_hash = serve::hash_state(*live.state, live_critical);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::string blob = seeds[static_cast<std::size_t>(iter) % seeds.size()];
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int i = 0; i < edits; ++i) mutate_blob(&blob, &rng);
+    // write_checkpoint seals the frame's CRC over the mutant, so the load
+    // accepts it and the state parser sees every mutant.
+    serve::Checkpoint ckpt;
+    ckpt.state_blob = blob;
+    ASSERT_TRUE(serve::write_checkpoint(path, ckpt).is_ok());
+    const Result<serve::Checkpoint> loaded = serve::load_checkpoint(path);
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    ASSERT_EQ(loaded.value().state_blob, blob);
+
+    core::CriticalSet critical = live_critical;
+    const Status st = serve::restore_state(loaded.value().state_blob, live.design.get(),
+                                           live.state.get(), &critical);
+    if (!st.is_ok()) {
+      ++rejected;
+      ASSERT_EQ(st.code(), StatusCode::kBadInput) << st.to_string();
+      ASSERT_EQ(serve::hash_state(*live.state, critical), live_hash)
+          << "a rejected restore changed the state: " << st.to_string();
+      continue;
+    }
+    ++accepted;
+    // The accepted state must time cleanly, and its own checkpoint must
+    // restore into a fresh base to the same bytes.
+    for (int n = 0; n < live.state->num_nets(); ++n) {
+      if (live.state->tree(n).segs.empty()) continue;
+      const double tcp =
+          timing::critical_delay(live.state->tree(n), live.state->layers(n), *live.rc);
+      ASSERT_TRUE(std::isfinite(tcp)) << "net " << n;
+    }
+    const std::string again = serve::serialize_state(*live.state, critical);
+    core::Prepared copy = checkpoint_base();
+    core::CriticalSet copy_critical;
+    ASSERT_TRUE(
+        serve::restore_state(again, copy.design.get(), copy.state.get(), &copy_critical).is_ok());
+    ASSERT_EQ(serve::serialize_state(*copy.state, copy_critical), again);
+    live = checkpoint_base();  // the next mutant restores into a pristine base
+  }
+  std::filesystem::remove(path);
+  RecordProperty("accepted", accepted);
+  RecordProperty("rejected", rejected);
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 1000);
+}
+
+// Every checkpoint that crashed restore_state before it checked its input:
+// tests/parser/data/checkpoint_*.ckpt, each a whole checkpoint file with a
+// valid CRC over a malformed state blob for checkpoint_base().
+TEST(InputFuzz, CheckpointCorpusIsRejected) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(CPLA_TEST_DATA_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint_", 0) != 0 || entry.path().extension() != ".ckpt") continue;
+    ++files;
+    const Status st = restore_checkpoint_file(entry.path().string());
+    EXPECT_EQ(st.code(), StatusCode::kBadInput) << name << ": " << st.to_string();
+  }
+  EXPECT_EQ(files, 8);
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/gen/synth.hpp"
 #include "src/grid/layer_stack.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/route/maze.hpp"
 #include "src/util/logging.hpp"
 
@@ -58,7 +60,8 @@ TEST(MazeRoute, StraightShotOnEmptyGrid) {
   const grid::Design d = small_design();
   Usage2D usage(d.grid);
   NetRoute out;
-  ASSERT_TRUE(maze_route(d.grid, usage, {d.grid.cell_id(1, 5)}, {d.grid.cell_id(9, 5)}, &out));
+  ASSERT_TRUE(
+      MazeRouter().route(d.grid, usage, {d.grid.cell_id(1, 5)}, d.grid.cell_id(9, 5), &out));
   EXPECT_EQ(out.h_edges.size(), 8u);
   EXPECT_TRUE(out.v_edges.empty());
 }
@@ -73,7 +76,8 @@ TEST(MazeRoute, DetoursAroundCongestion) {
   for (int i = 0; i < cap; ++i) usage.add(blocker, +1);
 
   NetRoute out;
-  ASSERT_TRUE(maze_route(d.grid, usage, {d.grid.cell_id(1, 5)}, {d.grid.cell_id(9, 5)}, &out));
+  ASSERT_TRUE(
+      MazeRouter().route(d.grid, usage, {d.grid.cell_id(1, 5)}, d.grid.cell_id(9, 5), &out));
   // Must leave row 5 to avoid the saturated edges.
   EXPECT_FALSE(out.v_edges.empty());
   for (int id : out.h_edges) {
@@ -85,8 +89,8 @@ TEST(MazeRoute, MultiSourceTerminatesAtNearest) {
   const grid::Design d = small_design();
   Usage2D usage(d.grid);
   NetRoute out;
-  ASSERT_TRUE(maze_route(d.grid, usage, {d.grid.cell_id(0, 0), d.grid.cell_id(8, 8)},
-                         {d.grid.cell_id(9, 9)}, &out));
+  ASSERT_TRUE(MazeRouter().route(d.grid, usage, {d.grid.cell_id(0, 0), d.grid.cell_id(8, 8)},
+                                 d.grid.cell_id(9, 9), &out));
   EXPECT_EQ(out.wirelength(), 2u);  // from (8,8), not (0,0)
 }
 
@@ -132,6 +136,51 @@ TEST(Router, NegotiationReducesOverflow) {
 
   const long after = route_all(d).overflow;
   EXPECT_LE(after, before);
+}
+
+TEST(Router, NegativeHistoryStepIsRejected) {
+  const grid::Design d = small_design();
+  RouterOptions options;
+  options.history_step = -0.5;
+  EXPECT_DEATH(route_all(d, options), "history_step");
+}
+
+/// FNV-1a over every net's normalized route (h edges, a separator, v edges,
+/// a net separator).
+std::uint64_t routes_hash(const RoutingResult& rr) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&](std::uint64_t v) { hash = (hash ^ v) * 0x100000001b3ull; };
+  for (const NetRoute& r : rr.routes) {
+    for (int id : r.h_edges) mix(static_cast<std::uint64_t>(id) + 1);
+    mix(0xfeu);
+    for (int id : r.v_edges) mix(static_cast<std::uint64_t>(id) + 1);
+    mix(0xffu);
+  }
+  return hash;
+}
+
+// Every route of the two suite designs the benchmark flows start from, and
+// the number of rip-up reroutes that produced them, captured from the
+// binary-heap maze router this one replaced: a change to the router's
+// search may make it faster, never move a route.
+TEST(Router, GoldenRoutes) {
+  struct Golden {
+    const char* design;
+    std::uint64_t hash;
+    std::int64_t reroutes;
+  };
+  const Golden goldens[] = {
+      {"newblue1", 2360650808410846246ull, 430},
+      {"adaptec1", 3370099097294850883ull, 829},
+  };
+  obs::Counter& reroutes = obs::metrics().counter("route.ripup.reroutes");
+  for (const Golden& golden : goldens) {
+    const grid::Design d = gen::generate(gen::suite_spec(golden.design));
+    const std::int64_t before = reroutes.value();
+    const RoutingResult rr = route_all(d);
+    EXPECT_EQ(routes_hash(rr), golden.hash) << golden.design;
+    EXPECT_EQ(reroutes.value() - before, golden.reroutes) << golden.design;
+  }
 }
 
 }  // namespace

@@ -25,6 +25,10 @@ counts to machine speed, so CI uses:
   --no-time       skip the phases gate (keeps schema + presence checks)
   --schema-only   only verify schema, key presence, and counter presence
 
+The counter default forgives +25%, which lets a stale baseline pass. Where a
+bench's counters repeat exactly run to run (single-thread, no deadlines), CI
+gates them with --counter-tol 0.
+
 Missing keys in CURRENT (present in BASELINE) always fail: a silently
 dropped phase or counter usually means instrumentation broke.
 """
@@ -142,6 +146,13 @@ def self_test() -> int:
     faster = json.loads(json.dumps(base))
     faster["phases"]["case.sdp"]["wall_ms"] = 50.0
     assert compare(base, faster, ns) == [], "improvements must pass"
+
+    drift = json.loads(json.dumps(base))
+    drift["metrics"]["counters"]["sdp.solve.iterations"] = 5080  # +1.6% more work
+    assert compare(base, drift, ns_nt) == [], "the default counter tolerance forgives +1.6%"
+    ns_exact = argparse.Namespace(**{**vars(ns_nt), "counter_tol": 0.0})
+    assert any("sdp.solve.iterations" in f for f in compare(base, drift, ns_exact)), \
+        "--counter-tol 0 must flag any counter growth"
 
     missing = json.loads(json.dumps(base))
     del missing["metrics"]["counters"]["sdp.solve.iterations"]
