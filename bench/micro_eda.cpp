@@ -4,12 +4,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "bench/micro_main.hpp"
 
 #include "src/core/critical.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/sdp_engine.hpp"
 #include "src/gen/synth.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/route/router.hpp"
 #include "src/route/seg_tree.hpp"
 #include "src/timing/elmore.hpp"
@@ -27,12 +30,18 @@ gen::SynthSpec small_spec() {
   return spec;
 }
 
+// A congested suite design, so the timing covers negotiated rip-up and
+// maze rerouting, not pattern routing alone (small_spec() never overflows).
 void BM_GlobalRoute(benchmark::State& state) {
-  const grid::Design d = gen::generate(small_spec());
+  const grid::Design d = gen::generate(gen::suite_spec("newblue1"));
+  obs::Counter& reroutes = obs::metrics().counter("route.ripup.reroutes");
+  const std::int64_t before = reroutes.value();
   for (auto _ : state) {
     auto r = route::route_all(d);
     benchmark::DoNotOptimize(r);
   }
+  state.counters["reroutes"] = static_cast<double>(reroutes.value() - before) /
+                               static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_GlobalRoute)->Unit(benchmark::kMillisecond);
 

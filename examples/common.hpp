@@ -5,7 +5,11 @@
 // are documentation first — keeping the scaffolding here keeps each
 // example's main() focused on the API it demonstrates.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -28,6 +32,42 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
+}
+
+/// Parses all of `text` as a finite number in [lo, hi], a whole one when
+/// `integral`. Leading blanks, trailing characters, nan, inf and
+/// out-of-range values are rejected.
+inline bool parse_number(const char* text, double lo, double hi, bool integral, double* out) {
+  if (text[0] == '\0' || std::isspace(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(v) || v < lo || v > hi) return false;
+  if (integral && std::floor(v) != v) return false;
+  *out = v;
+  return true;
+}
+
+/// Value of the numeric flag `--flag <value>`, or `fallback` when the flag
+/// is absent. A value parse_number() rejects prints the problem and `usage`
+/// to stderr and exits with status 2 — before the caller has prepared
+/// anything, as long as it reads its flags first.
+inline double number_arg(int argc, char** argv, const char* flag, double fallback, double lo,
+                         double hi, bool integral, const char* usage) {
+  const char* text = arg_value(argc, argv, flag);
+  if (text == nullptr) return fallback;
+  double v = 0.0;
+  if (!parse_number(text, lo, hi, integral, &v)) {
+    std::fprintf(stderr, "error: %s expects %s in [%.15g, %.15g], got '%s'\n%s", flag,
+                 integral ? "a whole number" : "a finite number", lo, hi, text, usage);
+    std::exit(2);
+  }
+  return v;
+}
+
+inline int int_arg(int argc, char** argv, const char* flag, int fallback, int lo, int hi,
+                   const char* usage) {
+  return static_cast<int>(number_arg(argc, argv, flag, fallback, lo, hi, true, usage));
 }
 
 inline void print_design_summary(const grid::Design& design) {

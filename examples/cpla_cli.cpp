@@ -41,8 +41,9 @@
 // A trailing resolve is implied when the script ends with pending edits.
 // A token after an op's fields that is not a '#' comment is an error.
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -63,6 +64,15 @@ namespace {
 
 using cpla::examples::arg_value;
 using cpla::examples::has_flag;
+using cpla::examples::int_arg;
+using cpla::examples::number_arg;
+
+constexpr char kUsage[] =
+    "usage: cpla_cli [--bench NAME | --file PATH] [--ratio R]\n"
+    "                [--engine sdp|ilp|lagr|tila] [--backend sdp|lagr|hybrid]\n"
+    "                [--rounds N] [--max-segs N]\n"
+    "                [--eco SCRIPT] [--sta] [--corners PATH]\n"
+    "                [--topk K] [--required-time T] [--write-gr PATH] [--quiet]\n";
 
 /// Streams one edit-script line into the session. Returns false (with a
 /// message) on a malformed line or a rejected delta. The grammar is
@@ -108,22 +118,27 @@ int main(int argc, char** argv) {
   using namespace cpla;
 
   if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h")) {
-    std::printf(
-        "usage: cpla_cli [--bench NAME | --file PATH] [--ratio R]\n"
-        "                [--engine sdp|ilp|lagr|tila] [--backend sdp|lagr|hybrid]\n"
-        "                [--rounds N] [--max-segs N]\n"
-        "                [--eco SCRIPT] [--sta] [--corners PATH]\n"
-        "                [--topk K] [--required-time T] [--write-gr PATH] [--quiet]\n");
+    std::printf("%s", kUsage);
     return 0;
   }
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
+
+  // Every numeric flag is checked here, before any design is read or
+  // prepared; a bad value exits 2 with the usage line.
+  const double ratio = number_arg(argc, argv, "--ratio", 0.005, 0.0, 1.0, false, kUsage);
+  const int max_rounds =
+      int_arg(argc, argv, "--rounds", core::CplaOptions{}.max_rounds, 0, INT_MAX, kUsage);
+  const int max_segments = int_arg(argc, argv, "--max-segs",
+                                   core::PartitionOptions{}.max_segments, 1, INT_MAX, kUsage);
+  const int topk = int_arg(argc, argv, "--topk", 0, 0, INT_MAX, kUsage);
+  const char* required = arg_value(argc, argv, "--required-time");
+  const double required_time =
+      number_arg(argc, argv, "--required-time", 0.0, 0.0, HUGE_VAL, false, kUsage);
 
   const char* file = arg_value(argc, argv, "--file");
   const std::string bench = arg_value(argc, argv, "--bench")
                                 ? arg_value(argc, argv, "--bench")
                                 : "adaptec1";
-  const double ratio =
-      arg_value(argc, argv, "--ratio") ? std::atof(arg_value(argc, argv, "--ratio")) : 0.005;
   const std::string engine =
       arg_value(argc, argv, "--engine") ? arg_value(argc, argv, "--engine") : "sdp";
   const char* eco_script = arg_value(argc, argv, "--eco");
@@ -167,19 +182,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (const char* rounds = arg_value(argc, argv, "--rounds")) {
-    cpla_opt.max_rounds = std::atoi(rounds);
-  }
-  if (const char* cap = arg_value(argc, argv, "--max-segs")) {
-    cpla_opt.partition.max_segments = std::atoi(cap);
-  }
+  cpla_opt.max_rounds = max_rounds;
+  cpla_opt.partition.max_segments = max_segments;
   // Live STA: build the multi-corner graph once up front; with --sta the
   // flow re-times it incrementally every round and re-selects the released
   // set from live slack. --topk/--corners alone still buy the report.
   const bool sta_mode = has_flag(argc, argv, "--sta");
   const char* corners_file = arg_value(argc, argv, "--corners");
-  const int topk =
-      arg_value(argc, argv, "--topk") ? std::atoi(arg_value(argc, argv, "--topk")) : 0;
   std::optional<sta::CornerSet> corner_set;
   sta::TimingGraph sta_graph;
   if (sta_mode || topk > 0 || corners_file != nullptr) {
@@ -249,8 +258,8 @@ int main(int argc, char** argv) {
     // Entry selection: slack budget (--required-time) beats live-STA slack
     // ranking (--sta) beats the paper's Elmore-delay top fraction.
     core::CriticalSet critical;
-    if (const char* required = arg_value(argc, argv, "--required-time")) {
-      critical = core::select_by_budget(*prep.state, *prep.rc, std::atof(required));
+    if (required != nullptr) {
+      critical = core::select_by_budget(*prep.state, *prep.rc, required_time);
       std::printf("budget: released %zu nets above required time %s\n", critical.nets.size(),
                   required);
     } else if (corner_set) {

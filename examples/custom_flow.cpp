@@ -50,9 +50,7 @@ int main() {
     trees.push_back(route::extract_tree(design.grid, design.nets[n], &routed.routes[n]));
   }
   assign::AssignState state(&design, std::move(trees));
-  assign::InitialAssignOptions init;
-  init.top_reserve = 0.5;  // keep the top pair almost empty for the demo
-  assign::initial_assign(&state, init);
+  assign::initial_assign(&state);
 
   timing::RcTable rc(design.grid);
   rc.set_driver_res(8.0);

@@ -28,6 +28,8 @@
 // SIGTERM/SIGINT stop the server cleanly (journal closed at a record
 // boundary). SIGKILL is the interesting case — that is what recovery is for.
 
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -48,10 +50,12 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
 
-int int_arg(int argc, char** argv, const char* flag, int fallback) {
-  const char* v = cpla::examples::arg_value(argc, argv, flag);
-  return v != nullptr ? std::atoi(v) : fallback;
-}
+constexpr char kUsage[] =
+    "usage: eco_served --socket PATH [--size N] [--nets N] [--layers N] [--seed N]\n"
+    "                  [--ratio R] [--journal PATH] [--checkpoint PATH]\n"
+    "                  [--checkpoint-every N] [--deadline MS] [--supersede N]\n"
+    "                  [--max-sessions N] [--fault SITE:FIRST[:COUNT]]...\n"
+    "                  [--replay] [--print-hash] [--quiet]\n";
 
 /// Arms every `--fault SITE:FIRST[:COUNT]` occurrence in argv.
 bool arm_faults(int argc, char** argv) {
@@ -59,17 +63,22 @@ bool arm_faults(int argc, char** argv) {
     if (std::strcmp(argv[i], "--fault") != 0) continue;
     const std::string spec = argv[i + 1];
     const std::size_t c1 = spec.find(':');
-    if (c1 == std::string::npos || c1 == 0) {
-      std::fprintf(stderr, "error: --fault expects SITE:FIRST[:COUNT], got %s\n", spec.c_str());
+    const std::size_t c2 = c1 == std::string::npos ? c1 : spec.find(':', c1 + 1);
+    const std::string site = spec.substr(0, c1);
+    double first = 0.0, count = 1.0;
+    using cpla::examples::parse_number;
+    if (c1 == std::string::npos || c1 == 0 ||
+        !parse_number(spec.substr(c1 + 1, c2 - c1 - 1).c_str(), 0, INT_MAX, true, &first) ||
+        (c2 != std::string::npos &&
+         !parse_number(spec.substr(c2 + 1).c_str(), 1, INT_MAX, true, &count))) {
+      std::fprintf(stderr, "error: --fault expects SITE:FIRST[:COUNT], got %s\n%s",
+                   spec.c_str(), kUsage);
       return false;
     }
-    const std::size_t c2 = spec.find(':', c1 + 1);
-    const std::string site = spec.substr(0, c1);
-    const long first = std::atol(spec.substr(c1 + 1).c_str());
-    const long count = c2 == std::string::npos ? 1 : std::atol(spec.substr(c2 + 1).c_str());
-    cpla::FaultInjector::instance().arm(site, first, count);
-    std::fprintf(stderr, "armed fault %s at occurrence %ld (count %ld)\n", site.c_str(), first,
-                 count);
+    cpla::FaultInjector::instance().arm(site, static_cast<long>(first),
+                                        static_cast<long>(count));
+    std::fprintf(stderr, "armed fault %s at occurrence %.0f (count %.0f)\n", site.c_str(),
+                 first, count);
   }
   return true;
 }
@@ -80,39 +89,36 @@ int main(int argc, char** argv) {
   using namespace cpla;
   using examples::arg_value;
   using examples::has_flag;
+  using examples::int_arg;
 
   if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h")) {
-    std::printf(
-        "usage: eco_served --socket PATH [--size N] [--nets N] [--layers N] [--seed N]\n"
-        "                  [--ratio R] [--journal PATH] [--checkpoint PATH]\n"
-        "                  [--checkpoint-every N] [--deadline MS] [--supersede N]\n"
-        "                  [--max-sessions N] [--fault SITE:FIRST[:COUNT]]...\n"
-        "                  [--replay] [--print-hash] [--quiet]\n");
+    std::printf("%s", kUsage);
     return 0;
   }
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
-  if (!arm_faults(argc, argv)) return 1;
+
+  // Every numeric flag is checked before the base design is prepared; a bad
+  // value exits 2 with the usage line.
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = int_arg(argc, argv, "--size", 16, 2, 4096, kUsage);
+  spec.num_nets = int_arg(argc, argv, "--nets", 120, 1, INT_MAX, kUsage);
+  spec.num_layers = int_arg(argc, argv, "--layers", 6, 2, 64, kUsage);
+  spec.seed = static_cast<std::uint64_t>(int_arg(argc, argv, "--seed", 1, 0, INT_MAX, kUsage));
+  serve::ServeOptions opt;
+  opt.eco.critical_ratio =
+      examples::number_arg(argc, argv, "--ratio", 0.02, 0.0, 1.0, false, kUsage);
+  if (const char* p = arg_value(argc, argv, "--journal")) opt.journal_path = p;
+  if (const char* p = arg_value(argc, argv, "--checkpoint")) opt.checkpoint_path = p;
+  opt.checkpoint_every = int_arg(argc, argv, "--checkpoint-every", 4, 0, INT_MAX, kUsage);
+  opt.supersede_after = int_arg(argc, argv, "--supersede", 0, 0, INT_MAX, kUsage);
+  opt.max_sessions = int_arg(argc, argv, "--max-sessions", 64, 1, INT_MAX, kUsage);
+  opt.default_deadline_ms =
+      examples::number_arg(argc, argv, "--deadline", 0.0, 0.0, HUGE_VAL, false, kUsage);
+  if (!arm_faults(argc, argv)) return 2;
 
   // The base design is regenerated from the seed on every start — exactly
   // what journal recovery requires: the genesis hash must match.
-  gen::SynthSpec spec;
-  spec.xsize = spec.ysize = int_arg(argc, argv, "--size", 16);
-  spec.num_nets = int_arg(argc, argv, "--nets", 120);
-  spec.num_layers = int_arg(argc, argv, "--layers", 6);
-  spec.seed = static_cast<std::uint64_t>(int_arg(argc, argv, "--seed", 1));
   core::Prepared prep = core::prepare(gen::generate(spec));
-
-  serve::ServeOptions opt;
-  opt.eco.critical_ratio =
-      arg_value(argc, argv, "--ratio") ? std::atof(arg_value(argc, argv, "--ratio")) : 0.02;
-  if (const char* p = arg_value(argc, argv, "--journal")) opt.journal_path = p;
-  if (const char* p = arg_value(argc, argv, "--checkpoint")) opt.checkpoint_path = p;
-  opt.checkpoint_every = int_arg(argc, argv, "--checkpoint-every", 4);
-  opt.supersede_after = int_arg(argc, argv, "--supersede", 0);
-  opt.max_sessions = int_arg(argc, argv, "--max-sessions", 64);
-  if (const char* d = arg_value(argc, argv, "--deadline")) {
-    opt.default_deadline_ms = std::atof(d);
-  }
 
   if (has_flag(argc, argv, "--replay")) {
     // Reference recovery path: journal only, checkpoints ignored.

@@ -11,9 +11,25 @@ namespace cpla::assign {
 
 namespace {
 
+constexpr double kViaWeight = 1.0;          // cost per via layer crossing
+constexpr double kOverflowPenalty = 64.0;   // per unit of wire overflow
+constexpr double kViaOverflowPenalty = 16.0;
+// Length-tier preference, mirroring industrial flows: long nets are
+// promoted to high (low-R) layer pairs, short local nets stay low. The cost
+// is kTierBias * |preferred_pair - pair(l)| per tile of segment, where
+// preferred_pair grows with the net's total wirelength (one pair per
+// kTierLength tiles).
+constexpr double kTierBias = 0.4;
+constexpr double kTierLength = 25.0;
+// Fraction of top-pair / mid-pair capacity the initial assignment leaves
+// free, as production flows do (headroom for the timing-driven incremental
+// pass; the top layers are where critical nets must land).
+constexpr double kTopReserve = 0.30;
+constexpr double kMidReserve = 0.15;
+
 /// DP costs for one net under the current usage state (the net itself must
 /// not be in the usage maps while its costs are evaluated).
-NetDpCosts make_costs(const AssignState& state, int net, const InitialAssignOptions& opt) {
+NetDpCosts make_costs(const AssignState& state, int net) {
   NetDpCosts costs;
   const auto& g = state.design().grid;
 
@@ -24,21 +40,21 @@ NetDpCosts make_costs(const AssignState& state, int net, const InitialAssignOpti
   for (const auto& seg : state.tree(net).segs) net_len += seg.length();
   const int num_pairs = (g.num_layers() + 1) / 2;
   const int preferred =
-      std::min(num_pairs - 1, static_cast<int>(net_len / opt.tier_length));
+      std::min(num_pairs - 1, static_cast<int>(net_len / kTierLength));
 
   const int num_layers = g.num_layers();
-  costs.seg_cost = [&state, net, opt, preferred, num_layers](int s, int l) {
+  costs.seg_cost = [&state, net, preferred, num_layers](int s, int l) {
     double cost = 0.0;
     const int len = state.tree(net).segs[s].length();
-    cost += opt.tier_bias * len * std::abs(preferred - l / 2);
+    cost += kTierBias * len * std::abs(preferred - l / 2);
     // Reserve headroom on the upper pairs for the incremental timing pass.
     const int pair = l / 2;
     const int top_pair = (num_layers - 1) / 2;
     double reserve = 0.0;
     if (pair == top_pair) {
-      reserve = opt.top_reserve;
+      reserve = kTopReserve;
     } else if (pair == top_pair - 1) {
-      reserve = opt.mid_reserve;
+      reserve = kMidReserve;
     }
     state.for_each_edge(net, s, [&](int e) {
       const int usage = state.wire_usage(l, e);
@@ -47,10 +63,10 @@ NetDpCosts make_costs(const AssignState& state, int net, const InitialAssignOpti
       // Real capacity is hard (heavy penalty); the reserve band is soft —
       // it bends when the lower layers are exhausted.
       if (usage + 1 > cap) {
-        cost += opt.overflow_penalty * static_cast<double>(usage + 1 - cap);
+        cost += kOverflowPenalty * static_cast<double>(usage + 1 - cap);
       }
       if (usage + 1 > eff_cap) {
-        cost += 0.5 * opt.overflow_penalty * static_cast<double>(usage + 1 - eff_cap);
+        cost += 0.5 * kOverflowPenalty * static_cast<double>(usage + 1 - eff_cap);
       } else {
         cost += static_cast<double>(usage) / static_cast<double>(std::max(1, eff_cap));
       }
@@ -58,25 +74,25 @@ NetDpCosts make_costs(const AssignState& state, int net, const InitialAssignOpti
     // Sink vias attached to this segment (depend only on this layer).
     const auto& tree = state.tree(net);
     for (const route::SinkAttach& sink : tree.sinks) {
-      if (sink.seg_id == s) cost += opt.via_weight * std::abs(l - sink.pin_layer);
+      if (sink.seg_id == s) cost += kViaWeight * std::abs(l - sink.pin_layer);
     }
     return cost;
   };
 
-  costs.root_via_cost = [&state, opt, net](int s, int l) {
+  costs.root_via_cost = [&state, net](int s, int l) {
     const auto& tree = state.tree(net);
     (void)s;
-    return opt.via_weight * std::abs(l - tree.root_pin_layer);
+    return kViaWeight * std::abs(l - tree.root_pin_layer);
   };
 
-  costs.via_cost = [&state, &g, opt, net](int c, int lp, int lc) {
-    double cost = opt.via_weight * std::abs(lp - lc);
+  costs.via_cost = [&state, &g, net](int c, int lp, int lc) {
+    double cost = kViaWeight * std::abs(lp - lc);
     // Via-site congestion on intermediate layers at the junction.
     const route::Segment& seg = state.tree(net).segs[c];
     const int cell = g.cell_id(seg.a.x, seg.a.y);
     for (int l = std::min(lp, lc) + 1; l < std::max(lp, lc); ++l) {
       if (state.via_load(l, cell) + 1 > state.via_cap(l, cell)) {
-        cost += opt.via_overflow_penalty;
+        cost += kViaOverflowPenalty;
       }
     }
     return cost;
@@ -87,7 +103,7 @@ NetDpCosts make_costs(const AssignState& state, int net, const InitialAssignOpti
 
 }  // namespace
 
-void initial_assign(AssignState* state, const InitialAssignOptions& options) {
+void initial_assign(AssignState* state) {
   // Longest nets first: they need the most layer freedom.
   std::vector<int> order(static_cast<std::size_t>(state->num_nets()));
   std::iota(order.begin(), order.end(), 0);
@@ -101,7 +117,7 @@ void initial_assign(AssignState* state, const InitialAssignOptions& options) {
     const route::SegTree& tree = state->tree(net);
     if (tree.segs.empty()) continue;
     state->clear_net(net);
-    const NetDpCosts costs = make_costs(*state, net, options);
+    const NetDpCosts costs = make_costs(*state, net);
     auto allowed = [state, &tree](int s) -> const std::vector<int>& {
       return state->allowed_layers(tree.segs[s].horizontal);
     };

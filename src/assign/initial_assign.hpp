@@ -11,25 +11,7 @@
 
 namespace cpla::assign {
 
-struct InitialAssignOptions {
-  double via_weight = 1.0;        // cost per via layer crossing
-  double overflow_penalty = 64.0; // per unit of wire overflow
-  double via_overflow_penalty = 16.0;
-  // Length-tier preference, mirroring industrial flows: long nets are
-  // promoted to high (low-R) layer pairs, short local nets stay low. The
-  // cost is tier_bias * |preferred_pair - pair(l)| per tile of segment,
-  // where preferred_pair grows with the net's total wirelength (one pair
-  // per tier_length tiles).
-  double tier_bias = 0.4;
-  double tier_length = 25.0;
-  // Fraction of top-pair / mid-pair capacity the initial assignment leaves
-  // free, as production flows do (headroom for the timing-driven
-  // incremental pass; the top layers are where critical nets must land).
-  double top_reserve = 0.30;
-  double mid_reserve = 0.15;
-};
-
 /// Assigns every net in `state` (replacing any existing assignment).
-void initial_assign(AssignState* state, const InitialAssignOptions& options = {});
+void initial_assign(AssignState* state);
 
 }  // namespace cpla::assign

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 #include <map>
+#include <tuple>
+#include <utility>
 
 #include "src/core/ilp_engine.hpp"
 #include "src/core/sdp_engine.hpp"
@@ -17,17 +19,29 @@
 
 namespace cpla::core {
 
+namespace {
+
+/// (Avg(Tcp), Max(Tcp)) over the critical set: the worst-sink Elmore delay
+/// of each net, summed and maxed in set order.
+std::pair<double, double> critical_timing(const assign::AssignState& state,
+                                          const timing::RcTable& rc,
+                                          const CriticalSet& critical) {
+  double sum = 0.0, worst = 0.0;
+  for (int net : critical.nets) {
+    const double d = timing::critical_delay(state.tree(net), state.layers(net), rc);
+    sum += d;
+    worst = std::max(worst, d);
+  }
+  return {critical.nets.empty() ? 0.0 : sum / static_cast<double>(critical.nets.size()),
+          worst};
+}
+
+}  // namespace
+
 LaMetrics compute_metrics(const assign::AssignState& state, const timing::RcTable& rc,
                           const CriticalSet& critical) {
   LaMetrics m;
-  double sum = 0.0;
-  for (int net : critical.nets) {
-    const double tcp =
-        timing::critical_delay(state.tree(net), state.layers(net), rc);
-    sum += tcp;
-    m.max_tcp = std::max(m.max_tcp, tcp);
-  }
-  m.avg_tcp = critical.nets.empty() ? 0.0 : sum / static_cast<double>(critical.nets.size());
+  std::tie(m.avg_tcp, m.max_tcp) = critical_timing(state, rc, critical);
   m.via_overflow = state.via_overflow();
   m.via_count = state.via_count();
   m.wire_overflow = state.wire_overflow();
@@ -67,26 +81,8 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   auto score_of = [&](double avg, double max, double avg0, double max0) {
     return 0.5 * avg / std::max(1e-12, avg0) + 0.5 * max / std::max(1e-12, max0);
   };
-  // Per-net timing, optionally memoized through the ECO timing cache
-  // (bit-identical either way: critical_delay() is exactly
-  // compute_timing().max_sink_delay, and the cache replays compute_timing
-  // results keyed on the exact layer vector). Only called from sequential
-  // sections — the cache is not thread-safe.
   auto net_delay = [&](int net) {
-    return options.timing_cache
-               ? options.timing_cache->get(net, state->tree(net), state->layers(net), rc)
-                     .max_sink_delay
-               : timing::critical_delay(state->tree(net), state->layers(net), rc);
-  };
-  auto timing_now = [&]() {
-    double sum = 0.0, worst = 0.0;
-    for (int net : critical.nets) {
-      const double d = net_delay(net);
-      sum += d;
-      worst = std::max(worst, d);
-    }
-    return std::pair<double, double>(
-        critical.nets.empty() ? 0.0 : sum / static_cast<double>(critical.nets.size()), worst);
+    return timing::critical_delay(state->tree(net), state->layers(net), rc);
   };
 
   // The per-partition solve, routed through the ECO hook when one is set.
@@ -112,7 +108,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
                                    stats);
             });
 
-  const auto [avg0, max0] = timing_now();
+  const auto [avg0, max0] = critical_timing(*state, rc, critical);
   double best_score = 1.0;
   std::map<int, std::vector<int>> best_state;
   for (int net : critical.nets) best_state.emplace(net, state->layers(net));
@@ -134,13 +130,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     {
       obs::ScopedPhase phase("core.flow.timing_snapshot");
       for (int net : active->nets) {
-        if (options.timing_cache) {
-          timings.emplace(
-              net, options.timing_cache->get(net, state->tree(net), state->layers(net), rc));
-        } else {
-          timings.emplace(net,
-                          timing::compute_timing(state->tree(net), state->layers(net), rc));
-        }
+        timings.emplace(net, timing::compute_timing(state->tree(net), state->layers(net), rc));
       }
     }
 
@@ -294,7 +284,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
 
     if (options.displace_victims) {
       obs::ScopedPhase phase("core.flow.displace");
-      make_headroom(state, rc, *active, options.displace);
+      make_headroom(state, rc, *active);
     }
 
     // Snapshot the released nets so a regressing round can be rolled back
@@ -306,7 +296,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
 
     // Convergence check on Avg(Tcp); roll back a regressing round. The
     // best (Avg, Max)-scored state is tracked independently.
-    const auto [avg, worst] = timing_now();
+    const auto [avg, worst] = critical_timing(*state, rc, critical);
     const double score = score_of(avg, worst, avg0, max0);
     if (score < best_score) {
       best_score = score;
@@ -339,7 +329,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
         break;
       }
       if (!run_round(refine)) break;
-      const auto [avg, worst] = timing_now();
+      const auto [avg, worst] = critical_timing(*state, rc, critical);
       const double score = score_of(avg, worst, avg0, max0);
       LOG_DEBUG("cpla: refine %d avg(Tcp)=%.1f max(Tcp)=%.1f", round + 1, avg, worst);
       if (score < best_score) {
@@ -386,21 +376,7 @@ OptimizeResult optimize(assign::AssignState* state, const timing::RcTable& rc,
   std::vector<std::vector<int>> snapshot(static_cast<std::size_t>(state->num_nets()));
   for (int net = 0; net < state->num_nets(); ++net) snapshot[net] = state->layers(net);
 
-  auto timing_over_critical = [&]() {
-    double sum = 0.0, worst = 0.0;
-    for (int net : critical.nets) {
-      const double d =
-          options.timing_cache
-              ? options.timing_cache->get(net, state->tree(net), state->layers(net), rc)
-                    .max_sink_delay
-              : timing::critical_delay(state->tree(net), state->layers(net), rc);
-      sum += d;
-      worst = std::max(worst, d);
-    }
-    return std::pair<double, double>(
-        critical.nets.empty() ? 0.0 : sum / static_cast<double>(critical.nets.size()), worst);
-  };
-  const auto [avg0, max0] = timing_over_critical();
+  const auto [avg0, max0] = critical_timing(*state, rc, critical);
   const long overflow0 = state->wire_overflow() + state->via_overflow();
 
   auto restore = [&]() {
@@ -428,7 +404,7 @@ OptimizeResult optimize(assign::AssignState* state, const timing::RcTable& rc,
     // Defense in depth on the never-worse contract: run_cpla already lands
     // on its best tracked state, but the contract is re-verified here
     // against the entry state and enforced by rollback if violated.
-    const auto [avg1, max1] = timing_over_critical();
+    const auto [avg1, max1] = critical_timing(*state, rc, critical);
     const long overflow1 = state->wire_overflow() + state->via_overflow();
     const double tol = 1.0 + 1e-9;
     if (avg1 > avg0 * tol || max1 > max0 * tol || overflow1 > overflow0) {

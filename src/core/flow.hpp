@@ -18,7 +18,6 @@
 #include "src/core/solve_guard.hpp"
 #include "src/ilp/branch_bound.hpp"
 #include "src/sdp/solver.hpp"
-#include "src/timing/incremental.hpp"
 #include "src/util/status.hpp"
 
 namespace cpla::core {
@@ -59,8 +58,7 @@ struct CplaOptions {
   // Victim displacement (Problem 1 re-assigns non-critical nets too):
   // demote non-released blockers off critical corridors before each round.
   bool displace_victims = true;
-  DisplaceOptions displace;
-  sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5, .step_fraction = 0.98};
+  sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5};
   ilp::MipOptions ilp;
   // Cross-backend arbiter (src/core/backend_arbiter): per-partition choice
   // between the SDP and Lagrangian engines. The default mode (kSdp) leaves
@@ -84,14 +82,10 @@ struct CplaOptions {
   // that reproduce across hosts and threads. A batch at least as large as
   // the round's partition count solves them all from one snapshot (Jacobi).
   int commit_batch = 0;
-  // ECO hooks (src/eco). When `partition_solver` is set, every partition
-  // solve routes through it instead of guarded_solve() directly. When
-  // `timing_cache` is set (not owned), per-net Elmore evaluations are
-  // memoized through it; results are bit-identical to direct evaluation
-  // (the cache is keyed on the exact layer vector). Both default to off,
-  // which is the stock flow.
+  // ECO hook (src/eco). When `partition_solver` is set, every partition
+  // solve routes through it instead of guarded_solve() directly. Off by
+  // default, which is the stock flow.
   PartitionSolveFn partition_solver;
-  timing::TimingCache* timing_cache = nullptr;
   // Live-STA critical-set rediscovery (src/sta). When set (not owned, must
   // be built against this state), every round re-times the graph
   // incrementally and re-selects the working set at `critical_ratio` from

@@ -131,21 +131,15 @@ EngineResult solve_partition_ilp(const PartitionProblem& p, const assign::Assign
   result.iterations = static_cast<int>(mr.nodes);
   result.relaxation_obj = mr.best_bound;
 
-  result.pick.assign(p.vars.size(), 0);
   if (result.solver_ok) {
+    result.pick.assign(p.vars.size(), 0);
     for (std::size_t i = 0; i < p.vars.size(); ++i) {
       for (std::size_t k = 0; k < x[i].size(); ++k) {
         if (mr.x[x[i][k]] > 0.5) result.pick[i] = static_cast<int>(k);
       }
     }
   } else {
-    // Keep the current assignment on failure.
-    for (std::size_t i = 0; i < p.vars.size(); ++i) {
-      const auto& layers = p.vars[i].layers;
-      for (std::size_t k = 0; k < layers.size(); ++k) {
-        if (layers[k] == p.vars[i].current_layer) result.pick[i] = static_cast<int>(k);
-      }
-    }
+    result.pick = incumbent_pick(p);  // keep the current assignment on failure
   }
   if (p.options.polish && rows_feasible(p, result.pick)) polish_pick(p, &result.pick);
   result.objective = p.evaluate(result.pick);
@@ -153,12 +147,7 @@ EngineResult solve_partition_ilp(const PartitionProblem& p, const assign::Assign
   // Incremental guard (mirrors the SDP engine): never regress the model
   // objective — a truncated search or soft via rows could otherwise return
   // a pick worse than the incumbent.
-  std::vector<int> incumbent(p.vars.size(), 0);
-  for (std::size_t i = 0; i < p.vars.size(); ++i) {
-    for (std::size_t k = 0; k < p.vars[i].layers.size(); ++k) {
-      if (p.vars[i].layers[k] == p.vars[i].current_layer) incumbent[i] = static_cast<int>(k);
-    }
-  }
+  std::vector<int> incumbent = incumbent_pick(p);
   if (p.options.polish && rows_feasible(p, incumbent)) polish_pick(p, &incumbent);
   const double incumbent_obj = p.evaluate(incumbent);
   if (p.options.incumbent_guard && result.objective > incumbent_obj) {

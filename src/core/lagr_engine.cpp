@@ -10,23 +10,14 @@ namespace cpla::core {
 
 namespace {
 
-/// Option index of each var's current layer (the engines' shared
-/// convention: 0 when the current layer is not among the options).
-std::vector<int> incumbent_pick(const PartitionProblem& p) {
-  std::vector<int> pick(p.vars.size(), 0);
-  for (std::size_t i = 0; i < p.vars.size(); ++i) {
-    for (std::size_t k = 0; k < p.vars[i].layers.size(); ++k) {
-      if (p.vars[i].layers[k] == p.vars[i].current_layer) pick[i] = static_cast<int>(k);
-    }
-  }
-  return pick;
-}
+constexpr int kIterations = 40;  // sub-gradient sweeps
+constexpr double kStep = 0.5;    // initial multiplier step, x the per-var cost scale
+constexpr double kDecay = 0.15;  // diminishing step: kStep / (1 + kDecay * k)
 
 }  // namespace
 
 EngineResult solve_partition_lagr(const PartitionProblem& p,
-                                  const assign::AssignState& state,
-                                  const LagrPartitionOptions& options) {
+                                  const assign::AssignState& state) {
   static obs::Counter& calls = obs::metrics().counter("lagr.solve.calls");
   static obs::Counter& improved = obs::metrics().counter("lagr.solve.improved");
   (void)state;
@@ -87,7 +78,7 @@ EngineResult solve_partition_lagr(const PartitionProblem& p,
   double best_obj = incumbent_obj;
   bool best_is_incumbent = true;
 
-  for (int iter = 0; iter < options.iterations; ++iter) {
+  for (int iter = 0; iter < kIterations; ++iter) {
     result.iterations = iter + 1;
 
     // Coordinate sweep in var order on the dualized objective; the pair
@@ -133,8 +124,7 @@ EngineResult solve_partition_lagr(const PartitionProblem& p,
     }
 
     // Projected sub-gradient step on the row violations, diminishing.
-    const double step =
-        options.step * scale / (1.0 + options.decay * static_cast<double>(iter));
+    const double step = kStep * scale / (1.0 + kDecay * static_cast<double>(iter));
     bool any_violation = false;
     for (std::size_t r = 0; r < nrows; ++r) {
       const CapRow& row = p.cap_rows[r];

@@ -22,19 +22,12 @@
 
 namespace cpla::core {
 
-struct LagrPartitionOptions {
-  int iterations = 40;   // sub-gradient sweeps
-  double step = 0.5;     // initial multiplier step, x the per-var cost scale
-  double decay = 0.15;   // diminishing step: step / (1 + decay * k)
-};
-
 /// Solves one partition with the dualized-capacity sub-gradient method.
 /// Never throws; the pick always satisfies the guard's validation (best
 /// feasible sweep result, or the incumbent). Fault site "lagr.solve"
 /// simulates a failed solve (incumbent pick, kNumericalFailure) so tests
 /// can drive the cross-backend escalation chain.
 EngineResult solve_partition_lagr(const PartitionProblem& problem,
-                                  const assign::AssignState& state,
-                                  const LagrPartitionOptions& options = {});
+                                  const assign::AssignState& state);
 
 }  // namespace cpla::core

@@ -230,6 +230,16 @@ PartitionProblem build_partition_problem(
 }
 
 /// True if `pick` keeps every capacity row within its remaining budget.
+std::vector<int> incumbent_pick(const PartitionProblem& p) {
+  std::vector<int> pick(p.vars.size(), 0);
+  for (std::size_t i = 0; i < p.vars.size(); ++i) {
+    for (std::size_t k = 0; k < p.vars[i].layers.size(); ++k) {
+      if (p.vars[i].layers[k] == p.vars[i].current_layer) pick[i] = static_cast<int>(k);
+    }
+  }
+  return pick;
+}
+
 bool rows_feasible(const PartitionProblem& p, const std::vector<int>& pick) {
   for (const CapRow& row : p.cap_rows) {
     int used = 0;

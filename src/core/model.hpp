@@ -76,6 +76,11 @@ struct PartitionProblem {
   double evaluate(const std::vector<int>& pick) const;
 };
 
+/// Option index of each var's current layer: the no-op pick every engine
+/// and guard tier measures against (0 when the current layer is not among
+/// the var's options).
+std::vector<int> incumbent_pick(const PartitionProblem& problem);
+
 /// True if `pick` keeps every capacity row within its remaining budget.
 bool rows_feasible(const PartitionProblem& problem, const std::vector<int>& pick);
 

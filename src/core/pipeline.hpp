@@ -7,18 +7,11 @@
 
 #include <memory>
 
-#include "src/assign/initial_assign.hpp"
 #include "src/assign/state.hpp"
 #include "src/grid/design.hpp"
-#include "src/route/router.hpp"
 #include "src/timing/rc_table.hpp"
 
 namespace cpla::core {
-
-struct PipelineOptions {
-  route::RouterOptions router;
-  assign::InitialAssignOptions initial;
-};
 
 /// Owns the design and everything derived from it. Movable, not copyable.
 struct Prepared {
@@ -28,7 +21,8 @@ struct Prepared {
   long route_overflow_2d = 0;
 };
 
-/// Routes and initially assigns the whole design.
-Prepared prepare(grid::Design design, const PipelineOptions& options = {});
+/// Routes (default route::RouterOptions) and initially assigns the whole
+/// design.
+Prepared prepare(grid::Design design);
 
 }  // namespace cpla::core

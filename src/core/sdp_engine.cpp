@@ -286,12 +286,7 @@ EngineResult solve_partition_sdp(const PartitionProblem& p, const assign::Assign
   // relaxation can otherwise scramble an already-good region). The
   // incumbent is also polished, so the engine is at least as strong as
   // coordinate descent from the current assignment.
-  std::vector<int> incumbent(p.vars.size(), 0);
-  for (std::size_t i = 0; i < p.vars.size(); ++i) {
-    for (std::size_t k = 0; k < p.vars[i].layers.size(); ++k) {
-      if (p.vars[i].layers[k] == p.vars[i].current_layer) incumbent[i] = static_cast<int>(k);
-    }
-  }
+  std::vector<int> incumbent = incumbent_pick(p);
   if (p.options.polish && rows_feasible(p, incumbent)) polish_pick(p, &incumbent);
   const double incumbent_obj = p.evaluate(incumbent);
   if (p.options.incumbent_guard && result.objective > incumbent_obj) {

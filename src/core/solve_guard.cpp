@@ -7,6 +7,7 @@
 
 #include "src/assign/net_dp.hpp"
 #include "src/core/ilp_engine.hpp"
+#include "src/core/lagr_engine.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/util/fault_inject.hpp"
 #include "src/util/logging.hpp"
@@ -52,18 +53,6 @@ void GuardStats::log_summary(const char* label) const {
 }
 
 namespace {
-
-/// Option index of each var's current layer (0 when the current layer is
-/// not among the allowed options, matching the engines' convention).
-std::vector<int> incumbent_pick(const PartitionProblem& p) {
-  std::vector<int> pick(p.vars.size(), 0);
-  for (std::size_t i = 0; i < p.vars.size(); ++i) {
-    for (std::size_t k = 0; k < p.vars[i].layers.size(); ++k) {
-      if (p.vars[i].layers[k] == p.vars[i].current_layer) pick[i] = static_cast<int>(k);
-    }
-  }
-  return pick;
-}
 
 void classify_failure(StatusCode code, GuardStats* stats) {
   switch (code) {
@@ -198,7 +187,7 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
   auto primary_result = [&](const sdp::SdpOptions& opts) {
     switch (engine) {
       case Engine::kSdp: return solve_partition_sdp(p, state, opts);
-      case Engine::kLagr: return solve_partition_lagr(p, state, guard.lagr);
+      case Engine::kLagr: return solve_partition_lagr(p, state);
       case Engine::kIlp: break;
     }
     return solve_partition_ilp(p, state, ilp_options);

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/assign/state.hpp"
-#include "src/core/lagr_engine.hpp"
 #include "src/core/model.hpp"
 #include "src/core/sdp_engine.hpp"
 #include "src/ilp/branch_bound.hpp"
@@ -50,10 +49,6 @@ struct GuardOptions {
   // Wall-clock budget per partition solve; 0 = unlimited. Applies to the
   // SDP tiers (the ILP honors MipOptions::time_limit_s).
   double deadline_ms = 0.0;
-  // Primary-tier settings for Engine::kLagr (the other engines carry their
-  // options through the guarded_solve signature; adding a fourth parameter
-  // for every caller would churn the whole call graph for one engine).
-  LagrPartitionOptions lagr;
 };
 
 /// Per-tier escalation counters, aggregated across a flow run and reported

@@ -39,7 +39,6 @@ Result<int> EcoSession::apply(const Delta& delta) {
         tree_version_.resize(static_cast<std::size_t>(net) + 1, 0);
       }
       tree_version_[net] = next_version_++;
-      timing_cache_.invalidate(net);
     }
     // A tree changed shape (or the net set changed): the attached STA
     // graph's node/edge structure is stale, not just its delays.
@@ -135,7 +134,6 @@ Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch
       tree_version_.resize(static_cast<std::size_t>(net) + 1, 0);
     }
     tree_version_[net] = next_version_++;
-    timing_cache_.invalidate(net);
   }
   if (!retree_nets.empty() && sta_graph_ != nullptr) sta_graph_->invalidate_topology();
   deltas_applied_ += static_cast<long>(batch.size());
@@ -150,7 +148,6 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
   cache_.clear_poison();
 
   core::CplaOptions opts = options_.flow;
-  opts.timing_cache = &timing_cache_;
   if (request.deadline_ms > 0.0) opts.guard.deadline_ms = request.deadline_ms;
   opts.partition_solver = [this, guard = opts.guard](const core::PartitionProblem& problem,
                                                      const assign::AssignState& state,
@@ -213,7 +210,6 @@ void EcoSession::restore_critical(core::CriticalSet critical) {
   }
   tree_version_.resize(static_cast<std::size_t>(state_->num_nets()), 0);
   for (std::uint64_t& v : tree_version_) v = next_version_++;
-  timing_cache_.clear();
   cache_.clear();
   // The design/state were swapped out from under the session: any attached
   // graph is structurally stale; it rebuilds on its next update().

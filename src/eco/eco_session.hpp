@@ -2,15 +2,12 @@
 
 // EcoSession: the incremental engineering-change-order engine. Wraps an
 // AssignState and accepts a stream of typed deltas (delta.hpp); resolve()
-// re-runs the guarded CPLA flow with two substitutions that keep the
+// re-runs the guarded CPLA flow with one substitution that keeps the
 // result bit-identical to a fresh core::optimize() on the mutated design:
-//
-//   * per-partition solves route through a content-addressed
-//     PartitionSolutionCache — partitions whose full solve input (problem
-//     + live-state reads) is unchanged replay their cached GuardedSolve
-//     instead of re-running the SDP escalation ladder,
-//   * per-net Elmore timing routes through a TimingCache keyed on the
-//     exact layer vector.
+// per-partition solves route through a content-addressed
+// PartitionSolutionCache — partitions whose full solve input (problem +
+// live-state reads) is unchanged replay their cached GuardedSolve instead
+// of re-running the SDP escalation ladder.
 //
 // Every partition consults the cache: the key alone decides replay versus
 // solve, so a partition an edit touched misses because its content
@@ -33,7 +30,6 @@
 #include "src/eco/solution_cache.hpp"
 #include "src/grid/design.hpp"
 #include "src/sta/timing_graph.hpp"
-#include "src/timing/incremental.hpp"
 #include "src/timing/rc_table.hpp"
 #include "src/util/status.hpp"
 
@@ -128,7 +124,6 @@ class EcoSession {
 
   EcoStats stats() const;
   PartitionSolutionCache& cache() { return cache_; }
-  timing::TimingCache& timing_cache() { return timing_cache_; }
   assign::AssignState& state() { return *state_; }
 
  private:
@@ -157,7 +152,6 @@ class EcoSession {
   std::uint64_t next_version_ = 1;
 
   sta::TimingGraph* sta_graph_ = nullptr;  // borrowed; see attach_sta
-  timing::TimingCache timing_cache_;
   PartitionSolutionCache cache_;
   std::atomic<bool> degraded_{false};
 

@@ -29,6 +29,9 @@ int MipModel::add_int_var(double lo, double up, double cost) {
 
 namespace {
 
+constexpr double kIntTol = 1e-6;  // |x - round(x)| below this counts as integral
+constexpr double kGapAbs = 1e-9;  // prune nodes within this of the incumbent
+
 class Searcher {
  public:
   Searcher(const MipModel& model, const MipOptions& opt)
@@ -54,14 +57,14 @@ class Searcher {
   /// -1 if the point is integral.
   int most_fractional(const la::Vector& x) const {
     int best = -1;
-    double best_frac = opt_.int_tol;
+    double best_frac = kIntTol;
     for (std::size_t k = 0; k < int_vars_.size(); ++k) {
       const double v = x[int_vars_[k]];
       const double frac = std::fabs(v - std::round(v));
       // Distance from the nearest half-integer point, inverted: prefer the
       // variable closest to 0.5 fractionality.
       const double score = std::min(v - std::floor(v), std::ceil(v) - v);
-      if (frac > opt_.int_tol && score > best_frac) {
+      if (frac > kIntTol && score > best_frac) {
         best_frac = score;
         best = static_cast<int>(k);
       }
@@ -77,7 +80,7 @@ class Searcher {
     }
     ++nodes_;
 
-    lp::LpResult rel = lp::solve(lp_, opt_.lp);
+    lp::LpResult rel = lp::solve(lp_);
     if (depth == 0) {
       root_bound_ = (rel.status == lp::LpStatus::kOptimal) ? rel.objective : lp::kInf;
     }
@@ -93,7 +96,7 @@ class Searcher {
       CPLA_ASSERT_MSG(depth > 0, "unbounded MIP relaxation at root");
       return;
     }
-    if (has_incumbent_ && rel.objective >= best_obj_ - opt_.gap_abs) return;  // bound prune
+    if (has_incumbent_ && rel.objective >= best_obj_ - kGapAbs) return;  // bound prune
 
     const int k = most_fractional(rel.x);
     if (k < 0) {

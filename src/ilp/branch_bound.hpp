@@ -47,9 +47,6 @@ class MipModel {
 struct MipOptions {
   double time_limit_s = 1e9;
   long max_nodes = 5'000'000;
-  double int_tol = 1e-6;   // |x - round(x)| below this counts as integral
-  double gap_abs = 1e-9;   // prune nodes within this of the incumbent
-  lp::LpOptions lp;
 };
 
 struct MipResult {

@@ -45,6 +45,8 @@ void LpProblem::set_bounds(int var, double lo, double up) {
 
 namespace {
 
+constexpr double kTol = 1e-9;  // feasibility / optimality tolerance
+
 // Internal tableau over structural + slack + artificial columns.
 class Simplex {
  public:
@@ -178,7 +180,6 @@ class Simplex {
   }
 
   LpStatus iterate(const std::vector<double>& c) {
-    const double tol = opt_.tol;
     int stall = 0;
     double last_obj = kInf;
 
@@ -203,7 +204,7 @@ class Simplex {
 
       int enter = -1;
       int dir = 0;
-      double best = tol;
+      double best = kTol;
       for (int j = 0; j < ncols_; ++j) {
         if (state_[j] == kBasic) continue;
         if (lo_[j] == up_[j]) continue;  // fixed
@@ -238,7 +239,7 @@ class Simplex {
       for (int i = 0; i < m_; ++i) {
         const double coef = dir * w[i];
         const int bj = basis_[i];
-        if (coef > tol) {
+        if (coef > kTol) {
           if (lo_[bj] == -kInf) continue;
           const double t = (val_[bj] - lo_[bj]) / coef;
           if (t < tmax - 1e-12 || (t < tmax + 1e-12 && std::fabs(w[i]) > pivot_mag)) {
@@ -247,7 +248,7 @@ class Simplex {
             leave_to = kAtLower;
             pivot_mag = std::fabs(w[i]);
           }
-        } else if (coef < -tol) {
+        } else if (coef < -kTol) {
           if (up_[bj] == kInf) continue;
           const double t = (up_[bj] - val_[bj]) / (-coef);
           if (t < tmax - 1e-12 || (t < tmax + 1e-12 && std::fabs(w[i]) > pivot_mag)) {

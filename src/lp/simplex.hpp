@@ -59,7 +59,6 @@ class LpProblem {
 
 struct LpOptions {
   int max_iterations = 20000;
-  double tol = 1e-9;  // feasibility / optimality tolerance
 };
 
 struct LpResult {

@@ -151,8 +151,8 @@ RoutingResult route_all(const grid::Design& design, const RouterOptions& options
   result.routes.resize(design.nets.size());
   Usage2D usage(g);
 
-  // Initial pattern routing, short nets first (they have the least routing
-  // freedom later).
+  // Initial pattern routing over each net's RSMT (Steiner-refined MST)
+  // topology, short nets first (they have the least routing freedom later).
   std::vector<std::size_t> order(design.nets.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -162,9 +162,7 @@ RoutingResult route_all(const grid::Design& design, const RouterOptions& options
   for (std::size_t idx : order) {
     const grid::Net& net = design.nets[idx];
     NetRoute r;
-    const std::vector<TwoPin> topo =
-        options.use_steiner ? steiner_topology(net) : mst_topology(net);
-    for (const TwoPin& conn : topo) pattern_route(g, usage, conn, &r);
+    for (const TwoPin& conn : steiner_topology(net)) pattern_route(g, usage, conn, &r);
     r.normalize();
     usage.add(r, +1);
     result.routes[idx] = std::move(r);

@@ -14,9 +14,6 @@ namespace cpla::route {
 struct RouterOptions {
   int max_negotiation_rounds = 8;
   double history_step = 1.5;
-  // Use the RSMT (Steiner-refined) topology for initial pattern routing;
-  // false falls back to the plain MST.
-  bool use_steiner = true;
 };
 
 struct RoutingResult {

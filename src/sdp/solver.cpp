@@ -28,6 +28,9 @@ const char* to_string(SdpStatus status) {
 
 namespace {
 
+// Each corrector step goes this fraction of the way to the PSD boundary.
+constexpr double kStepFraction = 0.98;
+
 /// tr(A_i W) for a general (possibly nonsymmetric) W.
 double constraint_trace(const SdpProblem& p, int i, const BlockMatrix& w) {
   double sum = 0.0;
@@ -396,8 +399,8 @@ static SdpResult solve_impl(const SdpProblem& p, const SdpOptions& opt, LeafTime
     double ap, ad;
     {
       LeafTimer leaf(&leaves->step);
-      ap = max_step(res.x, dx, opt.step_fraction, opt.parallel);
-      ad = max_step(res.z, dz, opt.step_fraction, opt.parallel);
+      ap = max_step(res.x, dx, kStepFraction, opt.parallel);
+      ad = max_step(res.z, dz, kStepFraction, opt.parallel);
     }
     ap = std::min(ap, 1.0);
     ad = std::min(ad, 1.0);

@@ -31,7 +31,6 @@ const char* to_string(SdpStatus status);
 struct SdpOptions {
   int max_iterations = 100;
   double tol = 1e-7;         // relative feasibility + gap tolerance
-  double step_fraction = 0.98;
   double time_limit_ms = 0.0;  // wall-clock budget; 0 = unlimited
   // Enables the deterministic OpenMP paths (Schur columns, per-block
   // BlockMatrix work). Results are bit-identical to a serial solve at any

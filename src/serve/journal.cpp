@@ -124,7 +124,7 @@ Result<Journal::ScanResult> Journal::scan(const std::string& path) {
     const std::uint32_t type = r.u32();
     const std::uint64_t seq = r.u64();
     const std::uint32_t len = r.u32();
-    if (!valid_type(type) || len > kMaxPayload) break;
+    if (len > kMaxPayload) break;
     const std::size_t frame_size = kHeaderBytes + len + 4;
     if (pos + frame_size > data.size()) break;  // torn mid-payload
 
@@ -132,6 +132,12 @@ Result<Journal::ScanResult> Journal::scan(const std::string& path) {
     const std::uint32_t stored_crc =
         ByteReader(std::string_view(data.data() + pos + kHeaderBytes + len, 4)).u32();
     if (crc32(body.data(), body.size()) != stored_crc) break;
+    // A frame whose CRC checks was written whole: an unknown type is not a
+    // torn write, and truncating it would drop every record behind it.
+    CPLA_CHECK(valid_type(type),
+               Status(StatusCode::kBadInput, "serve: journal record at byte " +
+                                                 std::to_string(pos) + " has unknown type " +
+                                                 std::to_string(type)));
 
     Record rec;
     rec.type = static_cast<RecordType>(type);

@@ -76,7 +76,8 @@ class Journal {
   };
 
   /// Reads every valid record of `path`. A missing file is an empty
-  /// journal (ok, zero records); only I/O errors fail.
+  /// journal (ok, zero records). A CRC-valid frame of unknown type fails
+  /// with kBadInput rather than reading as a torn tail.
   static Result<ScanResult> scan(const std::string& path);
 
   /// Truncates a torn tail off `path` so the file is appendable again.

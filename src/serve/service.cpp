@@ -147,8 +147,7 @@ Status EcoService::start() {
   if (options_.sta) {
     // Built against the *recovered* state; the session invalidates it on
     // tree deltas and re-times it after every resolve.
-    corner_set_ = options_.corners.empty() ? sta::CornerSet::single(*rc_)
-                                           : sta::CornerSet(*rc_, options_.corners);
+    corner_set_ = sta::CornerSet::single(*rc_);
     sta_graph_.build(*state_, corner_set_, options_.sta_graph);
     session_->attach_sta(&sta_graph_);
   }

@@ -65,12 +65,11 @@ struct ServeOptions {
   // it (it re-runs on the fresher state). 0 disables supersede.
   int supersede_after = 0;
   bool coalesce = true;  // drop superseded same-key edits within a batch
-  // Live STA (src/sta): the service owns a multi-corner TimingGraph over
-  // the state, re-times it incrementally after every resolve and before
-  // every snapshot publish, and reports worst slack in StateSnapshot.
-  // `corners` empty = the single unscaled typical corner.
+  // Live STA (src/sta): the service owns a TimingGraph over the state at
+  // the single unscaled typical corner, re-times it incrementally after
+  // every resolve and before every snapshot publish, and reports worst
+  // slack in StateSnapshot.
   bool sta = false;
-  std::vector<sta::RcCorner> corners;
   sta::TimingGraph::Options sta_graph;
 };
 

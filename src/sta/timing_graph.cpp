@@ -318,7 +318,7 @@ void TimingGraph::update(const assign::AssignState& state) {
   obs::ScopedPhase phase("sta.update");
   const int n = num_nodes();
 
-  // --- Dirty nets: exact layer-vector compare (TimingCache discipline) --
+  // --- Dirty nets: exact compare against the last-timed layer vectors ---
   std::vector<int> dirty_nets;
   for (int net = 0; net < state.num_nets(); ++net) {
     if (driver_node_[net] < 0) continue;

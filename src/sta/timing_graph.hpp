@@ -82,7 +82,7 @@ class TimingGraph {
   /// Marks the graph topology stale (a net's tree changed shape, or nets
   /// were added/removed): the next update() rebuilds from scratch. Pure
   /// layer changes never need this — update() detects them by exact
-  /// layer-vector comparison, like timing::TimingCache.
+  /// layer-vector comparison.
   void invalidate_topology() { topology_dirty_ = true; }
 
   /// Re-times against the (possibly mutated) state. Bit-identical to a

@@ -20,8 +20,6 @@
 #include "src/eco/reroute.hpp"
 #include "src/eco/solution_cache.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/timing/elmore.hpp"
-#include "src/timing/incremental.hpp"
 #include "tests/eco/eco_test_util.hpp"
 
 namespace cpla::eco {
@@ -290,29 +288,6 @@ TEST(SolutionCacheTest, ConcurrentMixedAccessIsRaceFree) {
   }
   EXPECT_LE(cache.size(), 64u);
   EXPECT_GT(cache.hits() + cache.misses(), 0);
-}
-
-// --- TimingCache ------------------------------------------------------
-
-TEST(TimingCacheTest, HitIsBitIdenticalAndInvalidateForcesRecompute) {
-  core::Prepared bench = make_bench(15, 12, 40);
-  timing::TimingCache cache;
-  int net = 0;
-  while (bench.state->tree(net).segs.empty()) ++net;
-
-  const auto& first = cache.get(net, bench.state->tree(net), bench.state->layers(net), *bench.rc);
-  const timing::NetTiming direct =
-      timing::compute_timing(bench.state->tree(net), bench.state->layers(net), *bench.rc);
-  EXPECT_EQ(first.max_sink_delay, direct.max_sink_delay);
-  EXPECT_EQ(cache.misses(), 1);
-
-  const auto& again = cache.get(net, bench.state->tree(net), bench.state->layers(net), *bench.rc);
-  EXPECT_EQ(again.max_sink_delay, direct.max_sink_delay);
-  EXPECT_EQ(cache.hits(), 1);
-
-  cache.invalidate(net);
-  cache.get(net, bench.state->tree(net), bench.state->layers(net), *bench.rc);
-  EXPECT_EQ(cache.misses(), 2);
 }
 
 // --- EcoSession end-to-end --------------------------------------------

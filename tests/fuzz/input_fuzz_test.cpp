@@ -1,9 +1,10 @@
 // Seeded mutation fuzz over the three text input surfaces — the ISPD'08
 // reader, the RC corner table and the ECO service's request line — and the
-// binary checkpoint codec. Valid seed inputs are mutated deterministically
-// (byte edits, line edits and boundary-value token swaps; for checkpoints,
-// byte and 32-bit field edits with the CRC re-sealed so every mutant reaches
-// the state parser) and every mutant must
+// two binary recovery inputs, checkpoints and the delta journal. Valid seed
+// inputs are mutated deterministically (byte edits, line edits and
+// boundary-value token swaps; for checkpoints and journal records, byte and
+// 32-bit field edits with the CRC re-sealed so every mutant reaches the
+// decoders) and every mutant must
 //
 //   * not crash, throw or trip a sanitizer;
 //   * if rejected, come back as kBadInput — carrying its 1-based input line
@@ -13,12 +14,14 @@
 //     unchanged: same grid, layer directions, edge capacities, via-model
 //     geometry and pins, and the rewritten text is a fixpoint;
 //   * if a checkpoint mutant is accepted, leave a state the timer can walk
-//     and whose own checkpoint restores to the same bytes.
+//     and whose own checkpoint restores to the same bytes;
+//   * if a journal mutant is accepted, replay to the same state hash every
+//     time, through replay_journal and through service recovery alike.
 //
 // Iteration counts keep the run at a few seconds under ASan+UBSan.
 // Crashing inputs found here go into tests/parser/data/ as regression
-// cases (see tests/parser/ispd08_test.cpp and the checkpoint corpus test
-// below).
+// cases (see tests/parser/ispd08_test.cpp and the checkpoint and journal
+// corpus tests below).
 
 #include <gtest/gtest.h>
 
@@ -40,7 +43,10 @@
 #include "src/parser/ispd08.hpp"
 #include "src/serve/checkpoint.hpp"
 #include "src/serve/codec.hpp"
+#include "src/serve/journal.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/serve/service.hpp"
+#include "src/eco/edit_script.hpp"
 #include "src/sta/corner.hpp"
 #include "src/timing/elmore.hpp"
 #include "src/util/rng.hpp"
@@ -473,6 +479,180 @@ TEST(InputFuzz, CheckpointCorpusIsRejected) {
     EXPECT_EQ(st.code(), StatusCode::kBadInput) << name << ": " << st.to_string();
   }
   EXPECT_EQ(files, 8);
+}
+
+// --- Delta journal replay ----------------------------------------------
+
+constexpr double kJournalRatio = 0.2;
+
+serve::ServeOptions journal_options(const std::string& path) {
+  serve::ServeOptions opt;
+  opt.eco.critical_ratio = kJournalRatio;
+  // Cheap serial resolves: replay is the subject, not the engine.
+  opt.eco.flow.engine = core::Engine::kLagr;
+  opt.eco.flow.parallel = false;
+  opt.journal_path = path;
+  return opt;
+}
+
+/// The records of a valid journal over checkpoint_base(): a short service
+/// run (genesis, a delta of every kind, a resolve's start and done records,
+/// an unresolved tail delta) followed by the start/aborted pair a cancelled
+/// resolve leaves behind.
+std::vector<serve::Record> journal_seed(const std::string& path) {
+  std::filesystem::remove(path);
+  core::Prepared script_base = checkpoint_base();
+  const std::vector<eco::Delta> script = eco::make_edit_script(
+      *script_base.state, core::select_critical(*script_base.state, *script_base.rc, kJournalRatio),
+      {.count = 8, .seed = 5});
+  {
+    core::Prepared base = checkpoint_base();
+    serve::EcoService service(base.design.get(), base.state.get(), base.rc.get(),
+                              journal_options(path));
+    EXPECT_TRUE(service.start().is_ok());
+    const int session = service.open_session().value();
+    for (std::size_t i = 0; i < script.size(); ++i) {
+      EXPECT_TRUE(service.submit(session, script[i]).is_ok());
+      if (i + 2 == script.size()) {
+        EXPECT_TRUE(service.resolve(session).status.is_ok());
+      }
+    }
+    EXPECT_TRUE(service.sync(session).is_ok());
+    service.stop();
+  }
+  const Result<serve::Journal::ScanResult> scanned = serve::Journal::scan(path);
+  EXPECT_TRUE(scanned.is_ok() && !scanned.value().torn_tail);
+  std::vector<serve::Record> records = scanned.value().records;
+  serve::ByteWriter deadline;
+  deadline.f64(0.0);
+  const std::uint64_t seq = records.back().seq;
+  records.push_back({serve::RecordType::kResolveStart, seq, deadline.take()});
+  records.push_back({serve::RecordType::kResolveAborted, seq, ""});
+  return records;
+}
+
+/// Writes `records` to `path` through Journal::append, so every frame
+/// carries a valid CRC and recovery decodes every mutant.
+void write_journal(const std::string& path, const std::vector<serve::Record>& records) {
+  std::filesystem::remove(path);
+  serve::Journal journal;
+  ASSERT_TRUE(journal.open(path).is_ok());
+  for (const serve::Record& rec : records) {
+    ASSERT_TRUE(journal.append(rec.type, rec.seq, rec.payload).is_ok());
+  }
+}
+
+/// One record-level edit: a record's type set to a boundary value (valid or
+/// not), its payload edited with mutate_blob or swapped for another
+/// record's, its sequence number set to a boundary value, or a whole record
+/// duplicated, deleted or moved.
+void mutate_records(std::vector<serve::Record>* records, Rng* rng) {
+  static const std::uint32_t kTypes[] = {0u, 1u, 2u, 3u, 4u, 5u, 6u, 0xffffffffu};
+  static const std::uint64_t kSeqs[] = {0u, 1u, 2u, 7u, 0x7fffffffffffffffu, ~0ull};
+  serve::Record& rec = (*records)[pick(rng, records->size())];
+  const std::int64_t op = rng->uniform_int(0, 6);
+  if (op == 0) {
+    rec.type = static_cast<serve::RecordType>(kTypes[pick(rng, std::size(kTypes))]);
+  } else if (op <= 2) {
+    mutate_blob(&rec.payload, rng);
+  } else if (op == 3) {
+    rec.payload = (*records)[pick(rng, records->size())].payload;
+  } else if (op == 4) {
+    rec.seq = kSeqs[pick(rng, std::size(kSeqs))];
+  } else {
+    const std::size_t a = pick(rng, records->size());
+    const std::size_t b = pick(rng, records->size());
+    const serve::Record moved = (*records)[a];
+    if (op == 5 || records->size() == 1) {
+      records->insert(records->begin() + static_cast<std::ptrdiff_t>(b), moved);
+    } else {
+      records->erase(records->begin() + static_cast<std::ptrdiff_t>(a));
+    }
+  }
+}
+
+/// replay_journal of `path` onto a fresh base.
+Result<std::uint64_t> replay_fresh(const std::string& path) {
+  core::Prepared base = checkpoint_base();
+  return serve::replay_journal(path, base.design.get(), base.state.get(), base.rc.get(),
+                               journal_options(path).eco);
+}
+
+/// EcoService::start() recovery of `path` onto a fresh base: the recovered
+/// state hash, or the status start() refused with.
+Result<std::uint64_t> recover_fresh(const std::string& path) {
+  core::Prepared base = checkpoint_base();
+  serve::EcoService service(base.design.get(), base.state.get(), base.rc.get(),
+                            journal_options(path));
+  const Status st = service.start();
+  if (!st.is_ok()) return st;
+  const std::uint64_t hash = service.snapshot()->hash;
+  service.stop();
+  return hash;
+}
+
+TEST(InputFuzz, JournalReplayRejectsCleanly) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cpla_fuzz_journal.wal").string();
+  const std::vector<serve::Record> seed = journal_seed(path);
+  ASSERT_GE(seed.size(), 6u);
+  Rng rng(20085);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    std::vector<serve::Record> records = seed;
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int i = 0; i < edits; ++i) mutate_records(&records, &rng);
+    write_journal(path, records);
+    // Every frame was appended whole, so none may read as a torn tail.
+    const Result<serve::Journal::ScanResult> scanned = serve::Journal::scan(path);
+    ASSERT_TRUE(!scanned.is_ok() || !scanned.value().torn_tail) << "iteration " << iter;
+    const Result<std::uint64_t> first = replay_fresh(path);
+    const Result<std::uint64_t> second = replay_fresh(path);
+    const Result<std::uint64_t> recovered = recover_fresh(path);
+    if (!first.is_ok()) {
+      ++rejected;
+      ASSERT_EQ(first.status().code(), StatusCode::kBadInput) << first.status().to_string();
+      ASSERT_EQ(second.status().code(), StatusCode::kBadInput);
+      ASSERT_FALSE(recovered.is_ok()) << "recovery accepted what replay rejected";
+      ASSERT_EQ(recovered.status().code(), StatusCode::kBadInput)
+          << recovered.status().to_string();
+      continue;
+    }
+    ++accepted;
+    ASSERT_TRUE(second.is_ok());
+    ASSERT_EQ(first.value(), second.value()) << "iteration " << iter;
+    ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+    ASSERT_EQ(recovered.value(), first.value()) << "iteration " << iter;
+  }
+  std::filesystem::remove(path);
+  RecordProperty("accepted", accepted);
+  RecordProperty("rejected", rejected);
+  EXPECT_GT(accepted, 20);
+  EXPECT_GT(rejected, 20);
+}
+
+// Every journal recovery mishandled before it checked its input:
+// tests/parser/data/journal_*.wal, each CRC-valid over checkpoint_base()
+// and each one replay and recovery must refuse without touching the file.
+//   journal_unknown_record_type.wal: a frame of unknown type 6 between
+//   deltas read as a torn tail, and recovery truncated the deltas behind it.
+TEST(InputFuzz, JournalCorpusIsRejected) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "cpla_fuzz_journal_corpus.wal").string();
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(CPLA_TEST_DATA_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("journal_", 0) != 0 || entry.path().extension() != ".wal") continue;
+    ++files;
+    std::filesystem::copy_file(entry.path(), path,
+                               std::filesystem::copy_options::overwrite_existing);
+    EXPECT_EQ(replay_fresh(path).status().code(), StatusCode::kBadInput) << name;
+    EXPECT_EQ(recover_fresh(path).status().code(), StatusCode::kBadInput) << name;
+    EXPECT_EQ(std::filesystem::file_size(path), std::filesystem::file_size(entry.path()))
+        << "recovery rewrote " << name;
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(files, 1);
 }
 
 }  // namespace

@@ -78,6 +78,45 @@ class FixtureFiring(unittest.TestCase):
         )
 
 
+class OptionUnset(unittest.TestCase):
+    """Only the seeded field fires: statics, nested types, member functions,
+    brace-initialized and std::function members parse as they should, and
+    the allow comment exempts its field."""
+
+    def test_only_the_seeded_field_fires(self) -> None:
+        rc, doc = run_lint("--root", str(DATA / "option_unset"))
+        self.assertEqual(rc, 1)
+        self.assertEqual(
+            [(f["check"], f["line"]) for f in doc["findings"]], [("option-unset", 14)]
+        )
+        self.assertIn("WidgetOptions::step", doc["findings"][0]["message"])
+
+    def test_setting_the_field_from_a_test_clears_it(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "fixture"
+            shutil.copytree(DATA / "option_unset", root)
+            (root / "tests").mkdir()
+            (root / "tests" / "widget_test.cpp").write_text(
+                "void f(cpla::widget::WidgetOptions* o) { o->step = 1.0; }\n"
+                "void g(cpla::widget::WidgetOptions o) { o.step = 1.0; }\n"
+            )
+            rc, doc = run_lint("--root", str(root))
+            self.assertEqual(doc["findings"], [])
+            self.assertEqual(rc, 0)
+
+    def test_field_parser_on_a_brace_initialized_member(self) -> None:
+        code = (
+            "struct FlowOptions {\n"
+            "  sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5};\n"
+            "  long counts[4] = {0, 0, 0, 0};\n"
+            "  const std::atomic<bool>* cancel = nullptr;\n"
+            "};\n"
+        )
+        m = cpla_lint.OPTIONS_STRUCT_RE.search(code)
+        fields = cpla_lint.option_fields(code, m.end() - 1)
+        self.assertEqual([name for name, _ in fields], ["sdp", "counts", "cancel"])
+
+
 class CleanTrees(unittest.TestCase):
     def test_clean_fixture_is_clean(self) -> None:
         rc, doc = run_lint("--root", str(DATA / "clean"))

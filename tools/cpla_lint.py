@@ -52,6 +52,15 @@ Concurrency/suppression hygiene:
                             carry a trailing ` -- why` rationale; this
                             check cannot itself be suppressed
 
+Surface audit:
+
+  option-unset              every field of a `struct ...Options` in src/
+                            must be named as `.field` by some file under
+                            tests/, bench/, examples/, perfbench/ or tools/;
+                            a value only src/ ever sets is a constant.
+                            Matching is by name, so a dead field whose name
+                            another struct's live field shares still passes
+
 Findings print as `path:line: [check] message` or, with --format json, as a
 machine-readable document (schema cpla-lint-v1). `--fix` applies the safe
 fixes (inserting #pragma once, appending missing fault-site declarations to
@@ -93,6 +102,7 @@ CHECKS = (
     "unordered-iteration",
     "mutex-guard-coverage",
     "suppression-rationale",
+    "option-unset",
 )
 
 REGISTRY_RELPATH = Path("src/util/fault_sites.hpp")
@@ -103,6 +113,8 @@ RAW_SYNC_EXEMPT = ("src/util/mutex.hpp", "src/util/mutex.cpp", "src/util/thread_
 SOLVER_DIRS = ("la", "lp", "ilp", "sdp")
 HEADER_SUFFIXES = (".hpp", ".h")
 SOURCE_SUFFIXES = (".hpp", ".h", ".cpp", ".cc")
+# Where an option field counts as set from outside the library.
+OPTION_CALLER_DIRS = ("tests", "bench", "examples", "perfbench", "tools")
 FP_CONTRACT_FLAG = "-ffp-contract=off"
 
 ALLOW_RE = re.compile(r"cpla-lint:\s*allow\(([a-z0-9_,\s-]+)\)(?:\s*--\s*(.*\S))?")
@@ -150,6 +162,12 @@ RAW_SYNC_RE = re.compile(
 # (MutexLock locals don't match: `Mutex` is bounded by \b\s+).
 MUTEX_MEMBER_RE = re.compile(r"\bMutex\s+(\w+)\s*[;={]")
 GUARDED_BY_RE = re.compile(r"\bCPLA_(?:PT_)?GUARDED_BY\s*\(\s*(\w+)\s*\)")
+OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*(?::[^;{}()]*)?\{")
+MEMBER_ACCESS_RE = re.compile(r"\.\s*([A-Za-z_]\w*)")
+FUNCTION_HEAD_RE = re.compile(r"\)\s*(?:const|noexcept|override|final|\s)*$")
+NON_FIELD_STMT_RE = re.compile(
+    r"^(?:static|using|typedef|friend|template|enum|struct|class|union)\b"
+)
 CMAKE_ARRAY_RES = {
     "tus": re.compile(r"kBitIdentityTUs\s*\[\s*\]\s*=\s*\{([^}]*)\}"),
     "dirs": re.compile(r"kOrderSensitiveDirs\s*\[\s*\]\s*=\s*\{([^}]*)\}"),
@@ -275,14 +293,14 @@ class Repo:
         self.bench = self._glob(root / "bench")
 
     @staticmethod
-    def _glob(base: Path) -> list[SourceFile]:
+    def _glob(base: Path, suffixes: tuple[str, ...] = SOURCE_SUFFIXES) -> list[SourceFile]:
         if not base.is_dir():
             return []
         paths = sorted(
             p
             for p in base.rglob("*")
             if p.is_file()
-            and p.suffix in SOURCE_SUFFIXES
+            and p.suffix in suffixes
             # The lint self-test corpus holds deliberately broken mini-repos;
             # they are linted via --root, never as part of the real tree.
             # (Relative to the scan base, so --root can point INTO a fixture.)
@@ -446,6 +464,7 @@ class Linter:
         self.check_headers()
         self.check_determinism_contract()
         self.check_mutex_guard_coverage()
+        self.check_option_unset()
         self.check_suppression_rationale()
         return self.findings
 
@@ -772,6 +791,27 @@ class Linter:
         except ValueError:
             return f.path.as_posix()
 
+    # ---- option surface audit -------------------------------------------
+
+    def check_option_unset(self) -> None:
+        named: set[str] = set()
+        for d in OPTION_CALLER_DIRS:
+            for f in Repo._glob(self.repo.root / d, (*SOURCE_SUFFIXES, ".py")):
+                named.update(m.group(1) for m in MEMBER_ACCESS_RE.finditer(f.code))
+        for f in self.repo.src:
+            for m in OPTIONS_STRUCT_RE.finditer(f.code):
+                for name, offset in option_fields(f.code, m.end() - 1):
+                    if name in named:
+                        continue
+                    self.report(
+                        "option-unset",
+                        f,
+                        line_of(f.code, offset),
+                        f'{m.group(1)}::{name} is set by nothing outside src/: make it a '
+                        "constant at its point of use, or add a rationale'd "
+                        "allow(option-unset)",
+                    )
+
     # ---- suppression hygiene --------------------------------------------
 
     def check_suppression_rationale(self) -> None:
@@ -841,6 +881,59 @@ def class_body_spans(code: str) -> list[tuple[int, int]]:
                     spans.append((open_brace, i + 1))
                     break
     return spans
+
+
+def option_fields(code: str, open_brace: int) -> list[tuple[str, int]]:
+    """(name, offset) of every data member declared directly in the struct
+    body opening at `open_brace`: top-level statements of the body, minus
+    nested types, aliases, statics and member functions. A member's name is
+    the last identifier before its initializer (`= ...`, `{...}`) or array
+    bound.
+    """
+    fields: list[tuple[str, int]] = []
+    depth, start, inner = 0, open_brace + 1, open_brace
+    for i in range(open_brace, len(code)):
+        ch = code[i]
+        if ch == "{":
+            depth += 1
+            if depth == 2:
+                inner = i
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                break
+            # An inline member function's body ends its statement without
+            # a `;`; a brace initializer or nested type does not.
+            if depth == 1 and FUNCTION_HEAD_RE.search(code[start:inner]):
+                start = i + 1
+        elif ch == ";" and depth == 1:
+            stmt, start_of_stmt = code[start:i], start
+            start = i + 1
+            # Access specifiers share a statement with the member after them.
+            head = re.sub(r"\b(?:public|private|protected)\s*:", " ", stmt)
+            decl = re.split(r"[={]", head, maxsplit=1)[0]
+            decl = re.sub(r"\[[^\]]*\]", "", strip_angles(decl)).strip()
+            if not decl or "(" in decl or NON_FIELD_STMT_RE.match(decl):
+                continue
+            m = re.search(r"([A-Za-z_]\w*)\s*$", decl)
+            if m and m.group(1) not in ("const", "mutable"):
+                at = re.split(r"[={]", stmt, maxsplit=1)[0].rfind(m.group(1))
+                fields.append((m.group(1), start_of_stmt + at))
+    return fields
+
+
+def strip_angles(text: str) -> str:
+    """Drops balanced `<...>` template argument lists, so parentheses in a
+    `std::function<void(int)>` member do not read as a function."""
+    out, depth = [], 0
+    for ch in text:
+        if ch == "<":
+            depth += 1
+        elif ch == ">" and depth > 0:
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
 
 
 def innermost_span(spans: list[tuple[int, int]], pos: int) -> tuple[int, int] | None:
