@@ -1,11 +1,11 @@
-// Cross-backend arbiter harness: runs the same instance through the three
-// backend modes (SDP-only, Lagrangian-only, hybrid) from identical initial
-// assignments and reports each one's quality-vs-wall-clock point, plus a
-// deadline-pressured pair showing the arbiter's second routing axis. The
+// Backend harness: runs the same instance through the three engines
+// (Engine::kSdp, kLagr and the per-partition kHybrid) from identical
+// initial assignments and reports each one's quality-vs-wall-clock point,
+// plus a deadline-pressured pair showing kHybrid's second routing axis. The
 // partition cap is raised well above the flow default so the instance
-// actually contains partitions on both sides of the hybrid threshold —
-// that is the regime the arbiter exists for (the lifted SDP's dense
-// dimension grows with vars; the sub-gradient sweep stays linear).
+// actually contains partitions on both sides of the hybrid size cutoff —
+// that is the regime kHybrid exists for (the lifted SDP's dense dimension
+// grows with vars; the sub-gradient sweep stays linear).
 //
 // Flags beyond the common harness set (bench/harness.hpp):
 //   --gate <wall_ratio>   exit nonzero unless the *deadline-pressured*
@@ -17,7 +17,7 @@
 //                         and with it the gate's premise — holds on any
 //                         machine speed: the above-mean lifted SDPs blow
 //                         the budget and degrade to keep-current, while
-//                         the arbiter routes those partitions to the
+//                         kHybrid routes those partitions to the
 //                         sub-gradient sweep, which always lands a valid
 //                         pick inside it. The gate lives in-binary because
 //                         bench_compare.py's one-sided bigger-is-worse
@@ -25,7 +25,9 @@
 //                         condition.
 //
 // Every landed state is checked independently (bench::check_landed_state);
-// the artifact records validated = 1, and any failure exits nonzero.
+// the artifact records validated = 1, and any failure exits nonzero. Each
+// row's `sdp_chosen` / `lagr_chosen` are the solves its partitions ran on
+// each engine (GuardStats::engine_used).
 //
 // The no-deadline trio is report-only: it maps the frontier (Lagrangian
 // ~100x faster at a few percent quality cost, hybrid in between), but
@@ -46,7 +48,6 @@ using namespace cpla;
 
 struct ModeOutcome {
   bench::FlowOutcome flow;
-  core::ArbiterStats arbiter;
   core::GuardStats guard;
   std::string invalid;  // empty when the landed state checks out
 };
@@ -60,21 +61,22 @@ ModeOutcome run_mode(bench::BenchRun* run, const core::CplaOptions& opt) {
   out.flow.seconds = timer.seconds();
   out.flow.metrics =
       core::compute_metrics(*run->prepared.state, *run->prepared.rc, run->critical);
-  out.arbiter = res.arbiter_stats;
   out.guard = res.guard_stats;
   out.invalid = bench::check_landed_state(run->prepared, run->critical, out.flow.metrics);
   return out;
 }
 
+long solves_on(const ModeOutcome& out, core::Engine engine) {
+  return out.guard.engine_used[static_cast<int>(engine)];
+}
+
 void record_mode(bench::BenchReport* report, const std::string& name, const ModeOutcome& out) {
   report->record_flow(name, out.flow);
   report->record_value(name + ".wire_overflow", static_cast<double>(out.flow.metrics.wire_overflow));
-  report->record_value(name + ".sdp_chosen", static_cast<double>(out.arbiter.sdp_chosen));
-  report->record_value(name + ".lagr_chosen", static_cast<double>(out.arbiter.lagr_chosen));
-  report->record_value(name + ".sdp_escalations",
-                       static_cast<double>(out.arbiter.sdp_escalations));
-  report->record_value(name + ".lagr_escalations",
-                       static_cast<double>(out.arbiter.lagr_escalations));
+  report->record_value(name + ".sdp_chosen",
+                       static_cast<double>(solves_on(out, core::Engine::kSdp)));
+  report->record_value(name + ".lagr_chosen",
+                       static_cast<double>(solves_on(out, core::Engine::kLagr)));
 }
 
 }  // namespace
@@ -89,9 +91,10 @@ int main(int argc, char** argv) {
   }
 
   // Quick mode shrinks the instance but keeps the released set dense
-  // enough that the raised partition cap still yields >=48-var partitions
-  // (otherwise hybrid degenerates to SDP-only and the gate proves nothing;
-  // the lagr_chosen count below makes that visible either way).
+  // enough that the deadline-pressured hybrid still routes partitions to
+  // the Lagrangian engine (otherwise it degenerates to SDP-only and the
+  // gate proves nothing; the lagr_chosen count below makes that visible
+  // either way).
   bench::BenchRun run = args.quick
                             ? [&] {
                                 gen::SynthSpec spec = gen::suite_spec("newblue1");
@@ -106,16 +109,13 @@ int main(int argc, char** argv) {
   base.partition.max_segments = 64;
   base.max_rounds = args.quick ? 2 : 8;
 
-  core::CplaOptions sdp_opt = base;  // backend.mode defaults to kSdp
+  core::CplaOptions sdp_opt = base;  // engine defaults to kSdp
 
   core::CplaOptions lagr_opt = base;
-  lagr_opt.backend.mode = core::BackendMode::kLagr;
+  lagr_opt.engine = core::Engine::kLagr;
 
   core::CplaOptions hybrid_opt = base;
-  hybrid_opt.backend.mode = core::BackendMode::kHybrid;
-  // The quick instance's partitions top out below the stock threshold;
-  // scale it down so the size policy still has both sides to route.
-  if (args.quick) hybrid_opt.backend.lagr_min_vars = 32;
+  hybrid_opt.engine = core::Engine::kHybrid;
 
   const ModeOutcome sdp = run_mode(&run, sdp_opt);
   const ModeOutcome lagr = run_mode(&run, lagr_opt);
@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
   // Deadline pressure: a per-solve budget at a quarter of the measured
   // mean SDP solve time. The size distribution is heavy-tailed, so the big
   // lifted SDPs (many times the mean) blow the budget on any machine and
-  // escalate — often to keep-current. Hybrid routes every partition
-  // at/above deadline_min_vars to the Lagrangian sweep instead, which
+  // escalate — often to keep-current. Hybrid routes every partition of
+  // 12 or more vars to the Lagrangian sweep instead, which
   // always lands a valid pick inside the budget.
   const long sdp_solves = std::max(1L, sdp.guard.solves);
   const double deadline_ms =
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   auto row = [](const char* name, const ModeOutcome& m) {
     std::printf("%-9s %10.1f %10.1f %8ld %8.2f  %ld/%ld\n", name, m.flow.metrics.avg_tcp,
                 m.flow.metrics.max_tcp, m.flow.metrics.wire_overflow, m.flow.seconds,
-                m.arbiter.sdp_chosen, m.arbiter.lagr_chosen);
+                solves_on(m, core::Engine::kSdp), solves_on(m, core::Engine::kLagr));
   };
   row("sdp", sdp);
   row("lagr", lagr);
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
 
   if (gate > 0.0) {
     bool ok = true;
-    if (hybrid_deadline.arbiter.lagr_chosen == 0) {
+    if (solves_on(hybrid_deadline, core::Engine::kLagr) == 0) {
       std::fprintf(stderr,
                    "backend_arbiter: FAIL hybrid routed nothing to lagr — the instance has "
                    "no partitions above the threshold, the gate would be vacuous\n");

@@ -11,9 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 #include "src/core/flow.hpp"
+#include "src/gen/synth.hpp"
 #include "src/grid/design.hpp"
 #include "src/util/table.hpp"
 
@@ -34,6 +36,27 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Exits with status 2, printing `usage`, unless argv holds only the
+/// listed flags: each of `valued` followed by its value, each of `switches`
+/// alone. A misspelt or removed flag would otherwise be ignored.
+inline void check_flags(int argc, char** argv, std::initializer_list<const char*> valued,
+                        std::initializer_list<const char*> switches, const char* usage) {
+  auto listed = [](std::initializer_list<const char*> flags, const char* arg) {
+    for (const char* f : flags) {
+      if (std::strcmp(f, arg) == 0) return true;
+    }
+    return false;
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (listed(valued, argv[i]) && i + 1 < argc) {
+      ++i;
+    } else if (!listed(switches, argv[i])) {
+      std::fprintf(stderr, "error: unknown flag or missing value: '%s'\n%s", argv[i], usage);
+      std::exit(2);
+    }
+  }
+}
+
 /// Parses all of `text` as a finite number in [lo, hi], a whole one when
 /// `integral`. Leading blanks, trailing characters, nan, inf and
 /// out-of-range values are rejected.
@@ -48,26 +71,46 @@ inline bool parse_number(const char* text, double lo, double hi, bool integral, 
   return true;
 }
 
-/// Value of the numeric flag `--flag <value>`, or `fallback` when the flag
-/// is absent. A value parse_number() rejects prints the problem and `usage`
-/// to stderr and exits with status 2 — before the caller has prepared
-/// anything, as long as it reads its flags first.
-inline double number_arg(int argc, char** argv, const char* flag, double fallback, double lo,
-                         double hi, bool integral, const char* usage) {
-  const char* text = arg_value(argc, argv, flag);
-  if (text == nullptr) return fallback;
+/// `text` as parse_number() reads it. A value it rejects prints the problem
+/// (naming the value `what`) and `usage` to stderr and exits with status 2
+/// — before the caller has prepared anything, as long as it checks its
+/// arguments first.
+inline double checked_number(const char* what, const char* text, double lo, double hi,
+                             bool integral, const char* usage) {
   double v = 0.0;
   if (!parse_number(text, lo, hi, integral, &v)) {
-    std::fprintf(stderr, "error: %s expects %s in [%.15g, %.15g], got '%s'\n%s", flag,
+    std::fprintf(stderr, "error: %s expects %s in [%.15g, %.15g], got '%s'\n%s", what,
                  integral ? "a whole number" : "a finite number", lo, hi, text, usage);
     std::exit(2);
   }
   return v;
 }
 
+/// Value of the numeric flag `--flag <value>` (see checked_number), or
+/// `fallback` when the flag is absent.
+inline double number_arg(int argc, char** argv, const char* flag, double fallback, double lo,
+                         double hi, bool integral, const char* usage) {
+  const char* text = arg_value(argc, argv, flag);
+  return text == nullptr ? fallback : checked_number(flag, text, lo, hi, integral, usage);
+}
+
 inline int int_arg(int argc, char** argv, const char* flag, int fallback, int lo, int hi,
                    const char* usage) {
   return static_cast<int>(number_arg(argc, argv, flag, fallback, lo, hi, true, usage));
+}
+
+/// `name` when it names a generated suite benchmark (gen::suite_names());
+/// otherwise the problem and `usage` go to stderr and the process exits
+/// with status 2.
+inline std::string suite_name(const std::string& name, const char* usage) {
+  std::string known;
+  for (const std::string& s : gen::suite_names()) {
+    if (s == name) return name;
+    known += (known.empty() ? "" : "|") + s;
+  }
+  std::fprintf(stderr, "error: unknown benchmark '%s' (%s)\n%s", name.c_str(), known.c_str(),
+               usage);
+  std::exit(2);
 }
 
 inline void print_design_summary(const grid::Design& design) {

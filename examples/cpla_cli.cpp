@@ -8,11 +8,9 @@
 //     --bench <name>      suite benchmark to generate (default adaptec1)
 //     --file <path>       parse an ISPD'08 .gr file instead of generating
 //     --ratio <r>         critical-net ratio (default 0.005)
-//     --engine <sdp|ilp|lagr|tila>  optimizer (default sdp)
-//     --backend <sdp|lagr|hybrid>   cross-backend arbiter mode (default sdp:
-//                         --engine rules everywhere; hybrid routes large or
-//                         deadline-pressured partitions to the Lagrangian
-//                         engine per partition)
+//     --engine <sdp|ilp|lagr|hybrid|tila>  optimizer (default sdp; hybrid
+//                         picks per partition: Lagrangian for large or
+//                         deadline-pressured partitions, SDP elsewhere)
 //     --rounds <n>        max CPLA rounds (default 8)
 //     --max-segs <n>      partition cap (default 10)
 //     --eco <script>      ECO mode: apply an edit script incrementally
@@ -69,10 +67,11 @@ using cpla::examples::number_arg;
 
 constexpr char kUsage[] =
     "usage: cpla_cli [--bench NAME | --file PATH] [--ratio R]\n"
-    "                [--engine sdp|ilp|lagr|tila] [--backend sdp|lagr|hybrid]\n"
+    "                [--engine sdp|ilp|lagr|hybrid|tila]\n"
     "                [--rounds N] [--max-segs N]\n"
     "                [--eco SCRIPT] [--sta] [--corners PATH]\n"
-    "                [--topk K] [--required-time T] [--write-gr PATH] [--quiet]\n";
+    "                [--topk K] [--required-time T] [--write-gr PATH]\n"
+    "                [--write-routes PATH] [--validate] [--quiet]\n";
 
 /// Streams one edit-script line into the session. Returns false (with a
 /// message) on a malformed line or a rejected delta. The grammar is
@@ -123,8 +122,14 @@ int main(int argc, char** argv) {
   }
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
 
-  // Every numeric flag is checked here, before any design is read or
-  // prepared; a bad value exits 2 with the usage line.
+  // Every flag, numeric value, the benchmark name and the engine are
+  // checked here, before any design is read or prepared; a bad one exits 2
+  // with the usage line.
+  examples::check_flags(argc, argv,
+                        {"--bench", "--file", "--ratio", "--engine", "--rounds", "--max-segs",
+                         "--eco", "--corners", "--topk", "--required-time", "--write-gr",
+                         "--write-routes"},
+                        {"--sta", "--validate", "--quiet"}, kUsage);
   const double ratio = number_arg(argc, argv, "--ratio", 0.005, 0.0, 1.0, false, kUsage);
   const int max_rounds =
       int_arg(argc, argv, "--rounds", core::CplaOptions{}.max_rounds, 0, INT_MAX, kUsage);
@@ -136,14 +141,26 @@ int main(int argc, char** argv) {
       number_arg(argc, argv, "--required-time", 0.0, 0.0, HUGE_VAL, false, kUsage);
 
   const char* file = arg_value(argc, argv, "--file");
-  const std::string bench = arg_value(argc, argv, "--bench")
-                                ? arg_value(argc, argv, "--bench")
-                                : "adaptec1";
+  const std::string bench = examples::suite_name(
+      arg_value(argc, argv, "--bench") ? arg_value(argc, argv, "--bench") : "adaptec1", kUsage);
   const std::string engine =
       arg_value(argc, argv, "--engine") ? arg_value(argc, argv, "--engine") : "sdp";
+  core::CplaOptions cpla_opt;
+  if (engine == "ilp") {
+    cpla_opt.engine = core::Engine::kIlp;
+  } else if (engine == "lagr") {
+    cpla_opt.engine = core::Engine::kLagr;
+  } else if (engine == "hybrid") {
+    cpla_opt.engine = core::Engine::kHybrid;
+  } else if (engine != "sdp" && engine != "tila") {
+    std::fprintf(stderr, "error: unknown --engine '%s' (sdp|ilp|lagr|hybrid|tila)\n%s",
+                 engine.c_str(), kUsage);
+    return 2;
+  }
   const char* eco_script = arg_value(argc, argv, "--eco");
   if (eco_script != nullptr && engine == "tila") {
-    std::fprintf(stderr, "error: --eco drives the CPLA flow (use --engine sdp|ilp)\n");
+    std::fprintf(stderr,
+                 "error: --eco drives the CPLA flow (use --engine sdp|ilp|lagr|hybrid)\n");
     return 1;
   }
 
@@ -163,25 +180,6 @@ int main(int argc, char** argv) {
   }
 
   core::Prepared prep = core::prepare(std::move(*design));
-  core::CplaOptions cpla_opt;
-  cpla_opt.engine = (engine == "ilp")    ? core::Engine::kIlp
-                    : (engine == "lagr") ? core::Engine::kLagr
-                                         : core::Engine::kSdp;
-  // Cross-backend arbiter: --backend lagr forces the Lagrangian engine on
-  // every partition; --backend hybrid routes per partition (size/deadline
-  // policy, see src/core/backend_arbiter.hpp). Default keeps --engine in
-  // charge everywhere.
-  if (const char* backend = arg_value(argc, argv, "--backend")) {
-    const std::string mode = backend;
-    if (mode == "lagr") {
-      cpla_opt.backend.mode = core::BackendMode::kLagr;
-    } else if (mode == "hybrid") {
-      cpla_opt.backend.mode = core::BackendMode::kHybrid;
-    } else if (mode != "sdp") {
-      std::fprintf(stderr, "error: unknown --backend %s (sdp|lagr|hybrid)\n", backend);
-      return 1;
-    }
-  }
   cpla_opt.max_rounds = max_rounds;
   cpla_opt.partition.max_segments = max_segments;
   // Live STA: build the multi-corner graph once up front; with --sta the

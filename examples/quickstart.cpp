@@ -7,7 +7,6 @@
 // Defaults: adaptec1 at 0.5% (the paper's headline configuration, scaled).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "examples/common.hpp"
@@ -17,11 +16,16 @@
 #include "src/gen/synth.hpp"
 #include "src/util/timer.hpp"
 
+constexpr char kUsage[] = "usage: quickstart [BENCHMARK] [CRITICAL_RATIO]\n";
+
 int main(int argc, char** argv) {
   using namespace cpla;
 
-  const std::string bench = (argc > 1) ? argv[1] : "adaptec1";
-  const double ratio = (argc > 2) ? std::atof(argv[2]) : 0.005;
+  // Both arguments are checked before anything is generated; a bad one
+  // exits 2 with the usage line.
+  const std::string bench = examples::suite_name(argc > 1 ? argv[1] : "adaptec1", kUsage);
+  const double ratio =
+      argc > 2 ? examples::checked_number("ratio", argv[2], 0.0, 1.0, false, kUsage) : 0.005;
 
   // 1. Generate (or parse — see parser::read_ispd08_file) a design.
   grid::Design design = gen::generate_suite(bench);

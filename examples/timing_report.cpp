@@ -6,22 +6,30 @@
 //   ./timing_report [benchmark-name] [num-nets]
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <string>
 
+#include "examples/common.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/gen/synth.hpp"
 #include "src/timing/elmore.hpp"
 #include "src/util/str.hpp"
 #include "src/util/table.hpp"
 
+constexpr char kUsage[] = "usage: timing_report [BENCHMARK] [NUM_NETS]\n";
+
 int main(int argc, char** argv) {
   using namespace cpla;
 
-  const std::string bench = (argc > 1) ? argv[1] : "newblue1";
-  const int report_nets = (argc > 2) ? std::atoi(argv[2]) : 3;
+  // Both arguments are checked before anything is generated; a bad one
+  // exits 2 with the usage line.
+  const std::string bench = examples::suite_name(argc > 1 ? argv[1] : "newblue1", kUsage);
+  const int report_nets =
+      argc > 2 ? static_cast<int>(
+                     examples::checked_number("num-nets", argv[2], 1, INT_MAX, true, kUsage))
+               : 3;
 
   core::Prepared prep = core::prepare(gen::generate_suite(bench));
   const auto& state = *prep.state;

@@ -115,13 +115,6 @@ void AssignState::remove_net(int net) {
   trees_[net] = std::move(empty);
 }
 
-void AssignState::pop_net(int net) {
-  CPLA_ASSERT_MSG(net == num_nets() - 1, "pop_net only reverses the most recent add_net");
-  clear_net(net);
-  trees_.pop_back();
-  layers_.pop_back();
-}
-
 std::vector<int> AssignState::default_layers(const route::SegTree& tree) const {
   std::vector<int> layers(tree.segs.size());
   for (const route::Segment& s : tree.segs) {

@@ -53,11 +53,6 @@ class AssignState {
   /// stays valid (assigned() reports true for the empty placeholder).
   void remove_net(int net);
 
-  /// Reverses the most recent add_net (`net` must be the current highest
-  /// id): clears its usage and drops the slot, shrinking num_nets() by one.
-  /// Undo bookkeeping for transactional batch application (src/eco).
-  void pop_net(int net);
-
   /// The deterministic default assignment for a tree: the lowest allowed
   /// layer of each segment's direction.
   std::vector<int> default_layers(const route::SegTree& tree) const;

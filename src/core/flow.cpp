@@ -88,23 +88,13 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   // The per-partition solve, routed through the ECO hook when one is set.
   const sdp::SdpOptions sdp_opts = effective_sdp_options(options);
 
-  // Cross-backend arbiter: per-partition SDP-vs-Lagrangian choice, a pure
-  // function of the problem, so concurrent solves need no coordination;
-  // record() only tallies stats in the serial commit section below. With
-  // the default mode (kSdp) choose() returns options.engine untouched —
-  // the stock flow. An installed partition_solver hook owns backend choice
-  // instead.
-  BackendArbiter arbiter(options.backend);
-  const bool arbiter_active =
-      options.backend.mode != BackendMode::kSdp && !options.partition_solver;
   const PartitionSolveFn solve_one =
       options.partition_solver
           ? options.partition_solver
-          : PartitionSolveFn([&options, &arbiter, sdp_opts](const PartitionProblem& p,
-                                                            const assign::AssignState& s,
-                                                            GuardStats* stats) {
-              const Engine engine = arbiter.choose(p, options.guard, options.engine);
-              return guarded_solve(p, s, engine, sdp_opts, options.ilp, options.guard,
+          : PartitionSolveFn([&options, sdp_opts](const PartitionProblem& p,
+                                                  const assign::AssignState& s,
+                                                  GuardStats* stats) {
+              return guarded_solve(p, s, options.engine, sdp_opts, options.ilp, options.guard,
                                    stats);
             });
 
@@ -186,15 +176,6 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       solve_phase.stop();
       for (const GuardStats& s : local_stats) result.guard_stats.merge(s);
 
-      // Arbiter stats, tallied in the serial section: choose() is pure, so
-      // recomputing it yields the engine each solve ran on.
-      if (arbiter_active) {
-        for (int i = 0; i < count; ++i) {
-          const std::size_t k = static_cast<std::size_t>(i);
-          arbiter.record(arbiter.choose(problems[k], options.guard, options.engine),
-                         solutions[k]);
-        }
-      }
       obs::ScopedPhase commit_phase("core.flow.commit");
 
       // Commit each partition as a transaction: apply its picks, re-check
@@ -219,11 +200,6 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
           it->second[var.seg] = new_layer;
         }
         if (!changed) continue;
-
-        if (!options.guard.enabled) {
-          for (auto& [net, layers] : updates) state->set_layers(net, std::move(layers));
-          continue;
-        }
 
         std::map<int, std::vector<int>> undo;
         double before_sum = 0.0, before_max = 0.0;
@@ -348,15 +324,8 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   if (options.sta_graph != nullptr) options.sta_graph->update(*state);
 
   result.metrics = compute_metrics(*state, rc, critical);
-  result.arbiter_stats = arbiter.stats();
-  // Per-partition fallback statistics (counts per escalation tier).
+  // Per-partition fallback statistics (counts per escalation tier and engine).
   if (result.guard_stats.solves > 0) result.guard_stats.log_summary("cpla");
-  if (arbiter_active) {
-    LOG_INFO("cpla arbiter (%s): sdp=%ld lagr=%ld escalations sdp=%ld lagr=%ld",
-             to_string(options.backend.mode), result.arbiter_stats.sdp_chosen,
-             result.arbiter_stats.lagr_chosen, result.arbiter_stats.sdp_escalations,
-             result.arbiter_stats.lagr_escalations);
-  }
   return result;
 }
 

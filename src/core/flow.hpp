@@ -2,15 +2,15 @@
 
 // The CPLA flow (Problem 1): select critical nets, partition their
 // segments (K x K + self-adaptive quadtree), solve each partition with the
-// SDP relaxation (or the exact ILP) in parallel, post-map, commit, and
-// iterate until the critical-path timing stops improving.
+// SDP relaxation (or the exact ILP, the Lagrangian engine, or kHybrid's
+// per-partition choice between SDP and Lagrangian) in parallel, post-map,
+// commit, and iterate until the critical-path timing stops improving.
 
 #include <atomic>
 #include <functional>
 #include <unordered_map>
 
 #include "src/assign/state.hpp"
-#include "src/core/backend_arbiter.hpp"
 #include "src/core/critical.hpp"
 #include "src/core/displace.hpp"
 #include "src/core/model.hpp"
@@ -60,15 +60,6 @@ struct CplaOptions {
   bool displace_victims = true;
   sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5};
   ilp::MipOptions ilp;
-  // Cross-backend arbiter (src/core/backend_arbiter): per-partition choice
-  // between the SDP and Lagrangian engines. The default mode (kSdp) leaves
-  // `engine` in charge everywhere — the stock flow, bit-identical to the
-  // arbiter-free path. kHybrid routes large / deadline-pressured
-  // partitions to Engine::kLagr; the choice is a pure function of the
-  // partition, so runs stay deterministic. Ignored when a
-  // `partition_solver` hook is installed — the hook owns backend choice
-  // (src/eco runs its own arbiter so cached solves replay bit-identically).
-  ArbiterOptions backend;
   // Graceful degradation: every partition solve runs through the guarded
   // escalation chain and commits transactionally (see solve_guard.hpp).
   GuardOptions guard;
@@ -111,8 +102,7 @@ struct CplaResult {
   int partitions_solved = 0;
   int max_partition_depth = 0;
   bool cancelled = false;  // CplaOptions::cancel fired mid-run
-  GuardStats guard_stats;  // per-tier escalation counts across all solves
-  ArbiterStats arbiter_stats;  // per-backend decision counts (hybrid/lagr modes)
+  GuardStats guard_stats;  // per-tier and per-engine counts across all solves
 };
 
 /// The commit-batch size run_cpla uses under `options` when called from

@@ -29,6 +29,7 @@ const char* to_string(GuardTier tier) {
 void GuardStats::merge(const GuardStats& other) {
   solves += other.solves;
   for (int t = 0; t < kNumGuardTiers; ++t) tier_used[t] += other.tier_used[t];
+  for (int e = 0; e < kNumPrimaryEngines; ++e) engine_used[e] += other.engine_used[e];
   deadline_hits += other.deadline_hits;
   numerical_failures += other.numerical_failures;
   iteration_limits += other.iteration_limits;
@@ -46,10 +47,11 @@ bool GuardStats::degraded() const {
 void GuardStats::log_summary(const char* label) const {
   log_msg(degraded() ? LogLevel::kWarn : LogLevel::kInfo,
           "%s guard: solves=%ld primary=%ld retry=%ld ilp=%ld net-dp=%ld kept=%ld "
-          "rollbacks=%ld (deadline=%ld numerical=%ld iterlimit=%ld rejected=%ld)",
+          "rollbacks=%ld (deadline=%ld numerical=%ld iterlimit=%ld rejected=%ld) "
+          "engines sdp=%ld ilp=%ld lagr=%ld",
           label, solves, tier_used[0], tier_used[1], tier_used[2], tier_used[3], tier_used[4],
           commit_rollbacks, deadline_hits, numerical_failures, iteration_limits,
-          validation_rejects);
+          validation_rejects, engine_used[0], engine_used[1], engine_used[2]);
 }
 
 namespace {
@@ -155,7 +157,18 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
   return result;
 }
 
-/// The escalation chain.
+Engine primary_engine(const PartitionProblem& problem, const GuardOptions& guard,
+                      Engine engine) {
+  if (engine != Engine::kHybrid) return engine;
+  constexpr int kLagrMinVars = 48;      // at/above: sub-gradient beats the lifted SDP
+  constexpr int kDeadlineMinVars = 12;  // at/above under a deadline: don't risk keep-current
+  const int vars = static_cast<int>(problem.vars.size());
+  if (vars >= kLagrMinVars) return Engine::kLagr;
+  if (guard.deadline_ms > 0.0 && vars >= kDeadlineMinVars) return Engine::kLagr;
+  return Engine::kSdp;
+}
+
+/// The escalation chain on a resolved (non-hybrid) engine.
 static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
                                        const assign::AssignState& state, Engine engine,
                                        const sdp::SdpOptions& sdp_options,
@@ -163,6 +176,7 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
                                        const GuardOptions& guard, GuardStats* stats) {
   GuardedSolve out;
   ++stats->solves;
+  ++stats->engine_used[static_cast<int>(engine)];
   if (p.vars.empty()) {
     ++stats->tier_used[static_cast<int>(GuardTier::kPrimary)];
     return out;
@@ -186,19 +200,13 @@ static GuardedSolve guarded_solve_impl(const PartitionProblem& p,
 
   auto primary_result = [&](const sdp::SdpOptions& opts) {
     switch (engine) {
-      case Engine::kSdp: return solve_partition_sdp(p, state, opts);
       case Engine::kLagr: return solve_partition_lagr(p, state);
-      case Engine::kIlp: break;
+      case Engine::kIlp: return solve_partition_ilp(p, state, ilp_options);
+      case Engine::kSdp:
+      case Engine::kHybrid: break;  // kHybrid never reaches here: resolved by the caller
     }
-    return solve_partition_ilp(p, state, ilp_options);
+    return solve_partition_sdp(p, state, opts);
   };
-
-  if (!guard.enabled) {
-    // Legacy path: one engine call, accepted unconditionally.
-    out.result = primary_result(sdp_options);
-    ++stats->tier_used[static_cast<int>(GuardTier::kPrimary)];
-    return out;
-  }
 
   WallTimer timer;
   const bool forced_deadline = CPLA_FAULT_POINT("solve_guard.deadline");
@@ -318,8 +326,8 @@ GuardedSolve guarded_solve(const PartitionProblem& p, const assign::AssignState&
 
   const GuardStats before = *stats;
   WallTimer timer;
-  GuardedSolve out =
-      guarded_solve_impl(p, state, engine, sdp_options, ilp_options, guard, stats);
+  GuardedSolve out = guarded_solve_impl(p, state, primary_engine(p, guard, engine), sdp_options,
+                                        ilp_options, guard, stats);
   wall.record(timer.milliseconds());
   solves.add();
   tiers[static_cast<int>(out.tier)]->add();

@@ -19,6 +19,14 @@
 // solve — a *cross-backend* rescue: the two engines fail in disjoint ways
 // (sub-gradient stalls vs PSD numerics), so each backs the other up before
 // the chain falls through to the DP/keep-current tiers.
+//
+// Engine::kHybrid picks the primary tier per partition (primary_engine):
+// the Lagrangian engine where the lifted SDP is the wrong tool — large
+// partitions, whose dense lifted dimension grows quadratically while the
+// sub-gradient sweep stays linear, and mid-sized ones under a per-solve
+// deadline, where an interior-point solve that blows its budget degrades
+// to keep-current but the sweep always lands a valid pick — and SDP
+// everywhere else.
 
 #include <vector>
 
@@ -31,7 +39,9 @@
 
 namespace cpla::core {
 
-enum class Engine { kSdp, kIlp, kLagr };
+enum class Engine { kSdp, kIlp, kLagr, kHybrid };
+// Engines a partition actually runs on: kHybrid resolves to kSdp or kLagr.
+inline constexpr int kNumPrimaryEngines = 3;
 
 enum class GuardTier : int {
   kPrimary = 0,   // configured engine, full settings
@@ -45,7 +55,6 @@ inline constexpr int kNumGuardTiers = 5;
 const char* to_string(GuardTier tier);
 
 struct GuardOptions {
-  bool enabled = true;
   // Wall-clock budget per partition solve; 0 = unlimited. Applies to the
   // SDP tiers (the ILP honors MipOptions::time_limit_s).
   double deadline_ms = 0.0;
@@ -56,6 +65,9 @@ struct GuardOptions {
 struct GuardStats {
   long solves = 0;
   long tier_used[kNumGuardTiers] = {0, 0, 0, 0, 0};
+  // Solves per primary engine, indexed by Engine (kSdp, kIlp, kLagr):
+  // counted where the solve ran, so they sum to `solves`.
+  long engine_used[kNumPrimaryEngines] = {0, 0, 0};
   long deadline_hits = 0;
   long numerical_failures = 0;
   long iteration_limits = 0;
@@ -81,8 +93,16 @@ struct GuardedSolve {
 EngineResult solve_partition_net_dp(const PartitionProblem& problem,
                                     const assign::AssignState& state);
 
-/// Runs the escalation chain for one partition. Never throws; always
-/// returns a well-formed pick. `stats` (required) accumulates counters.
+/// The engine the primary tier runs `problem` on. Under kHybrid: kLagr
+/// for a partition of at least 48 vars, or of at least 12 vars under a
+/// per-solve deadline, and kSdp otherwise. Every other engine is returned
+/// unchanged. Pure, so concurrent solves and replay-keyed callers (the ECO
+/// cache) see the same choice for the same problem.
+Engine primary_engine(const PartitionProblem& problem, const GuardOptions& guard, Engine engine);
+
+/// Runs the escalation chain for one partition on
+/// primary_engine(problem, guard, engine). Never throws; always returns a
+/// well-formed pick. `stats` (required) accumulates counters.
 GuardedSolve guarded_solve(const PartitionProblem& problem, const assign::AssignState& state,
                            Engine engine, const sdp::SdpOptions& sdp_options,
                            const ilp::MipOptions& ilp_options, const GuardOptions& guard,

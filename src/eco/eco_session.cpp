@@ -1,7 +1,6 @@
 #include "src/eco/eco_session.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "src/obs/metrics.hpp"
@@ -16,7 +15,6 @@ EcoSession::EcoSession(grid::Design* design, assign::AssignState* state,
       state_(state),
       rc_(rc),
       options_(std::move(options)),
-      arbiter_(options_.flow.backend),
       cache_(options_.cache_capacity) {
   CPLA_ASSERT(design_ != nullptr && state_ != nullptr && rc_ != nullptr);
   CPLA_ASSERT_MSG(&state_->design() == design_, "state must be built on this design");
@@ -45,100 +43,6 @@ Result<int> EcoSession::apply(const Delta& delta) {
     if (sta_graph_ != nullptr) sta_graph_->invalidate_topology();
   }
   return applied;
-}
-
-Result<std::vector<int>> EcoSession::apply_batch(const std::vector<Delta>& batch) {
-  // Undo entries accumulate as deltas apply; on a failure they run in
-  // reverse and the critical set snapshot is restored wholesale (promote/
-  // demote change the *order* of critical_.nets, which matters for flow
-  // determinism, so membership-level undo would not be exact). Session
-  // bookkeeping (version bumps, cache invalidations, counters) is
-  // deferred until the whole batch has applied.
-  const core::CriticalSet critical_snapshot = critical_;
-  std::vector<std::function<void()>> undo;
-  undo.reserve(batch.size());
-
-  std::vector<int> applied_nets;
-  std::vector<int> retree_nets;  // nets needing a version bump on commit
-  applied_nets.reserve(batch.size());
-
-  auto rollback = [&]() {
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) (*it)();
-    critical_ = critical_snapshot;
-  };
-
-  for (const Delta& delta : batch) {
-    // Capture state-level undo *before* the mutation. Criticality changes
-    // are covered by the critical-set snapshot alone.
-    const std::size_t undo_before = undo.size();
-    switch (delta.kind) {
-      case DeltaKind::kNetRerouted:
-      case DeltaKind::kNetRemoved:
-        if (delta.net >= 0 && delta.net < state_->num_nets()) {
-          undo.push_back([this, net = delta.net, tree = state_->tree(delta.net),
-                          layers = state_->layers(delta.net)]() mutable {
-            state_->replace_tree(net, std::move(tree), std::move(layers));
-          });
-        }
-        break;
-      case DeltaKind::kCapacityAdjusted: {
-        const auto& g = design_->grid;
-        if (delta.layer >= 0 && delta.layer < g.num_layers()) {
-          const bool horizontal = g.is_horizontal(delta.layer);
-          const bool in_range =
-              horizontal ? (delta.x >= 0 && delta.x < g.xsize() - 1 && delta.y >= 0 &&
-                            delta.y < g.ysize())
-                         : (delta.x >= 0 && delta.x < g.xsize() && delta.y >= 0 &&
-                            delta.y < g.ysize() - 1);
-          if (in_range) {
-            const int edge =
-                horizontal ? g.h_edge_id(delta.x, delta.y) : g.v_edge_id(delta.x, delta.y);
-            undo.push_back([this, layer = delta.layer, edge,
-                            cap = g.edge_capacity(delta.layer, edge)]() {
-              design_->grid.set_edge_capacity(layer, edge, cap);
-            });
-          }
-        }
-        break;
-      }
-      case DeltaKind::kNetAdded:
-      case DeltaKind::kCriticalityChanged:
-        break;  // add is undone via pop_net below; criticality via snapshot
-    }
-
-    Result<int> applied = apply_delta(delta, design_, state_, &critical_);
-    if (!applied.is_ok()) {
-      // The failed delta itself mutated nothing (apply_delta validates
-      // first): drop *its* pre-captured undo — if it pushed one at all (an
-      // out-of-range target skips the capture) — then unwind the earlier
-      // ones.
-      undo.resize(undo_before);
-      rollback();
-      obs::metrics().counter("eco.batch.rollbacks").add();
-      return applied.status();
-    }
-    if (delta.kind == DeltaKind::kNetAdded) {
-      undo.push_back([this, net = applied.value()]() { state_->pop_net(net); });
-    }
-    if (delta.kind == DeltaKind::kNetRerouted || delta.kind == DeltaKind::kNetAdded ||
-        delta.kind == DeltaKind::kNetRemoved) {
-      retree_nets.push_back(applied.value());
-    }
-    applied_nets.push_back(applied.value());
-  }
-
-  // Commit: only now does the session bookkeeping observe the batch.
-  for (int net : retree_nets) {
-    if (net < 0) continue;
-    if (net >= static_cast<int>(tree_version_.size())) {
-      tree_version_.resize(static_cast<std::size_t>(net) + 1, 0);
-    }
-    tree_version_[net] = next_version_++;
-  }
-  if (!retree_nets.empty() && sta_graph_ != nullptr) sta_graph_->invalidate_topology();
-  deltas_applied_ += static_cast<long>(batch.size());
-  obs::metrics().counter("eco.deltas.applied").add(static_cast<long>(batch.size()));
-  return applied_nets;
 }
 
 core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
@@ -250,7 +154,7 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
                                                const core::GuardOptions& guard,
                                                core::GuardStats* stats) {
   const core::CplaOptions& f = options_.flow;
-  const core::Engine engine = arbiter_.choose(problem, guard, f.engine);
+  const core::Engine engine = core::primary_engine(problem, guard, f.engine);
   auto solve_fresh = [&]() {
     return core::guarded_solve(problem, state, engine, core::effective_sdp_options(f), f.ilp,
                                guard, stats);
@@ -272,6 +176,7 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
     if (replay_valid(problem, cached)) {
       ++stats->solves;
       ++stats->tier_used[static_cast<int>(cached.tier)];
+      ++stats->engine_used[static_cast<int>(engine)];
       return cached;
     }
     // Corrupt entry: treat as a miss and overwrite below.
@@ -299,10 +204,10 @@ CacheKey EcoSession::build_key(const core::PartitionProblem& problem,
 
   // Session salt: solver selection and grid shape. (Solver *options* are
   // fixed for the session's lifetime, so they need no words here.) The
-  // arbiter's per-problem choice is part of the key: a pick produced by one
-  // engine must never replay for a config that would route elsewhere.
+  // per-problem primary engine is part of the key next to the session's
+  // engine: a pick produced by one engine must never replay for a config
+  // that would route elsewhere.
   key.push_int(static_cast<int>(options_.flow.engine));
-  key.push_int(static_cast<int>(options_.flow.backend.mode));
   key.push_int(static_cast<int>(engine));
   key.push_int(g.num_layers());
   key.push_int(state.nv());

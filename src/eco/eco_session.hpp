@@ -82,15 +82,6 @@ class EcoSession {
   /// nothing was mutated.
   Result<int> apply(const Delta& delta);
 
-  /// Applies a batch of deltas transactionally: either every delta applies
-  /// (returns the per-delta affected net ids, in order) or — on the first
-  /// failure — everything already applied is undone and the session is
-  /// byte-identical to its pre-batch self (no version
-  /// bumps, no counter changes). Requires every targeted net to be in the
-  /// assigned state (the post-initial-assignment invariant): undo restores
-  /// trees through replace_tree(), which always re-assigns.
-  Result<std::vector<int>> apply_batch(const std::vector<Delta>& batch);
-
   /// Incremental re-optimization: every partition is served from the
   /// solution cache when its content key matches and solved otherwise.
   /// Bit-identical to full_resolve() on the same state by construction.
@@ -140,10 +131,6 @@ class EcoSession {
   assign::AssignState* state_;
   const timing::RcTable* rc_;
   EcoOptions options_;
-  // Built from options_.flow.backend. choose() is a pure function of the
-  // problem, so a cached GuardedSolve replays bit-identically no matter how
-  // many solves preceded it.
-  core::BackendArbiter arbiter_;
   core::CriticalSet critical_;
 
   // Bumped on every tree change of a net; part of the cache key (layer

@@ -35,8 +35,6 @@ void LpProblem::add_row(Sense sense, double rhs, std::vector<std::pair<int, doub
   rows_.push_back(Row{sense, rhs, std::move(coeffs)});
 }
 
-void LpProblem::set_cost(int var, double cost) { cost_[var] = cost; }
-
 void LpProblem::set_bounds(int var, double lo, double up) {
   CPLA_ASSERT(lo <= up);
   lo_[var] = lo;

@@ -32,9 +32,6 @@ class LpProblem {
   /// Adds a constraint over (var, coefficient) pairs.
   void add_row(Sense sense, double rhs, std::vector<std::pair<int, double>> coeffs);
 
-  /// Overwrites the objective coefficient of a variable.
-  void set_cost(int var, double cost);
-
   /// Tightens a variable's bounds (used by branch-and-bound).
   void set_bounds(int var, double lo, double up);
 

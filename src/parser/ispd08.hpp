@@ -28,13 +28,6 @@
 
 namespace cpla::parser {
 
-struct Ispd08Options {
-  // Electrical annotation is not part of the file format; these populate the
-  // per-layer RC with an industrial-style profile (higher layer => lower R).
-  // See timing::RcTable for where they are consumed.
-  double tile_width = 10.0;
-};
-
 /// Parses a benchmark. Malformed input — truncated blocks, non-numeric
 /// fields, negative capacities, pins outside the grid — yields a
 /// StatusCode::kBadInput Status carrying the 1-based line number of the

@@ -206,7 +206,7 @@ TEST(AssignState, OverflowTotalsMatchSlotSumsUnderRandomEdits) {
   for (int step = 0; step < 400; ++step) {
     AssignState& s = copy.has_value() && rng.chance(0.5) ? *copy : state;
     const int net = static_cast<int>(rng.uniform_int(0, s.num_nets() - 1));
-    switch (rng.uniform_int(0, 8)) {
+    switch (rng.uniform_int(0, 7)) {
       case 0:
       case 1:
         if (!s.tree(net).segs.empty()) {
@@ -227,18 +227,15 @@ TEST(AssignState, OverflowTotalsMatchSlotSumsUnderRandomEdits) {
         s.add_net(random_tree(grid, &rng));
         break;
       case 5:
-        if (s.num_nets() > 1) s.pop_net(s.num_nets() - 1);
-        break;
-      case 6:
         s.remove_net(net);
         break;
-      case 7: {
+      case 6: {
         const int l = static_cast<int>(rng.uniform_int(0, grid.num_layers() - 1));
         const int e = static_cast<int>(rng.uniform_int(0, grid.num_edges_on_layer(l) - 1));
         design.grid.set_edge_capacity(l, e, static_cast<int>(rng.uniform_int(0, 3)));
         break;
       }
-      case 8:
+      case 7:
         if (rng.chance(0.2)) {
           copy = state;  // the copy carries the totals and the capacity stamp
         } else {

@@ -1,19 +1,24 @@
-// BackendArbiter policy units (size, deadline, record() purity, mode
-// forcing, kIlp passthrough) plus the end-to-end hybrid flow: both
-// backends exercised through core::optimize(), deterministic across
-// repeated runs, never worse than entry.
+// The per-partition engine choice (core::primary_engine: kHybrid's size
+// and deadline rule, every other engine passed through) plus the
+// end-to-end hybrid flow: both engines exercised through
+// core::optimize(), counted per solve, deterministic across repeated runs,
+// never worse than entry.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/core/backend_arbiter.hpp"
 #include "src/core/flow.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/solve_guard.hpp"
 #include "src/gen/synth.hpp"
 
 namespace cpla::core {
 namespace {
+
+// primary_engine's kHybrid cutoffs, in partition vars.
+constexpr int kLagrMinVars = 48;
+constexpr int kDeadlineMinVars = 12;
 
 PartitionProblem problem_with_vars(int n) {
   PartitionProblem p;
@@ -21,133 +26,116 @@ PartitionProblem problem_with_vars(int n) {
   return p;
 }
 
-GuardedSolve solve_at_tier(GuardTier tier) {
-  GuardedSolve s;
-  s.tier = tier;
-  return s;
+GuardOptions with_deadline() {
+  GuardOptions guard;
+  guard.deadline_ms = 10.0;
+  return guard;
+}
+
+long used(const GuardStats& stats, Engine engine) {
+  return stats.engine_used[static_cast<int>(engine)];
 }
 
 TEST(BackendArbiterTest, SdpModeReturnsBaseUntouched) {
-  ArbiterOptions opt;  // mode defaults to kSdp
-  const BackendArbiter arbiter(opt);
-  const GuardOptions guard;
-  EXPECT_EQ(arbiter.choose(problem_with_vars(1000), guard, Engine::kSdp), Engine::kSdp);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(1000), guard, Engine::kLagr), Engine::kLagr);
+  for (const GuardOptions& guard : {GuardOptions{}, with_deadline()}) {
+    EXPECT_EQ(primary_engine(problem_with_vars(1000), guard, Engine::kSdp), Engine::kSdp);
+  }
 }
 
 TEST(BackendArbiterTest, IlpBaseIsNeverOverridden) {
-  for (BackendMode mode : {BackendMode::kSdp, BackendMode::kLagr, BackendMode::kHybrid}) {
-    ArbiterOptions opt;
-    opt.mode = mode;
-    const BackendArbiter arbiter(opt);
-    EXPECT_EQ(arbiter.choose(problem_with_vars(1000), GuardOptions{}, Engine::kIlp),
-              Engine::kIlp)
-        << "mode " << to_string(mode);
+  for (const GuardOptions& guard : {GuardOptions{}, with_deadline()}) {
+    EXPECT_EQ(primary_engine(problem_with_vars(1000), guard, Engine::kIlp), Engine::kIlp);
   }
 }
 
 TEST(BackendArbiterTest, LagrModeForcesLagrEverywhere) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kLagr;
-  const BackendArbiter arbiter(opt);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(1), GuardOptions{}, Engine::kSdp), Engine::kLagr);
+  for (const GuardOptions& guard : {GuardOptions{}, with_deadline()}) {
+    EXPECT_EQ(primary_engine(problem_with_vars(1), guard, Engine::kLagr), Engine::kLagr);
+  }
 }
 
 TEST(BackendArbiterTest, HybridRoutesBySizeThreshold) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kHybrid;
-  const BackendArbiter arbiter(opt);
   const GuardOptions guard;  // no deadline
-  EXPECT_EQ(arbiter.choose(problem_with_vars(opt.lagr_min_vars - 1), guard, Engine::kSdp),
+  EXPECT_EQ(primary_engine(problem_with_vars(kLagrMinVars - 1), guard, Engine::kHybrid),
             Engine::kSdp);
-  EXPECT_EQ(arbiter.choose(problem_with_vars(opt.lagr_min_vars), guard, Engine::kSdp),
+  EXPECT_EQ(primary_engine(problem_with_vars(kLagrMinVars), guard, Engine::kHybrid),
             Engine::kLagr);
 }
 
 TEST(BackendArbiterTest, HybridRoutesByDeadlinePressure) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kHybrid;
-  const BackendArbiter arbiter(opt);
-  GuardOptions deadline;
-  deadline.deadline_ms = 10.0;
-  EXPECT_EQ(arbiter.choose(problem_with_vars(opt.deadline_min_vars), deadline, Engine::kSdp),
+  const GuardOptions deadline = with_deadline();
+  EXPECT_EQ(primary_engine(problem_with_vars(kDeadlineMinVars), deadline, Engine::kHybrid),
             Engine::kLagr);
-  EXPECT_EQ(
-      arbiter.choose(problem_with_vars(opt.deadline_min_vars - 1), deadline, Engine::kSdp),
-      Engine::kSdp);
+  EXPECT_EQ(primary_engine(problem_with_vars(kDeadlineMinVars - 1), deadline, Engine::kHybrid),
+            Engine::kSdp);
   // Same sizes without a deadline stay on the SDP tier.
-  EXPECT_EQ(arbiter.choose(problem_with_vars(opt.deadline_min_vars), GuardOptions{},
-                           Engine::kSdp),
+  EXPECT_EQ(primary_engine(problem_with_vars(kDeadlineMinVars), GuardOptions{}, Engine::kHybrid),
             Engine::kSdp);
 }
 
 TEST(BackendArbiterTest, RecordNeverMovesChoice) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kHybrid;
-  BackendArbiter arbiter(opt);
-  GuardOptions deadline;
-  deadline.deadline_ms = 10.0;
-  const std::vector<int> sizes = {1, opt.deadline_min_vars - 1, opt.deadline_min_vars,
-                                  opt.lagr_min_vars / 2, opt.lagr_min_vars - 1,
-                                  opt.lagr_min_vars};
+  const std::vector<int> sizes = {1, kDeadlineMinVars - 1, kDeadlineMinVars, kLagrMinVars / 2,
+                                  kLagrMinVars - 1, kLagrMinVars};
   auto choices = [&] {
     std::vector<Engine> out;
     for (int n : sizes) {
-      for (const GuardOptions& guard : {GuardOptions{}, deadline}) {
-        out.push_back(arbiter.choose(problem_with_vars(n), guard, Engine::kSdp));
+      for (const GuardOptions& guard : {GuardOptions{}, with_deadline()}) {
+        out.push_back(primary_engine(problem_with_vars(n), guard, Engine::kHybrid));
       }
     }
     return out;
   };
   const std::vector<Engine> fresh = choices();
 
-  // A stream of escalated outcomes on both backends must not move any
-  // decision: choose() reads only (options, problem, guard, base).
+  // A stream of counted solves must not move any decision: the choice
+  // reads only (problem, guard, engine). An empty partition is solved
+  // without touching the state, on the engine its size resolves to.
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = 8;
+  spec.num_nets = 10;
+  spec.seed = 5;
+  Prepared bench = prepare(gen::generate(spec));
+  GuardStats stats;
   for (int i = 0; i < 64; ++i) {
-    arbiter.record(i % 3 == 0 ? Engine::kLagr : Engine::kSdp,
-                   solve_at_tier(i % 5 == 0 ? GuardTier::kPrimary : GuardTier::kNetDp));
+    const Engine engine = i % 3 == 0 ? Engine::kLagr : Engine::kHybrid;
+    const GuardOptions guard = i % 2 == 0 ? GuardOptions{} : with_deadline();
+    guarded_solve(PartitionProblem{}, *bench.state, engine, sdp::SdpOptions{}, ilp::MipOptions{},
+                  guard, &stats);
   }
-  EXPECT_EQ(arbiter.stats().sdp_chosen + arbiter.stats().lagr_chosen, 64);
+  EXPECT_EQ(stats.solves, 64);
+  EXPECT_EQ(used(stats, Engine::kLagr), 22);
+  EXPECT_EQ(used(stats, Engine::kSdp), 42);
   EXPECT_EQ(choices(), fresh);
 }
 
-TEST(BackendArbiterTest, RecordTalliesPerBackendEscalations) {
-  ArbiterOptions opt;
-  opt.mode = BackendMode::kHybrid;
-  BackendArbiter arbiter(opt);
-  arbiter.record(Engine::kSdp, solve_at_tier(GuardTier::kPrimary));
-  arbiter.record(Engine::kSdp, solve_at_tier(GuardTier::kRetry));
-  arbiter.record(Engine::kLagr, solve_at_tier(GuardTier::kPrimary));
-  arbiter.record(Engine::kLagr, solve_at_tier(GuardTier::kNetDp));
-  const ArbiterStats& s = arbiter.stats();
-  EXPECT_EQ(s.sdp_chosen, 2);
-  EXPECT_EQ(s.lagr_chosen, 2);
-  EXPECT_EQ(s.sdp_escalations, 1);
-  EXPECT_EQ(s.lagr_escalations, 1);
-}
-
 TEST(BackendArbiterTest, StatsMergeAccumulates) {
-  ArbiterStats a{1, 2, 3, 4};
-  const ArbiterStats b{10, 20, 30, 40};
+  GuardStats a;
+  a.engine_used[0] = 1;
+  a.engine_used[1] = 2;
+  a.engine_used[2] = 3;
+  GuardStats b;
+  b.engine_used[0] = 10;
+  b.engine_used[1] = 20;
+  b.engine_used[2] = 30;
   a.merge(b);
-  EXPECT_EQ(a.sdp_chosen, 11);
-  EXPECT_EQ(a.lagr_chosen, 22);
-  EXPECT_EQ(a.sdp_escalations, 33);
-  EXPECT_EQ(a.lagr_escalations, 44);
+  EXPECT_EQ(used(a, Engine::kSdp), 11);
+  EXPECT_EQ(used(a, Engine::kIlp), 22);
+  EXPECT_EQ(used(a, Engine::kLagr), 33);
 }
 
-// --- End-to-end: the hybrid arbiter inside core::optimize() -------------
+// --- End-to-end: Engine::kHybrid inside core::optimize() ----------------
 
 class ArbiterFlowTest : public ::testing::Test {
  protected:
+  static constexpr double kRatio = 0.1;
+
   static CplaOptions hybrid_options() {
     CplaOptions opt;
     opt.max_rounds = 2;
-    // A raised partition cap plus a lowered size cutoff puts partitions on
-    // both sides of the threshold on a small instance.
-    opt.partition.max_segments = 48;
-    opt.backend.mode = BackendMode::kHybrid;
-    opt.backend.lagr_min_vars = 16;
+    // A raised partition cap plus a dense released set (kRatio) puts
+    // partitions on both sides of the 48-var cutoff on a small instance.
+    opt.partition.max_segments = 160;
+    opt.engine = Engine::kHybrid;
     return opt;
   }
 
@@ -165,13 +153,15 @@ TEST_F(ArbiterFlowTest, HybridExercisesBothBackendsAndStaysNeverWorse) {
   spec.num_layers = 6;
   spec.seed = 77;
   Prepared bench = prepare(gen::generate(spec));
-  const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.02);
+  const CriticalSet critical = select_critical(*bench.state, *bench.rc, kRatio);
   const LaMetrics before = compute_metrics(*bench.state, *bench.rc, critical);
 
   const OptimizeResult out = optimize(bench.state.get(), *bench.rc, critical, hybrid_options());
   EXPECT_TRUE(out.status.is_ok());
-  EXPECT_GT(out.result.arbiter_stats.lagr_chosen, 0) << "no partition routed to lagr";
-  EXPECT_GT(out.result.arbiter_stats.sdp_chosen, 0) << "no partition stayed on sdp";
+  const GuardStats& stats = out.result.guard_stats;
+  EXPECT_GT(used(stats, Engine::kLagr), 0) << "no partition routed to lagr";
+  EXPECT_GT(used(stats, Engine::kSdp), 0) << "no partition stayed on sdp";
+  EXPECT_EQ(used(stats, Engine::kLagr) + used(stats, Engine::kSdp), stats.solves);
 
   const LaMetrics after = compute_metrics(*bench.state, *bench.rc, critical);
   EXPECT_LE(after.avg_tcp, before.avg_tcp * (1.0 + 1e-9));
@@ -185,9 +175,9 @@ TEST_F(ArbiterFlowTest, HybridFlowIsDeterministicAcrossRuns) {
   spec.xsize = spec.ysize = 24;
   spec.num_nets = 400;
   spec.num_layers = 6;
-  spec.seed = 78;
+  spec.seed = 77;
   Prepared bench = prepare(gen::generate(spec));
-  const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.02);
+  const CriticalSet critical = select_critical(*bench.state, *bench.rc, kRatio);
   const std::vector<std::vector<int>> entry = all_layers(*bench.state);
 
   const OptimizeResult first = optimize(bench.state.get(), *bench.rc, critical, hybrid_options());
@@ -199,8 +189,9 @@ TEST_F(ArbiterFlowTest, HybridFlowIsDeterministicAcrossRuns) {
   const OptimizeResult second =
       optimize(bench.state.get(), *bench.rc, critical, hybrid_options());
 
-  EXPECT_EQ(first.result.arbiter_stats.sdp_chosen, second.result.arbiter_stats.sdp_chosen);
-  EXPECT_EQ(first.result.arbiter_stats.lagr_chosen, second.result.arbiter_stats.lagr_chosen);
+  for (Engine engine : {Engine::kSdp, Engine::kLagr}) {
+    EXPECT_EQ(used(first.result.guard_stats, engine), used(second.result.guard_stats, engine));
+  }
   EXPECT_EQ(all_layers(*bench.state), landed) << "hybrid flow not replayable";
 }
 

@@ -201,19 +201,5 @@ TEST_F(FaultInjectFlowTest, EmptyCriticalSetIsANoOp) {
   EXPECT_EQ(out.result.guard_stats.solves, 0);
 }
 
-TEST_F(FaultInjectFlowTest, GuardDisabledStillRuns) {
-  // The legacy ungated path remains available for ablation.
-  Prepared bench = small_bench(88);
-  const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.03);
-  const Entry before = entry_state(bench, critical);
-
-  CplaOptions opt;
-  opt.guard.enabled = false;
-  const OptimizeResult out = optimize(bench.state.get(), *bench.rc, critical, opt);
-  EXPECT_GT(out.result.guard_stats.solves, 0);
-  // optimize()'s outer rollback still enforces never-worse.
-  expect_never_worse(bench, critical, before);
-}
-
 }  // namespace
 }  // namespace cpla::core

@@ -1,16 +1,13 @@
-// Satellite regression suite for batched delta application. The plain
-// apply() loop is deliberately NOT transactional — a mid-batch failure
-// leaves the already-applied prefix in place (pinned here so the behavior
-// can never change silently). apply_batch() is the transactional variant:
-// all-or-nothing, with a failure leaving the session byte-identical to its
-// pre-batch self, including the *order* of the critical set.
+// Regression suite for applying a batch of deltas. The plain apply() loop
+// every caller uses is deliberately NOT transactional — a mid-batch
+// failure leaves the already-applied prefix in place (pinned here so the
+// behavior can never change silently).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/eco/eco_session.hpp"
-#include "src/eco/edit_script.hpp"
 #include "tests/eco/eco_test_util.hpp"
 
 namespace cpla::eco {
@@ -68,74 +65,6 @@ TEST(EcoBatchTest, PlainApplyLoopLeavesThePartialPrefixApplied) {
   const int h = first_horizontal(a.design->grid);
   EXPECT_EQ(a.design->grid.edge_capacity(h, a.design->grid.h_edge_id(2, 3)),
             b.design->grid.edge_capacity(h, b.design->grid.h_edge_id(2, 3)));
-}
-
-TEST(EcoBatchTest, ApplyBatchFailureRestoresThePreBatchStateExactly) {
-  core::Prepared a = batch_bench();
-  core::Prepared b = batch_bench();  // untouched twin = the pre-batch truth
-  EcoSession sa(a.design.get(), a.state.get(), a.rc.get());
-  EcoSession sb(b.design.get(), b.state.get(), b.rc.get());
-
-  std::vector<Delta> batch = mixed_batch(*a.design, *a.state);
-  batch.push_back(Delta::net_removed(999999));  // fails after all five applied
-
-  const Result<std::vector<int>> out = sa.apply_batch(batch);
-  ASSERT_FALSE(out.is_ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kBadInput);
-
-  // Byte-identical pre-batch state: assignments, net count (the added net
-  // was popped), capacity, critical order AND membership, counters.
-  expect_assignments_equal(*a.state, *b.state);
-  EXPECT_EQ(a.state->num_nets(), b.state->num_nets());
-  const int h = first_horizontal(a.design->grid);
-  EXPECT_EQ(a.design->grid.edge_capacity(h, a.design->grid.h_edge_id(2, 3)),
-            b.design->grid.edge_capacity(h, b.design->grid.h_edge_id(2, 3)));
-  EXPECT_EQ(sa.critical().nets, sb.critical().nets);
-  EXPECT_EQ(sa.critical().released, sb.critical().released);
-  EXPECT_EQ(sa.stats().deltas_applied, 0);
-
-  // And no hidden bookkeeping survived: a resolve from here must be
-  // bit-identical to the twin that never saw the batch.
-  const core::OptimizeResult ra = sa.resolve();
-  const core::OptimizeResult rb = sb.resolve();
-  ASSERT_TRUE(ra.status.is_ok());
-  ASSERT_TRUE(rb.status.is_ok());
-  expect_assignments_equal(*a.state, *b.state);
-  expect_metrics_equal(*a.state, *b.state, *a.rc, sa.critical());
-}
-
-TEST(EcoBatchTest, ApplyBatchSuccessMatchesOneByOneApplication) {
-  core::Prepared a = batch_bench();
-  core::Prepared b = batch_bench();
-  EcoSession sa(a.design.get(), a.state.get(), a.rc.get());
-  EcoSession sb(b.design.get(), b.state.get(), b.rc.get());
-
-  const std::vector<Delta> handmade = mixed_batch(*a.design, *a.state);
-  const Result<std::vector<int>> batch_ids = sa.apply_batch(handmade);
-  ASSERT_TRUE(batch_ids.is_ok());
-  ASSERT_EQ(batch_ids.value().size(), handmade.size());
-  std::vector<int> loop_ids;
-  for (const Delta& d : handmade) {
-    const Result<int> r = sb.apply(d);
-    ASSERT_TRUE(r.is_ok());
-    loop_ids.push_back(r.value());
-  }
-  EXPECT_EQ(batch_ids.value(), loop_ids);
-  expect_assignments_equal(*a.state, *b.state);
-  EXPECT_EQ(sa.critical().nets, sb.critical().nets);
-  EXPECT_EQ(sa.stats().deltas_applied, sb.stats().deltas_applied);
-
-  // A generated mixed stream (reroutes under the hood) agrees too, and the
-  // post-batch resolves stay on the bit-identical equivalence contract.
-  const std::vector<Delta> script = make_edit_script(*a.state, sa.critical(), {.count = 10, .seed = 3});
-  ASSERT_TRUE(sa.apply_batch(script).is_ok());
-  for (const Delta& d : script) ASSERT_TRUE(sb.apply(d).is_ok());
-  const core::OptimizeResult ra = sa.resolve();
-  const core::OptimizeResult rb = sb.resolve();
-  ASSERT_TRUE(ra.status.is_ok());
-  ASSERT_TRUE(rb.status.is_ok());
-  expect_assignments_equal(*a.state, *b.state);
-  expect_metrics_equal(*a.state, *b.state, *a.rc, sa.critical());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the ECO subsystem building blocks — deltas, reroute
 // helpers, the content-addressed solution cache, the assign-state ECO
-// mutators, the timing cache — plus EcoSession end-to-end behavior
+// mutators — plus EcoSession end-to-end behavior
 // (warm-cache hits, the cache key deciding replay vs solve, stats).
 // Carries the `eco` and `tsan` labels: the cache is hammered from an
 // OpenMP region below.
@@ -457,31 +457,6 @@ TEST(EcoSessionTest, CapacityEditOnAVarEdgeMisses) {
   EXPECT_GT(after.cache_misses, before.cache_misses);
   EXPECT_GT(solver_calls(), calls);
   EXPECT_EQ(after.fallbacks, 0);
-}
-
-TEST(EcoSessionTest, FailedBatchRestoresCapacityAndWireOverflow) {
-  core::Prepared bench = make_bench(19, 12, 40);
-  EcoOptions opt;
-  opt.critical_ratio = 0.05;
-  EcoSession session(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
-  const assign::AssignState& state = session.state();
-  const UsedEdge used = busiest_h_edge(state);
-  ASSERT_GE(used.edge, 0);
-  const int cap = state.wire_cap(used.layer, used.edge);
-  const long before = state.wire_overflow();
-
-  // The capacity cut applies, then the out-of-range removal fails and the
-  // batch unwinds through the undo closure.
-  const std::vector<Delta> batch = {Delta::capacity_adjusted(used.layer, used.x, used.y, 0),
-                                    Delta::net_removed(state.num_nets() + 7)};
-  EXPECT_FALSE(session.apply_batch(batch).is_ok());
-  EXPECT_EQ(state.wire_cap(used.layer, used.edge), cap);
-  EXPECT_EQ(state.wire_overflow(), before);
-
-  // The next usage update resyncs the total against the restored capacity.
-  const int net = session.critical().nets.front();
-  bench.state->set_layers(net, std::vector<int>(state.layers(net)));
-  EXPECT_EQ(state.wire_overflow(), before);
 }
 
 }  // namespace

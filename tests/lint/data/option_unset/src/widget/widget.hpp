@@ -20,4 +20,6 @@ struct WidgetOptions {
   bool valid() const { return iterations > 0 && iterations <= kMaxIterations; }
 };
 
+int run(const WidgetOptions& options);
+
 }  // namespace cpla::widget

@@ -117,6 +117,31 @@ class OptionUnset(unittest.TestCase):
         self.assertEqual([name for name, _ in fields], ["sdp", "counts", "cancel"])
 
 
+class OptionStructUnused(unittest.TestCase):
+    """An Options struct nothing else in src/ names fires, even when its
+    fields pass option-unset through a same-named field elsewhere."""
+
+    def test_only_the_unused_struct_fires(self) -> None:
+        rc, doc = run_lint("--root", str(DATA / "option_struct_unused"))
+        self.assertEqual(rc, 1)
+        self.assertEqual(
+            [(f["check"], f["line"]) for f in doc["findings"]], [("option-struct-unused", 7)]
+        )
+        self.assertIn("LegacyOptions", doc["findings"][0]["message"])
+
+    def test_a_src_parameter_clears_it(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "fixture"
+            shutil.copytree(DATA / "option_struct_unused", root)
+            (root / "src" / "widget" / "legacy.cpp").write_text(
+                '#include "src/widget/widget.hpp"\n'
+                "double legacy_scale(const cpla::widget::LegacyOptions& o) { return o.scale; }\n"
+            )
+            rc, doc = run_lint("--root", str(root))
+            self.assertEqual(doc["findings"], [])
+            self.assertEqual(rc, 0)
+
+
 class CleanTrees(unittest.TestCase):
     def test_clean_fixture_is_clean(self) -> None:
         rc, doc = run_lint("--root", str(DATA / "clean"))

@@ -60,6 +60,10 @@ Surface audit:
                             a value only src/ ever sets is a constant.
                             Matching is by name, so a dead field whose name
                             another struct's live field shares still passes
+  option-struct-unused      every `struct ...Options` in src/ must be named
+                            by some other src/ code (a parameter, a member,
+                            a use): a struct nothing takes is dead surface,
+                            whatever its fields' names match
 
 Findings print as `path:line: [check] message` or, with --format json, as a
 machine-readable document (schema cpla-lint-v1). `--fix` applies the safe
@@ -103,6 +107,7 @@ CHECKS = (
     "mutex-guard-coverage",
     "suppression-rationale",
     "option-unset",
+    "option-struct-unused",
 )
 
 REGISTRY_RELPATH = Path("src/util/fault_sites.hpp")
@@ -465,6 +470,7 @@ class Linter:
         self.check_determinism_contract()
         self.check_mutex_guard_coverage()
         self.check_option_unset()
+        self.check_option_struct_unused()
         self.check_suppression_rationale()
         return self.findings
 
@@ -811,6 +817,22 @@ class Linter:
                         "constant at its point of use, or add a rationale'd "
                         "allow(option-unset)",
                     )
+
+    def check_option_struct_unused(self) -> None:
+        code = "\n".join(f.code for f in self.repo.src)
+        for f in self.repo.src:
+            for m in OPTIONS_STRUCT_RE.finditer(f.code):
+                name = m.group(1)
+                # The definition itself is the one expected occurrence.
+                if len(re.findall(rf"\b{name}\b", code)) > 1:
+                    continue
+                self.report(
+                    "option-struct-unused",
+                    f,
+                    line_of(f.code, m.start()),
+                    f"struct {name} is used by nothing else in src/: no function takes it "
+                    "and no type holds it, so delete it",
+                )
 
     # ---- suppression hygiene --------------------------------------------
 
