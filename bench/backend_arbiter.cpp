@@ -91,17 +91,18 @@ int main(int argc, char** argv) {
   }
 
   // Quick mode shrinks the instance but keeps the released set dense
-  // enough that the deadline-pressured hybrid still routes partitions to
-  // the Lagrangian engine (otherwise it degenerates to SDP-only and the
-  // gate proves nothing; the lagr_chosen count below makes that visible
-  // either way).
+  // enough that both hybrid runs route partitions to both engines: the
+  // no-deadline one needs partitions of 48 or more vars, which a 2%
+  // released set on this grid never forms (its row then repeats the SDP
+  // row), and the deadline-pressured one must reach the Lagrangian engine
+  // or the gate proves nothing. The gate below checks both.
   bench::BenchRun run = args.quick
                             ? [&] {
                                 gen::SynthSpec spec = gen::suite_spec("newblue1");
                                 spec.xsize = spec.ysize = 32;
                                 spec.num_nets = 700;
                                 spec.seed += (args.seed - 1) * 0x9e3779b97f4a7c15ull;
-                                return bench::make_run_spec(std::move(spec), /*ratio=*/0.02);
+                                return bench::make_run_spec(std::move(spec), /*ratio=*/0.03);
                               }()
                             : bench::make_run("newblue1", /*ratio=*/0.01, args.seed);
 
@@ -175,6 +176,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "backend_arbiter: FAIL hybrid routed nothing to lagr — the instance has "
                    "no partitions above the threshold, the gate would be vacuous\n");
+      ok = false;
+    }
+    if (solves_on(hybrid, core::Engine::kSdp) == 0 || solves_on(hybrid, core::Engine::kLagr) == 0) {
+      std::fprintf(stderr,
+                   "backend_arbiter: FAIL the no-deadline hybrid ran one engine only "
+                   "(%ld sdp, %ld lagr) — its row repeats the sdp or lagr row\n",
+                   solves_on(hybrid, core::Engine::kSdp), solves_on(hybrid, core::Engine::kLagr));
       ok = false;
     }
     if (hybrid_deadline.flow.metrics.avg_tcp > sdp_deadline.flow.metrics.avg_tcp * 1.001) {

@@ -15,8 +15,6 @@
 //     --journal <path>       write-ahead delta journal (durability on)
 //     --checkpoint <path>    checkpoint blob path
 //     --checkpoint-every <n> checkpoint every N resolves (default 4)
-//     --deadline <ms>        default per-resolve solve budget
-//     --supersede <n>        cancel an in-flight resolve once N edits queue
 //     --max-sessions <n>     admission limit (default 64)
 //     --fault SITE:FIRST[:COUNT]  arm a fault site (repeatable), e.g.
 //                            --fault serve.journal.fsync:2
@@ -29,7 +27,6 @@
 // boundary). SIGKILL is the interesting case — that is what recovery is for.
 
 #include <climits>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -53,8 +50,8 @@ void handle_stop(int) { g_stop = 1; }
 constexpr char kUsage[] =
     "usage: eco_served --socket PATH [--size N] [--nets N] [--layers N] [--seed N]\n"
     "                  [--ratio R] [--journal PATH] [--checkpoint PATH]\n"
-    "                  [--checkpoint-every N] [--deadline MS] [--supersede N]\n"
-    "                  [--max-sessions N] [--fault SITE:FIRST[:COUNT]]...\n"
+    "                  [--checkpoint-every N] [--max-sessions N]\n"
+    "                  [--fault SITE:FIRST[:COUNT]]...\n"
     "                  [--replay] [--print-hash] [--quiet]\n";
 
 /// Arms every `--fault SITE:FIRST[:COUNT]` occurrence in argv.
@@ -97,8 +94,13 @@ int main(int argc, char** argv) {
   }
   if (has_flag(argc, argv, "--quiet")) set_log_level(LogLevel::kWarn);
 
-  // Every numeric flag is checked before the base design is prepared; a bad
-  // value exits 2 with the usage line.
+  // Every flag and numeric value is checked before the base design is
+  // prepared; an unknown flag or a bad value exits 2 with the usage line.
+  examples::check_flags(argc, argv,
+                        {"--socket", "--size", "--nets", "--layers", "--seed", "--ratio",
+                         "--journal", "--checkpoint", "--checkpoint-every", "--max-sessions",
+                         "--fault"},
+                        {"--replay", "--print-hash", "--quiet"}, kUsage);
   gen::SynthSpec spec;
   spec.xsize = spec.ysize = int_arg(argc, argv, "--size", 16, 2, 4096, kUsage);
   spec.num_nets = int_arg(argc, argv, "--nets", 120, 1, INT_MAX, kUsage);
@@ -110,10 +112,7 @@ int main(int argc, char** argv) {
   if (const char* p = arg_value(argc, argv, "--journal")) opt.journal_path = p;
   if (const char* p = arg_value(argc, argv, "--checkpoint")) opt.checkpoint_path = p;
   opt.checkpoint_every = int_arg(argc, argv, "--checkpoint-every", 4, 0, INT_MAX, kUsage);
-  opt.supersede_after = int_arg(argc, argv, "--supersede", 0, 0, INT_MAX, kUsage);
   opt.max_sessions = int_arg(argc, argv, "--max-sessions", 64, 1, INT_MAX, kUsage);
-  opt.default_deadline_ms =
-      examples::number_arg(argc, argv, "--deadline", 0.0, 0.0, HUGE_VAL, false, kUsage);
   if (!arm_faults(argc, argv)) return 2;
 
   // The base design is regenerated from the seed on every start — exactly

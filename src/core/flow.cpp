@@ -13,10 +13,6 @@
 #include "src/util/check.hpp"
 #include "src/util/logging.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace cpla::core {
 
 namespace {
@@ -48,15 +44,6 @@ LaMetrics compute_metrics(const assign::AssignState& state, const timing::RcTabl
   return m;
 }
 
-int effective_commit_batch(const CplaOptions& options) {
-  if (options.commit_batch > 0) return options.commit_batch;
-#ifdef _OPENMP
-  return options.parallel ? std::max(1, omp_get_max_threads()) : 1;
-#else
-  return 1;
-#endif
-}
-
 sdp::SdpOptions effective_sdp_options(const CplaOptions& options) {
   sdp::SdpOptions sdp = options.sdp;
   sdp.parallel = sdp.parallel && options.parallel;
@@ -67,12 +54,6 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
                     const CriticalSet& critical, const CplaOptions& options) {
   CplaResult result;
   const auto& g = state->design().grid;
-
-  // Cooperative cancellation, polled at round and commit-batch boundaries
-  // (never inside a partition solve, so every committed batch is complete).
-  auto cancel_requested = [&options]() {
-    return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
-  };
 
   // Best-state tracking: rounds optimize the weighted-sum model, which can
   // trade the worst path against the average; the flow returns the best
@@ -147,15 +128,11 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
 
     // Gauss-Seidel sweep: each partition is built against the *latest*
     // state and committed immediately, so neighboring partitions see the
-    // newly updated layers (the paper's [12] iteration). With OpenMP,
-    // batches of `threads` partitions are solved Jacobi-style in parallel
-    // and committed between batches.
-    const int batch = effective_commit_batch(options);
+    // newly updated layers (the paper's [12] iteration). A commit batch
+    // above 1 solves that many partitions Jacobi-style (in parallel under
+    // OpenMP) and commits between batches.
+    const int batch = std::max(1, options.commit_batch);
     for (int base = 0; base < num_parts; base += batch) {
-      if (cancel_requested()) {
-        result.cancelled = true;
-        break;
-      }
       const int count = std::min(batch, num_parts - base);
       std::vector<PartitionProblem> problems(static_cast<std::size_t>(count));
       std::vector<GuardedSolve> solutions(static_cast<std::size_t>(count));
@@ -242,10 +219,6 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
 
   double prev_avg = 1e300;
   for (int round = 0; round < options.max_rounds; ++round) {
-    if (cancel_requested()) {
-      result.cancelled = true;
-      break;
-    }
     result.rounds = round + 1;
 
     // Re-time incrementally and re-select the working set from live slack
@@ -294,16 +267,11 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   // Max-shaving refinement: restart from the best state with the weights
   // collapsed onto the globally-worst nets, keeping only score improvements.
   for (auto& [net, layers] : best_state) state->set_layers(net, layers);
-  if (!result.cancelled && options.max_refine_rounds > 0 &&
-      options.model.max_focus_gamma > 0.0) {
+  if (options.max_refine_rounds > 0 && options.model.max_focus_gamma > 0.0) {
     constexpr double kRefineGamma = 8.0;
     ModelOptions refine = options.model;
     refine.max_focus_gamma = kRefineGamma;
     for (int round = 0; round < options.max_refine_rounds; ++round) {
-      if (cancel_requested()) {
-        result.cancelled = true;
-        break;
-      }
       if (!run_round(refine)) break;
       const auto [avg, worst] = critical_timing(*state, rc, critical);
       const double score = score_of(avg, worst, avg0, max0);

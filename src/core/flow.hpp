@@ -3,10 +3,9 @@
 // The CPLA flow (Problem 1): select critical nets, partition their
 // segments (K x K + self-adaptive quadtree), solve each partition with the
 // SDP relaxation (or the exact ILP, the Lagrangian engine, or kHybrid's
-// per-partition choice between SDP and Lagrangian) in parallel, post-map,
-// commit, and iterate until the critical-path timing stops improving.
+// per-partition choice between SDP and Lagrangian), post-map, commit, and
+// iterate until the critical-path timing stops improving.
 
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 
@@ -63,16 +62,16 @@ struct CplaOptions {
   // Graceful degradation: every partition solve runs through the guarded
   // escalation chain and commits transactionally (see solve_guard.hpp).
   GuardOptions guard;
-  bool parallel = true;  // OpenMP over partitions
+  bool parallel = true;  // OpenMP over a commit batch and inside the SDP solver
   // Commit-batch size of the Gauss-Seidel sweep: how many partitions are
-  // solved from one snapshot before committing. 0 = auto: the calling
-  // thread's OpenMP thread count (see effective_commit_batch). The
-  // granularity changes which state neighboring partitions see, so results
-  // depend on it — under auto, on the calling thread's OpenMP thread count
-  // (host cores, OMP_NUM_THREADS, omp_set_num_threads()). Pin it for results
-  // that reproduce across hosts and threads. A batch at least as large as
-  // the round's partition count solves them all from one snapshot (Jacobi).
-  int commit_batch = 0;
+  // solved from one snapshot before committing. The default 1 is the
+  // paper's [12] iteration: every partition is built against its
+  // neighbours' committed layers. Values below 1 count as 1. A larger batch
+  // solves its partitions in parallel (when `parallel` is on) and changes
+  // which state neighbouring partitions see, so results depend on it — but
+  // never on the thread count. A batch at least as large as the round's
+  // partition count solves them all from one snapshot (Jacobi).
+  int commit_batch = 1;
   // ECO hook (src/eco). When `partition_solver` is set, every partition
   // solve routes through it instead of guarded_solve() directly. Off by
   // default, which is the stock flow.
@@ -86,14 +85,6 @@ struct CplaOptions {
   // yardstick the never-worse contract is judged against. The graph is
   // re-timed once more on exit so it reflects the landed state.
   sta::TimingGraph* sta_graph = nullptr;
-  // Cooperative cancellation (src/serve): when set and it becomes true, the
-  // flow stops at the next round/batch boundary and returns with
-  // CplaResult::cancelled set. A cancelled run still lands on the tracked
-  // best state — all committed work remains capacity-valid and never-worse
-  // — but it is a *partial* optimization; callers wanting replay-identical
-  // results must either roll back to the entry state or treat the run as
-  // complete. Not owned; may be flipped from another thread.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 struct CplaResult {
@@ -101,14 +92,8 @@ struct CplaResult {
   int rounds = 0;
   int partitions_solved = 0;
   int max_partition_depth = 0;
-  bool cancelled = false;  // CplaOptions::cancel fired mid-run
   GuardStats guard_stats;  // per-tier and per-engine counts across all solves
 };
-
-/// The commit-batch size run_cpla uses under `options` when called from
-/// the current thread: `commit_batch` when set, else the calling thread's
-/// OpenMP thread count (1 when `parallel` is off).
-int effective_commit_batch(const CplaOptions& options);
 
 /// The SDP options every partition solve under `options` runs with:
 /// `sdp`, with the solver's inner OpenMP gated off when `parallel` is off,

@@ -58,7 +58,6 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
                                                      core::GuardStats* stats) {
     return solve_partition(problem, state, guard, stats);
   };
-  opts.cancel = request.cancel;
 
   // Entry snapshot: a degraded run restores it before full_resolve() so the
   // fallback optimizes the same input state a fresh core::optimize() would
@@ -68,12 +67,6 @@ core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
   for (int net = 0; net < state_->num_nets(); ++net) entry_layers[net] = state_->layers(net);
 
   core::OptimizeResult out = core::optimize(state_, *rc_, critical_, opts);
-  if (out.result.cancelled) {
-    // The caller owns the decision to keep or roll back a partial run.
-    obs::metrics().counter("eco.resolve.cancelled").add();
-    retime_sta();
-    return out;
-  }
   if (degraded_.load(std::memory_order_relaxed) || cache_.poisoned()) {
     // A fault fired inside the incremental machinery. The run above was
     // still valid (degraded partitions fell back to plain guarded solves,

@@ -50,11 +50,6 @@ struct ResolveOptions {
   /// clock, so journal replay of such a resolve is not guaranteed
   /// bit-identical (see DESIGN.md, ECO service failure semantics).
   double deadline_ms = 0.0;
-  /// Cooperative cancellation, polled at round/batch granularity inside
-  /// the flow. A cancelled resolve returns with result.cancelled set and
-  /// the state still valid and never-worse, but only partially optimized;
-  /// the caller decides whether to keep it or restore its own snapshot.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Snapshot of session counters (stats() assembles it on demand).
@@ -87,8 +82,7 @@ class EcoSession {
   /// Bit-identical to full_resolve() on the same state by construction.
   core::OptimizeResult resolve() { return resolve(ResolveOptions{}); }
 
-  /// resolve() with a per-request deadline and/or cancellation hook. A
-  /// cancelled run skips the degraded-fallback pass.
+  /// resolve() with a per-request deadline.
   core::OptimizeResult resolve(const ResolveOptions& request);
 
   /// From-scratch guarded optimize (no caches, no hooks) — the fallback
@@ -106,10 +100,10 @@ class EcoSession {
 
   /// Attaches a live STA graph (borrowed, already built on this session's
   /// state). Tree-shape deltas mark its topology stale, and every resolve
-  /// — incremental, full, degraded, or cancelled — re-times it against the
-  /// state it lands on. Re-timing only: the attached graph never steers
-  /// the flow's critical-set selection, so resolve() stays bit-identical
-  /// to a session without one. Pass nullptr to detach.
+  /// — incremental, full, or degraded — re-times it against the state it
+  /// lands on. Re-timing only: the attached graph never steers the flow's
+  /// critical-set selection, so resolve() stays bit-identical to a session
+  /// without one. Pass nullptr to detach.
   void attach_sta(sta::TimingGraph* graph) { sta_graph_ = graph; }
   sta::TimingGraph* sta_graph() const { return sta_graph_; }
 

@@ -11,6 +11,21 @@
 
 namespace cpla::sdp {
 
+namespace {
+
+/// Whether a per-block loop forks an OpenMP team: only with at least two
+/// dense blocks. With one (the lifted partition SDPs are a dense block
+/// plus a diagonal slack block) a single thread gets all the dense work,
+/// so the team's fork/join is pure overhead — and the flow pays it on
+/// every kernel call of every partition solve.
+bool fork_over_blocks(const BlockStructure& structure) {
+  int dense = 0;
+  for (const BlockSpec& b : structure) dense += b.kind == BlockSpec::Kind::kDense;
+  return dense > 1;
+}
+
+}  // namespace
+
 int total_dim(const BlockStructure& structure) {
   int n = 0;
   for (const auto& b : structure) n += b.dim;
@@ -93,7 +108,7 @@ void BlockMatrix::axpy(double alpha, const BlockMatrix& other, bool parallel) {
   // never enter the OpenMP runtime — team setup costs dominate on the tiny
   // blocks the step backtracker hammers.
 #ifdef _OPENMP
-  if (parallel && nb > 1) {
+  if (parallel && fork_over_blocks(structure_)) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t kk = 0; kk < nb; ++kk) body(static_cast<std::size_t>(kk));
     return;
@@ -122,7 +137,7 @@ double BlockMatrix::inner(const BlockMatrix& other, bool parallel) const {
                              : la::dot(diag_[k], other.diag_[k]);
   };
 #ifdef _OPENMP
-  if (parallel && nb > 1) {
+  if (parallel && fork_over_blocks(structure_)) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t kk = 0; kk < nb; ++kk) body(static_cast<std::size_t>(kk));
   } else {
@@ -178,7 +193,7 @@ BlockMatrix multiply(const BlockMatrix& a, const BlockMatrix& b, bool parallel) 
     }
   };
 #ifdef _OPENMP
-  if (parallel && nb > 1) {
+  if (parallel && fork_over_blocks(a.structure())) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t kk = 0; kk < nb; ++kk) body(static_cast<std::size_t>(kk));
     return out;
@@ -220,7 +235,7 @@ std::optional<BlockCholesky> BlockCholesky::factor(const BlockMatrix& a, bool pa
     }
   };
 #ifdef _OPENMP
-  if (parallel && nb > 1) {
+  if (parallel && fork_over_blocks(a.structure())) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t kk = 0; kk < nb; ++kk) body(static_cast<std::size_t>(kk));
   } else {

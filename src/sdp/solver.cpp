@@ -200,9 +200,13 @@ la::Matrix SchurAssembly::assemble(const BlockMatrix& zinv, const BlockMatrix& x
     for (int i = 0; i <= j; ++i) row[i] = entry(i, at);
   };
   // Explicit branch, not an `if` clause on the pragma: serial solves of
-  // tiny problems must not pay OpenMP team setup every iteration.
+  // tiny problems must not pay OpenMP team setup every iteration. The
+  // flow solves its partitions one after another (commit batch 1), each
+  // with m < 160 rows at the default partition cap; forking their rows made
+  // flow runs on a loaded 4-core host many times slower (DESIGN.md, "Dense
+  // kernel architecture"), so only assemblies above 256 rows fork.
 #ifdef _OPENMP
-  if (parallel && m > 8) {
+  if (parallel && m > 256) {
 #pragma omp parallel for schedule(static, 1)
     for (int j = 0; j < m; ++j) schur_row(j);
   } else {

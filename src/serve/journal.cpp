@@ -37,7 +37,7 @@ Status write_all(int fd, const char* data, std::size_t size) {
 
 bool valid_type(std::uint32_t t) {
   return t >= static_cast<std::uint32_t>(RecordType::kGenesis) &&
-         t <= static_cast<std::uint32_t>(RecordType::kResolveAborted);
+         t <= static_cast<std::uint32_t>(RecordType::kResolveDone);
 }
 
 }  // namespace
@@ -48,7 +48,6 @@ const char* to_string(RecordType type) {
     case RecordType::kDelta: return "delta";
     case RecordType::kResolveStart: return "resolve-start";
     case RecordType::kResolveDone: return "resolve-done";
-    case RecordType::kResolveAborted: return "resolve-aborted";
   }
   return "unknown";
 }

@@ -27,11 +27,10 @@
 namespace cpla::serve {
 
 enum class RecordType : std::uint32_t {
-  kGenesis = 1,         // payload: u64 hash_state() at journal birth
-  kDelta = 2,           // payload: one write_delta() blob; seq = delta seq
-  kResolveStart = 3,    // payload: f64 deadline_ms; covers deltas <= seq
-  kResolveDone = 4,     // payload: u64 post-resolve hash_state()
-  kResolveAborted = 5,  // empty payload: cancelled and rolled back
+  kGenesis = 1,       // payload: u64 hash_state() at journal birth
+  kDelta = 2,         // payload: one write_delta() blob; seq = delta seq
+  kResolveStart = 3,  // payload: f64 deadline_ms; covers deltas <= seq
+  kResolveDone = 4,   // payload: u64 post-resolve hash_state()
 };
 
 const char* to_string(RecordType type);

@@ -96,7 +96,7 @@ Result<Request> parse_request(std::string_view line) {
   }
   if (op == "resolve") {
     req.kind = RequestKind::kResolve;
-    std::string deadline;  // optional; absent leaves the service default
+    std::string deadline;  // optional; absent adds no deadline
     if (next_token(in, &deadline)) {
       if (!to_finite_double(deadline, &req.deadline_ms)) {
         return fail("expected: resolve [DEADLINE_MS]");

@@ -47,7 +47,7 @@ struct Request {
   int x = 0, y = 0;          // capacity edge origin / add first pin
   int cap = 0;               // capacity payload
   int x2 = 0, y2 = 0;        // add second pin
-  double deadline_ms = 0.0;  // resolve budget; 0 = service default
+  double deadline_ms = 0.0;  // per-solve resolve budget; 0 adds none
   std::string query;         // "hash" | "seq" | "metrics" | "stats" | "net"
 };
 

@@ -16,10 +16,6 @@ namespace cpla::serve {
 
 namespace {
 
-// Supersede retries before an in-flight resolve is allowed to run to
-// completion regardless of newer edits (liveness under constant load).
-constexpr int kMaxSupersedeRetries = 3;
-
 struct ReplayCounters {
   std::uint64_t applied = 0;
   std::uint64_t rejected = 0;
@@ -76,10 +72,6 @@ Status replay_records(const std::vector<Record>& records, std::size_t begin,
         }
         break;
       }
-      case RecordType::kResolveAborted:
-        // The live run rolled the cancelled resolve back; nothing to do.
-        resolve_pending = false;
-        break;
     }
   }
   if (resolve_pending) {
@@ -91,44 +83,23 @@ Status replay_records(const std::vector<Record>& records, std::size_t begin,
   return Status::ok();
 }
 
-/// The genesis record: the base state hash and the commit-batch size of
-/// every resolve on the journal. The auto commit batch follows the OpenMP
-/// thread count of whichever thread runs the flow, so start() resolves it
-/// once when the journal is born, and the live worker, recovery and
-/// replay_journal all run at the recorded value.
-struct Genesis {
-  std::uint64_t hash = 0;
-  int commit_batch = 0;
-};
-
-std::string encode_genesis(const Genesis& genesis) {
+std::string encode_genesis(std::uint64_t base_hash) {
   ByteWriter w;
-  w.u64(genesis.hash);
-  w.i32(genesis.commit_batch);
+  w.u64(base_hash);
   return w.data();
 }
 
-/// Decodes records[0] as the genesis record. Refuses (kBadInput) a
-/// journal that does not start with one, a record without a positive
-/// commit batch, and a recorded batch that differs from an explicitly
-/// configured (nonzero) `flow.commit_batch`.
-Result<Genesis> read_genesis(const std::vector<Record>& records,
-                             const core::CplaOptions& flow) {
+/// Decodes records[0] as the genesis record: exactly the u64 base state
+/// hash. Refuses (kBadInput) a journal that does not start with one and a
+/// payload of any other size.
+Result<std::uint64_t> read_genesis(const std::vector<Record>& records) {
   CPLA_CHECK(records[0].type == RecordType::kGenesis,
              Status(StatusCode::kBadInput, "serve: journal does not start with genesis"));
   ByteReader r(records[0].payload);
-  Genesis genesis;
-  genesis.hash = r.u64();
-  genesis.commit_batch = r.i32();
-  CPLA_CHECK(r.ok() && r.at_end() && genesis.commit_batch > 0,
-             Status(StatusCode::kBadInput,
-                    "serve: malformed genesis record (no recorded commit batch)"));
-  CPLA_CHECK(flow.commit_batch <= 0 || flow.commit_batch == genesis.commit_batch,
-             Status(StatusCode::kBadInput,
-                    "serve: journal was written at commit batch " +
-                        std::to_string(genesis.commit_batch) + ", configured " +
-                        std::to_string(flow.commit_batch)));
-  return genesis;
+  const std::uint64_t hash = r.u64();
+  CPLA_CHECK(r.ok() && r.at_end(),
+             Status(StatusCode::kBadInput, "serve: malformed genesis record"));
+  return hash;
 }
 
 }  // namespace
@@ -175,12 +146,8 @@ void EcoService::stop() {
 }
 
 Status EcoService::recover() {
-  // Resolved once, on the thread calling start(): the worker thread would
-  // otherwise see its own OpenMP thread count (see Genesis).
-  eco::EcoOptions eco = options_.eco;
-  eco.flow.commit_batch = core::effective_commit_batch(eco.flow);
   if (!journal_enabled()) {
-    session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, eco);
+    session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, options_.eco);
     return Status::ok();
   }
 
@@ -191,14 +158,13 @@ Status EcoService::recover() {
     obs::metrics().counter("serve.journal.repairs").add();
   }
   const std::vector<Record>& records = scanned.value().records;
-  Genesis genesis;
+  std::uint64_t genesis_hash = 0;
   if (!records.empty()) {
-    Result<Genesis> read = read_genesis(records, options_.eco.flow);
+    Result<std::uint64_t> read = read_genesis(records);
     CPLA_CHECK(read.is_ok(), read.status());
-    genesis = read.value();
-    eco.flow.commit_batch = genesis.commit_batch;
+    genesis_hash = read.value();
   }
-  session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, eco);
+  session_ = std::make_unique<eco::EcoSession>(design_, state_, rc_, options_.eco);
   const std::uint64_t h0 = hash_state(*state_, session_->critical());
 
   Result<Checkpoint> ckpt = options_.checkpoint_path.empty()
@@ -211,8 +177,7 @@ Status EcoService::recover() {
     // the *restored* state; a fresh checkpoint is then written so the
     // journal/checkpoint pair stays self-consistent if we crash again
     // before the next periodic one.
-    genesis.hash = h0;
-    genesis.commit_batch = eco.flow.commit_batch;
+    genesis_hash = h0;
     std::uint64_t seq = 0;
     bool from_checkpoint = false;
     if (ckpt.is_ok()) {
@@ -222,16 +187,16 @@ Status EcoService::recover() {
       const std::uint64_t now = hash_state(*state_, session_->critical());
       CPLA_CHECK(now == ckpt.value().state_hash,
                  Status(StatusCode::kInternal, "serve: restored checkpoint hash mismatch"));
-      genesis.hash = now;
+      genesis_hash = now;
       seq = ckpt.value().seq;
       from_checkpoint = true;
       LOG_INFO("serve: checkpoint-only recovery at seq %llu",
                static_cast<unsigned long long>(seq));
     }
     CPLA_CHECK_OK(journal_.open(options_.journal_path));
-    CPLA_CHECK_OK(journal_.append(RecordType::kGenesis, seq, encode_genesis(genesis)));
+    CPLA_CHECK_OK(journal_.append(RecordType::kGenesis, seq, encode_genesis(genesis_hash)));
     CPLA_CHECK_OK(journal_.sync());
-    base_hash_ = genesis.hash;
+    base_hash_ = genesis_hash;
     record_count_.store(1, std::memory_order_relaxed);
     applied_seq_ = seq;
     last_seq_ = seq;
@@ -240,8 +205,8 @@ Status EcoService::recover() {
       Checkpoint fresh;
       fresh.seq = seq;
       fresh.record_count = 1;
-      fresh.base_hash = genesis.hash;
-      fresh.state_hash = genesis.hash;
+      fresh.base_hash = genesis_hash;
+      fresh.state_hash = genesis_hash;
       fresh.state_blob = serialize_state(*state_, session_->critical());
       const Status st = write_checkpoint(options_.checkpoint_path, fresh);
       CPLA_CHECK(st.is_ok(),
@@ -257,7 +222,7 @@ Status EcoService::recover() {
   std::size_t begin = 1;
   ReplayCounters counters;
   counters.last_seq = records[0].seq;
-  if (ckpt.is_ok() && ckpt.value().base_hash == genesis.hash &&
+  if (ckpt.is_ok() && ckpt.value().base_hash == genesis_hash &&
       ckpt.value().record_count >= 1 && ckpt.value().record_count <= records.size()) {
     // The checkpoint pairs with this journal: restore, then replay only
     // the suffix past it.
@@ -270,7 +235,7 @@ Status EcoService::recover() {
     counters.last_seq = std::max(counters.last_seq, ckpt.value().seq);
     LOG_INFO("serve: recovering from checkpoint (record %zu of %zu)", begin, records.size());
   } else {
-    CPLA_CHECK(genesis.hash == h0,
+    CPLA_CHECK(genesis_hash == h0,
                Status(StatusCode::kBadInput,
                       "serve: journal genesis does not match this base design "
                       "(its checkpoint is required for recovery)"));
@@ -280,7 +245,7 @@ Status EcoService::recover() {
   applied_seq_ = counters.last_seq;
   last_seq_ = counters.last_seq;
   resolves_total_ = counters.resolves;
-  base_hash_ = genesis.hash;
+  base_hash_ = genesis_hash;
   record_count_.store(records.size(), std::memory_order_relaxed);
   LOG_INFO("serve: recovered %llu deltas (%llu rejected), %llu resolves, seq %llu",
            static_cast<unsigned long long>(counters.applied),
@@ -352,12 +317,6 @@ Result<std::uint64_t> EcoService::enqueue_edit(int session, Cmd cmd) {
     obs::metrics().counter("serve.deltas.submitted").add();
     obs::metrics().gauge("serve.queue.depth").set(static_cast<double>(queued_edits_));
   }
-  // Supersede an in-flight resolve once enough newer edits pile up behind
-  // it (the worker rolls it back, journals the abort, and re-runs).
-  if (options_.supersede_after > 0 && inflight_.load(std::memory_order_acquire) &&
-      edits_behind_.fetch_add(1, std::memory_order_acq_rel) + 1 >= options_.supersede_after) {
-    cancel_.store(true, std::memory_order_release);
-  }
   queue_cv_.notify_one();
   return seq;
 }
@@ -424,7 +383,6 @@ ServeStats EcoService::stats() const {
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.shed = shed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.read_only = read_only();
   MutexLock lk(queue_mu_);
@@ -521,144 +479,90 @@ void EcoService::process_batch(std::vector<Cmd> batch) {
   }
   apply_edits(&edits);
 
-  auto handle_syncs = [&](std::vector<Cmd>* pending) {
-    if (pending->empty()) return;
-    Status st;
-    if (read_only()) {
-      st = Status(StatusCode::kUnavailable, "serve: read-only after a journal failure");
-    } else if (journal_enabled()) {
-      st = journal_.sync();
-      if (!st.is_ok()) enter_read_only(st);
-    }
-    ResolveOutcome out;
-    out.status = st;
-    out.seq = applied_seq_;
-    for (Cmd& c : *pending) fulfill(c.waiter, out);
-    pending->clear();
-  };
   // Publish before acking syncs: a sync reply promises the caller that a
   // subsequent snapshot() read sees every edit ahead of it, not just that
   // the journal bytes are durable.
-  if (resolves.empty()) {
-    if (!edits.empty()) publish_snapshot(hash_state(*state_, session_->critical()));
-    handle_syncs(&syncs);
+  if (!edits.empty()) publish_snapshot(hash_state(*state_, session_->critical()));
+  if (!syncs.empty()) {
+    ResolveOutcome out;
+    if (read_only()) {
+      out.status = Status(StatusCode::kUnavailable, "serve: read-only after a journal failure");
+    } else if (journal_enabled()) {
+      out.status = journal_.sync();
+      if (!out.status.is_ok()) enter_read_only(out.status);
+    }
+    out.seq = applied_seq_;
+    for (Cmd& c : syncs) fulfill(c.waiter, out);
+  }
+  if (resolves.empty()) return;
+
+  // Straight path: journal start → resolve → journal done. Read-only (or a
+  // start record that fails to land) refuses the batch's resolves.
+  auto refuse = [&] {
+    ResolveOutcome out;
+    out.status = Status(StatusCode::kUnavailable, "serve: read-only after a journal failure");
+    out.seq = applied_seq_;
+    for (Cmd& c : resolves) fulfill(c.waiter, out);
+    publish_snapshot(hash_state(*state_, session_->critical()));
+  };
+  if (read_only()) {
+    refuse();
     return;
   }
-  if (!edits.empty()) publish_snapshot(hash_state(*state_, session_->critical()));
-  handle_syncs(&syncs);
 
-  int retries = 0;
-  while (true) {
-    if (read_only()) {
-      ResolveOutcome out;
-      out.status = Status(StatusCode::kUnavailable, "serve: read-only after a journal failure");
-      out.seq = applied_seq_;
-      for (Cmd& c : resolves) fulfill(c.waiter, out);
-      publish_snapshot(hash_state(*state_, session_->critical()));
+  // The tightest requested deadline bounds every partition solve of this
+  // batch through the solve-guard chain.
+  eco::ResolveOptions ro;
+  for (const Cmd& c : resolves) {
+    if (c.deadline_ms > 0.0) {
+      ro.deadline_ms =
+          ro.deadline_ms > 0.0 ? std::min(ro.deadline_ms, c.deadline_ms) : c.deadline_ms;
+    }
+  }
+
+  if (journal_enabled()) {
+    ByteWriter w;
+    w.f64(ro.deadline_ms);
+    Status st = journal_append(RecordType::kResolveStart, applied_seq_, w.data());
+    if (st.is_ok()) st = journal_.sync();
+    if (!st.is_ok()) {
+      enter_read_only(st);
+      refuse();
       return;
     }
-
-    // The tightest requested deadline bounds every partition solve of this
-    // batch through the solve-guard chain.
-    double deadline = options_.default_deadline_ms;
-    for (const Cmd& c : resolves) {
-      if (c.deadline_ms > 0.0) {
-        deadline = deadline > 0.0 ? std::min(deadline, c.deadline_ms) : c.deadline_ms;
-      }
-    }
-
-    if (journal_enabled()) {
-      ByteWriter w;
-      w.f64(deadline);
-      Status st = journal_append(RecordType::kResolveStart, applied_seq_, w.data());
-      if (st.is_ok()) st = journal_.sync();
-      if (!st.is_ok()) {
-        enter_read_only(st);
-        continue;  // falls into the read-only branch above
-      }
-    }
-
-    // Entry snapshot: a superseded (cancelled) resolve must roll back so
-    // the journaled kResolveAborted matches the in-memory outcome.
-    std::vector<std::vector<int>> entry(static_cast<std::size_t>(state_->num_nets()));
-    for (int net = 0; net < state_->num_nets(); ++net) entry[net] = state_->layers(net);
-
-    eco::ResolveOptions ro;
-    ro.deadline_ms = deadline;
-    const bool cancellable = retries < kMaxSupersedeRetries;
-    cancel_.store(false, std::memory_order_release);
-    edits_behind_.store(0, std::memory_order_release);
-    if (cancellable) ro.cancel = &cancel_;
-    inflight_.store(true, std::memory_order_release);
-    obs::ScopedPhase resolve_phase("serve.resolve");
-    core::OptimizeResult out = session_->resolve(ro);
-    resolve_phase.stop();
-    inflight_.store(false, std::memory_order_release);
-
-    if (out.result.cancelled) {
-      ++retries;
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      obs::metrics().counter("serve.resolve.cancelled").add();
-      for (int net = 0; net < state_->num_nets(); ++net) {
-        if (state_->layers(net) != entry[net]) state_->set_layers(net, std::move(entry[net]));
-      }
-      if (journal_enabled()) {
-        Status st = journal_append(RecordType::kResolveAborted, applied_seq_, {});
-        if (st.is_ok()) st = journal_.sync();
-        if (!st.is_ok()) enter_read_only(st);
-      }
-      // Fold in the edits that superseded us, then try again on the
-      // fresher state (new resolve requests join this batch's waiters).
-      std::vector<Cmd> more;
-      {
-        MutexLock lk(queue_mu_);
-        more.swap(queue_);
-        queued_edits_ = 0;
-        obs::metrics().gauge("serve.queue.depth").set(0.0);
-      }
-      std::vector<Cmd> new_edits, new_syncs;
-      for (Cmd& c : more) {
-        switch (c.kind) {
-          case CmdKind::kDelta: new_edits.push_back(std::move(c)); break;
-          case CmdKind::kResolve: resolves.push_back(std::move(c)); break;
-          case CmdKind::kSync: new_syncs.push_back(std::move(c)); break;
-        }
-      }
-      apply_edits(&new_edits);
-      if (!new_edits.empty()) publish_snapshot(hash_state(*state_, session_->critical()));
-      handle_syncs(&new_syncs);
-      continue;
-    }
-
-    const std::uint64_t hash = hash_state(*state_, session_->critical());
-    if (journal_enabled()) {
-      ByteWriter w;
-      w.u64(hash);
-      Status st = journal_append(RecordType::kResolveDone, applied_seq_, w.data());
-      if (st.is_ok()) st = journal_.sync();
-      if (!st.is_ok()) {
-        // The resolve outcome itself is durable-equivalent — the fsynced
-        // kResolveStart replays it deterministically — but the journal is
-        // done accepting records.
-        enter_read_only(st);
-      }
-    }
-    ++resolves_total_;
-    obs::metrics().counter("serve.resolve.completed").add();
-    maybe_checkpoint(hash);
-    publish_snapshot(hash);
-
-    ResolveOutcome reply;
-    reply.status = out.status;
-    reply.seq = applied_seq_;
-    reply.hash = hash;
-    {
-      MutexLock lk(snapshot_mu_);
-      reply.metrics = snapshot_->metrics;
-    }
-    for (Cmd& c : resolves) fulfill(c.waiter, reply);
-    return;
   }
+
+  obs::ScopedPhase resolve_phase("serve.resolve");
+  const core::OptimizeResult out = session_->resolve(ro);
+  resolve_phase.stop();
+
+  const std::uint64_t hash = hash_state(*state_, session_->critical());
+  if (journal_enabled()) {
+    ByteWriter w;
+    w.u64(hash);
+    Status st = journal_append(RecordType::kResolveDone, applied_seq_, w.data());
+    if (st.is_ok()) st = journal_.sync();
+    if (!st.is_ok()) {
+      // The resolve outcome itself is durable-equivalent — the fsynced
+      // kResolveStart replays it deterministically — but the journal is
+      // done accepting records.
+      enter_read_only(st);
+    }
+  }
+  ++resolves_total_;
+  obs::metrics().counter("serve.resolve.completed").add();
+  maybe_checkpoint(hash);
+  publish_snapshot(hash);
+
+  ResolveOutcome reply;
+  reply.status = out.status;
+  reply.seq = applied_seq_;
+  reply.hash = hash;
+  {
+    MutexLock lk(snapshot_mu_);
+    reply.metrics = snapshot_->metrics;
+  }
+  for (Cmd& c : resolves) fulfill(c.waiter, reply);
 }
 
 void EcoService::apply_edits(std::vector<Cmd>* edits) {
@@ -830,12 +734,10 @@ Result<std::uint64_t> replay_journal(const std::string& path, grid::Design* desi
     return hash_state(*state, session.critical());
   }
 
-  Result<Genesis> genesis = read_genesis(records, options.flow);
+  Result<std::uint64_t> genesis = read_genesis(records);
   CPLA_CHECK(genesis.is_ok(), genesis.status());
-  eco::EcoOptions pinned = options;
-  pinned.flow.commit_batch = genesis.value().commit_batch;
-  eco::EcoSession session(design, state, rc, pinned);
-  CPLA_CHECK(genesis.value().hash == hash_state(*state, session.critical()),
+  eco::EcoSession session(design, state, rc, options);
+  CPLA_CHECK(genesis.value() == hash_state(*state, session.critical()),
              Status(StatusCode::kBadInput,
                     "serve: journal genesis does not match the prepared base"));
   ReplayCounters counters;

@@ -19,16 +19,13 @@
 //     application is deterministic, a delta the live engine rejects is
 //     rejected identically on replay, so journal and state cannot diverge,
 //   * a resolve is bracketed by kResolveStart (fsynced before the solve)
-//     and kResolveDone / kResolveAborted; a crash anywhere in between
+//     and kResolveDone, and always runs to completion; a crash in between
 //     leaves a trailing kResolveStart, and recovery completes the resolve
 //     deterministically — recovered state is bit-identical to the
 //     uncrashed run (PR 4/5 determinism contract),
 //   * any journal append/fsync failure flips the service to read-only:
 //     queries keep working off the snapshot, mutations and resolves are
-//     refused, nothing already acknowledged is lost,
-//   * an in-flight resolve superseded by newer edits is cancelled at a
-//     round boundary, rolled back to its entry state, journaled as
-//     aborted (replay skips it), and re-run on the fresher state.
+//     refused, nothing already acknowledged is lost.
 
 #include <atomic>
 #include <cstdint>
@@ -60,10 +57,6 @@ struct ServeOptions {
   int checkpoint_every = 0;     // checkpoint every N resolves; 0 = never
   std::size_t max_queue = 1024;  // queued edits beyond this are shed
   int max_sessions = 64;
-  double default_deadline_ms = 0.0;  // resolve budget when requests pass 0
-  // Cancel an in-flight resolve once this many new edits are queued behind
-  // it (it re-runs on the fresher state). 0 disables supersede.
-  int supersede_after = 0;
   bool coalesce = true;  // drop superseded same-key edits within a batch
   // Live STA (src/sta): the service owns a TimingGraph over the state at
   // the single unscaled typical corner, re-times it incrementally after
@@ -107,7 +100,6 @@ struct ServeStats {
   std::uint64_t shed = 0;       // refused at admission (queue full)
   std::uint64_t resolves = 0;
   std::uint64_t batches = 0;
-  std::uint64_t cancelled = 0;  // resolves aborted by supersede
   std::uint64_t checkpoints = 0;
   std::uint64_t journal_records = 0;
   int sessions = 0;
@@ -127,11 +119,7 @@ class EcoService {
 
   /// Recovers (checkpoint restore + journal suffix replay, torn-tail
   /// repair, genesis verification) and starts the worker. On a fresh
-  /// journal, writes the genesis record first. The genesis record pins the
-  /// commit batch of every resolve on the journal: an explicit
-  /// `flow.commit_batch`, else the calling thread's OpenMP thread count
-  /// (core::effective_commit_batch) when the journal is born. Without a
-  /// journal, the calling thread's value is pinned for this run.
+  /// journal, writes the genesis record (the base state hash) first.
   Status start();
   /// Drains the queue (every waiter is fulfilled), stops the worker, and
   /// closes the journal. Idempotent.
@@ -154,9 +142,9 @@ class EcoService {
 
   /// Blocks until every delta submitted before this call is applied,
   /// journaled, and re-optimized. `deadline_ms` > 0 bounds each partition
-  /// solve through the solve-guard chain (0 uses the service default) —
-  /// note a deadline-bounded resolve trades replay determinism for
-  /// latency (see ResolveOptions).
+  /// solve through the solve-guard chain (0 adds none) — note a
+  /// deadline-bounded resolve trades replay determinism for latency (see
+  /// ResolveOptions).
   ResolveOutcome resolve(int session, double deadline_ms = 0.0);
 
   /// Durability barrier: blocks until everything enqueued before this
@@ -202,8 +190,7 @@ class EcoService {
   Status recover();
   void worker_loop();
   void process_batch(std::vector<Cmd> batch);
-  /// Coalesces then journals + applies the edit commands; returns the
-  /// resolve/sync markers found in the batch appended to the given lists.
+  /// Materializes, coalesces, then journals + applies the edit commands.
   void apply_edits(std::vector<Cmd>* edits);
   void enter_read_only(const Status& why);
   Status journal_append(RecordType type, std::uint64_t seq, std::string_view payload);
@@ -244,25 +231,21 @@ class EcoService {
   std::thread worker_;
   std::atomic<bool> running_{false};
   std::atomic<bool> read_only_{false};
-  std::atomic<bool> inflight_{false};
-  std::atomic<bool> cancel_{false};
-  std::atomic<int> edits_behind_{0};
 
   mutable Mutex snapshot_mu_;
   std::shared_ptr<const StateSnapshot> snapshot_ CPLA_GUARDED_BY(snapshot_mu_);
 
   // Aggregate counters (mirrored into cpla::obs under serve.*).
   std::atomic<std::uint64_t> submitted_{0}, applied_{0}, rejected_{0}, coalesced_{0},
-      shed_{0}, batches_{0}, cancelled_{0}, checkpoints_{0};
+      shed_{0}, batches_{0}, checkpoints_{0};
 };
 
 /// Journal-only reference recovery: replays `path` from its genesis
 /// against a freshly prepared base triple (checkpoints ignored) and
 /// returns the final state hash. This is the independent second recovery
 /// path the chaos harness compares checkpoint+suffix recovery against.
-/// Resolves run at the genesis record's commit batch; a journal whose
-/// genesis lacks one, or records a different size than an explicitly set
-/// `options.flow.commit_batch`, is refused with kBadInput.
+/// A journal whose genesis payload is not exactly the u64 base hash is
+/// refused with kBadInput.
 Result<std::uint64_t> replay_journal(const std::string& path, grid::Design* design,
                                      assign::AssignState* state, const timing::RcTable* rc,
                                      const eco::EcoOptions& options);

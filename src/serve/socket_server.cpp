@@ -16,6 +16,11 @@ namespace cpla::serve {
 
 namespace {
 
+// Longest request line a connection may send; a longer one (or an
+// unterminated one past this size) is refused and the connection closed,
+// so a client cannot grow the daemon's memory without bound.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 std::string fail_reply(const Status& status) {
   return str_format("err %s: %s", cpla::to_string(status.code()), status.message().c_str());
 }
@@ -83,7 +88,7 @@ LineReply handle_line(EcoService* service, int session, std::string_view line) {
         const ServeStats s = service->stats();
         out.text = str_format(
             "ok submitted=%llu applied=%llu rejected=%llu coalesced=%llu shed=%llu "
-            "resolves=%llu batches=%llu cancelled=%llu checkpoints=%llu "
+            "resolves=%llu batches=%llu checkpoints=%llu "
             "journal_records=%llu sessions=%d read_only=%d",
             static_cast<unsigned long long>(s.submitted),
             static_cast<unsigned long long>(s.applied),
@@ -92,7 +97,6 @@ LineReply handle_line(EcoService* service, int session, std::string_view line) {
             static_cast<unsigned long long>(s.shed),
             static_cast<unsigned long long>(s.resolves),
             static_cast<unsigned long long>(s.batches),
-            static_cast<unsigned long long>(s.cancelled),
             static_cast<unsigned long long>(s.checkpoints),
             static_cast<unsigned long long>(s.journal_records), s.sessions,
             s.read_only ? 1 : 0);
@@ -173,6 +177,7 @@ void SocketServer::stop() {
   }
   MutexLock lk(mu_);
   conns_.clear();
+  obs::metrics().gauge("serve.socket.connections.open").set(0.0);
 }
 
 void SocketServer::accept_loop() {
@@ -185,8 +190,16 @@ void SocketServer::accept_loop() {
     obs::metrics().counter("serve.socket.connections").add();
     auto conn = std::make_shared<Conn>();
     MutexLock lk(mu_);
+    // Reap finished connections: a -1 fd was set under mu_ as the
+    // connection thread's last act, so its join returns promptly.
+    std::erase_if(conns_, [](const std::shared_ptr<Conn>& c) {
+      if (c->fd >= 0) return false;
+      if (c->thread.joinable()) c->thread.join();
+      return true;
+    });
     conn->fd = fd;
     conns_.push_back(conn);
+    obs::metrics().gauge("serve.socket.connections.open").set(static_cast<double>(conns_.size()));
     conn->thread = std::thread([this, conn] { serve_connection(conn.get()); });
   }
 }
@@ -207,6 +220,13 @@ void SocketServer::serve_connection(Conn* conn) {
     bool alive = true;
     while (alive) {
       const std::size_t nl = buf.find('\n');
+      if ((nl == std::string::npos ? buf.size() : nl) > kMaxLineBytes) {
+        send_all(fd, fail_reply(Status(StatusCode::kBadInput,
+                                       str_format("request line over %zu bytes",
+                                                  kMaxLineBytes))) +
+                         "\n");
+        break;
+      }
       if (nl == std::string::npos) {
         const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
         if (n <= 0) {

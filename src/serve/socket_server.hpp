@@ -58,7 +58,8 @@ class SocketServer {
   // descriptor; TSA cannot name the enclosing server's mu_ from a nested
   // struct, so the discipline is documented here and the accesses take
   // MutexLock(mu_) by hand. `thread` is written once under mu_ at accept
-  // and joined by stop() strictly after the acceptor has quit.
+  // and joined either by the acceptor under mu_ (once fd is -1, so the
+  // thread is past its last lock) or by stop() after the acceptor quit.
   struct Conn {
     int fd = -1;
     std::thread thread;

@@ -9,6 +9,7 @@
 #include "src/gen/synth.hpp"
 #include "src/sta/corner.hpp"
 #include "src/sta/timing_graph.hpp"
+#include "tests/eco/eco_test_util.hpp"
 
 namespace cpla::core {
 namespace {
@@ -115,12 +116,36 @@ TEST(Flow, SerialFlowGatesTheSolversInnerParallelism) {
 
   opt.parallel = false;
   EXPECT_FALSE(effective_sdp_options(opt).parallel);
-  EXPECT_EQ(effective_commit_batch(opt), 1);
 
   opt.parallel = true;
   opt.sdp.parallel = false;
   EXPECT_FALSE(effective_sdp_options(opt).parallel);
 }
+
+#ifdef _OPENMP
+// Stock options (no commit_batch set) give the same assignment at one and
+// four OpenMP threads: the batch size comes from the config alone. On this
+// dense instance a batch of four partitions changes the result, so a
+// thread-count-derived batch cannot pass.
+TEST(Flow, StockOptionsGiveTheSameLayersAtAnyThreadCount) {
+  auto layer_hash = [](int threads) {
+    const eco::ScopedOmpThreads scoped(threads);
+    Prepared bench = eco::make_bench(401, 12, 150);
+    CplaOptions opt;
+    opt.critical_ratio = 0.03;
+    EXPECT_TRUE(optimize(bench.state.get(), *bench.rc, opt).status.is_ok());
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int n = 0; n < bench.state->num_nets(); ++n) {
+      for (int l : bench.state->layers(n)) {
+        hash = (hash ^ static_cast<std::uint64_t>(l + 1)) * 0x100000001b3ull;
+      }
+      hash = (hash ^ 0xffu) * 0x100000001b3ull;  // net separator
+    }
+    return hash;
+  };
+  EXPECT_EQ(layer_hash(1), layer_hash(4));
+}
+#endif
 
 // Pins the paper flow as the flow_lagr_sta benchmark runs it (Engine::kLagr,
 // a live 3-corner timing graph, ratio 0.03, one partition per commit) bit

@@ -6,12 +6,10 @@
 // the default self-adaptive quadtree partitioning, a pure K x K grid, and a
 // non-default commit-batch size and the per-partition kHybrid engine, plus
 // a seeded property test that mixes every session operation (all five
-// delta kinds, cancelled resolves, restore_critical) at one and four
-// OpenMP threads.
+// delta kinds, restore_critical) at one and four OpenMP threads.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <vector>
 
@@ -29,7 +27,7 @@ struct EquivalenceRun {
   int deltas = 12;
   int batches = 3;  // resolve() after every `deltas / batches` edits
   core::PartitionOptions partition;  // default = quadtree enabled
-  int commit_batch = 0;  // CplaOptions::commit_batch (0 = auto)
+  int commit_batch = 1;  // CplaOptions::commit_batch
   bool parallel = true;  // CplaOptions::parallel
   core::Engine engine = core::Engine::kSdp;  // CplaOptions::engine
   double critical_ratio = 0.03;  // EcoOptions::critical_ratio
@@ -131,7 +129,7 @@ TEST(EcoEquivalenceTest, PureKxKPartitioning) {
 
 TEST(EcoEquivalenceTest, WideCommitBatch) {
   // Sixteen partitions solved from one snapshot per commit, coarser than
-  // the auto (thread-count) batch: cached picks must still replay exactly
+  // the default batch of one: cached picks must still replay exactly
   // against whichever state the batch's partitions were built on.
   EquivalenceRun run;
   run.seed = 6;
@@ -181,8 +179,7 @@ TEST(EcoEquivalenceTest, SingleDeltaPerResolve) {
 
 /// A session and a control copy driven through one random stream of
 /// operations. The control sees only what a fresh optimize would: the same
-/// deltas through apply_delta, the same critical set, and — after a
-/// cancelled resolve — the layers the session landed on.
+/// deltas through apply_delta and the same critical set.
 struct PropertyRun {
   core::Prepared live;
   core::Prepared control;
@@ -203,14 +200,6 @@ struct PropertyRun {
     return o;
   }
 
-  void mirror_layers() {
-    for (int net = 0; net < live.state->num_nets(); ++net) {
-      if (control.state->layers(net) != live.state->layers(net)) {
-        control.state->set_layers(net, std::vector<int>(live.state->layers(net)));
-      }
-    }
-  }
-
   // Resolves both sides and requires bit-identical layers and metrics.
   void resolve_and_compare(const std::string& where) {
     const bool failed_before = ::testing::Test::HasFailure();
@@ -227,7 +216,7 @@ struct PropertyRun {
 /// What the streams exercised, summed over every run.
 struct Coverage {
   std::set<DeltaKind> kinds;
-  int cancelled = 0, restored = 0;
+  int restored = 0;
 };
 
 void run_property(std::uint64_t seed, int threads, Coverage* seen) {
@@ -249,26 +238,11 @@ void run_property(std::uint64_t seed, int threads, Coverage* seen) {
         script.size() - next, static_cast<std::size_t>(rng.uniform_int(1, 3)));
     const std::vector<Delta> batch(script.begin() + static_cast<std::ptrdiff_t>(next),
                                    script.begin() + static_cast<std::ptrdiff_t>(next + take));
-    switch (rng.uniform_int(0, 4)) {
-      case 0: {
-        // A resolve cancelled before its first partition: it lands on the
-        // tracked best state, which the control adopts as its own.
-        const std::atomic<bool> cancel{true};
-        ResolveOptions request;
-        request.cancel = &cancel;
-        ASSERT_TRUE(run.session.resolve(request).result.cancelled) << where;
-        run.mirror_layers();
-        ++seen->cancelled;
-        break;
-      }
-      case 1:
-        // Recovery path: reinstall the live critical set, which clears
-        // both caches and re-versions every tree.
-        run.session.restore_critical(run.session.critical());
-        ++seen->restored;
-        break;
-      default:
-        break;
+    if (rng.uniform_int(0, 4) == 1) {
+      // Recovery path: reinstall the live critical set, which clears both
+      // caches and re-versions every tree.
+      run.session.restore_critical(run.session.critical());
+      ++seen->restored;
     }
     for (const Delta& d : batch) ASSERT_TRUE(run.session.apply(d).is_ok()) << where;
     for (const Delta& d : batch) {
@@ -295,7 +269,6 @@ TEST(EcoEquivalenceTest, RandomOperationStreamsMatchAFreshOptimize) {
     }
   }
   EXPECT_EQ(seen.kinds.size(), 5u) << "the streams missed a delta kind";
-  EXPECT_GT(seen.cancelled, 0);
   EXPECT_GT(seen.restored, 0);
 }
 

@@ -497,8 +497,8 @@ serve::ServeOptions journal_options(const std::string& path) {
 
 /// The records of a valid journal over checkpoint_base(): a short service
 /// run (genesis, a delta of every kind, a resolve's start and done records,
-/// an unresolved tail delta) followed by the start/aborted pair a cancelled
-/// resolve leaves behind.
+/// a tail delta) followed by the trailing start record a crash mid-resolve
+/// leaves behind.
 std::vector<serve::Record> journal_seed(const std::string& path) {
   std::filesystem::remove(path);
   core::Prepared script_base = checkpoint_base();
@@ -527,7 +527,6 @@ std::vector<serve::Record> journal_seed(const std::string& path) {
   deadline.f64(0.0);
   const std::uint64_t seq = records.back().seq;
   records.push_back({serve::RecordType::kResolveStart, seq, deadline.take()});
-  records.push_back({serve::RecordType::kResolveAborted, seq, ""});
   return records;
 }
 
@@ -631,11 +630,13 @@ TEST(InputFuzz, JournalReplayRejectsCleanly) {
   EXPECT_GT(rejected, 20);
 }
 
-// Every journal recovery mishandled before it checked its input:
+// Every journal recovery must refuse for its record type:
 // tests/parser/data/journal_*.wal, each CRC-valid over checkpoint_base()
 // and each one replay and recovery must refuse without touching the file.
 //   journal_unknown_record_type.wal: a frame of unknown type 6 between
 //   deltas read as a torn tail, and recovery truncated the deltas behind it.
+//   journal_resolve_aborted.wal: a resolve start followed by the retired
+//   type-5 frame (an aborted resolve), as older services wrote them.
 TEST(InputFuzz, JournalCorpusIsRejected) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "cpla_fuzz_journal_corpus.wal").string();
@@ -646,13 +647,22 @@ TEST(InputFuzz, JournalCorpusIsRejected) {
     ++files;
     std::filesystem::copy_file(entry.path(), path,
                                std::filesystem::copy_options::overwrite_existing);
-    EXPECT_EQ(replay_fresh(path).status().code(), StatusCode::kBadInput) << name;
-    EXPECT_EQ(recover_fresh(path).status().code(), StatusCode::kBadInput) << name;
+    // Refused for the frame's type, not for anything before it.
+    const std::string why = name == "journal_resolve_aborted.wal" ? "unknown type 5"
+                                                                  : "unknown type 6";
+    const Result<std::uint64_t> replayed = replay_fresh(path);
+    EXPECT_EQ(replayed.status().code(), StatusCode::kBadInput) << name;
+    EXPECT_NE(replayed.status().message().find(why), std::string::npos)
+        << name << ": " << replayed.status().message();
+    const Result<std::uint64_t> recovered = recover_fresh(path);
+    EXPECT_EQ(recovered.status().code(), StatusCode::kBadInput) << name;
+    EXPECT_NE(recovered.status().message().find(why), std::string::npos)
+        << name << ": " << recovered.status().message();
     EXPECT_EQ(std::filesystem::file_size(path), std::filesystem::file_size(entry.path()))
         << "recovery rewrote " << name;
   }
   std::filesystem::remove(path);
-  EXPECT_EQ(files, 1);
+  EXPECT_EQ(files, 2);
 }
 
 }  // namespace

@@ -109,12 +109,12 @@ class OptionUnset(unittest.TestCase):
             "struct FlowOptions {\n"
             "  sdp::SdpOptions sdp{.max_iterations = 60, .tol = 1e-5};\n"
             "  long counts[4] = {0, 0, 0, 0};\n"
-            "  const std::atomic<bool>* cancel = nullptr;\n"
+            "  const std::atomic<bool>* stop = nullptr;\n"
             "};\n"
         )
         m = cpla_lint.OPTIONS_STRUCT_RE.search(code)
         fields = cpla_lint.option_fields(code, m.end() - 1)
-        self.assertEqual([name for name, _ in fields], ["sdp", "counts", "cancel"])
+        self.assertEqual([name for name, _ in fields], ["sdp", "counts", "stop"])
 
 
 class OptionStructUnused(unittest.TestCase):

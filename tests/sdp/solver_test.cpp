@@ -286,7 +286,8 @@ TEST(SdpSolverCounters, StallsAreNotFailures) {
 // A lifted assignment relaxation in the shape the CPLA engine emits: a
 // moment-style dense block Y = [[1, x'],[x, X]] plus a diagonal slack
 // block, with x^2 = x linkage, one-layer-per-segment, and capacity rows.
-// Large enough (m > 8) to engage the parallel Schur path.
+// m = vars * (layers + 2) + 1 constraints; above 256 engages the parallel
+// Schur path.
 SdpProblem lifted_instance(int vars, int layers, cpla::Rng* rng) {
   const int dim = 1 + vars * layers;
   SdpProblem p({BlockSpec{BlockSpec::Kind::kDense, dim},
@@ -357,7 +358,7 @@ TEST(SdpDeterminism, RepeatedRunsBitIdentical) {
 // a serial one — at any thread count.
 TEST(SdpDeterminism, ParallelMatchesSerialBitwise) {
   cpla::Rng rng(43);
-  const SdpProblem p = lifted_instance(5, 3, &rng);
+  const SdpProblem p = lifted_instance(52, 3, &rng);  // m = 261
   SdpOptions par;
   par.parallel = true;
   SdpOptions ser;
@@ -368,7 +369,7 @@ TEST(SdpDeterminism, ParallelMatchesSerialBitwise) {
 #ifdef _OPENMP
 TEST(SdpDeterminism, ThreadCountDoesNotChangeBits) {
   cpla::Rng rng(44);
-  const SdpProblem p = lifted_instance(5, 4, &rng);
+  const SdpProblem p = lifted_instance(43, 4, &rng);  // m = 259
   SdpOptions opt;
   opt.parallel = true;
   const int saved = omp_get_max_threads();
@@ -521,7 +522,7 @@ SchurCase random_schur_case(std::uint64_t seed) {
                                     BlockSpec{BlockSpec::Kind::kDiag, 6},
                                     BlockSpec{BlockSpec::Kind::kDense, 5}};
   SchurCase c{SdpProblem(structure), BlockMatrix(structure), BlockMatrix(structure)};
-  const int m = 40;
+  const int m = 260;  // above 256 rows, so assemble(parallel = true) forks
   for (int i = 0; i < m; ++i) {
     const int ci = c.problem.add_constraint(rng.uniform(-1.0, 1.0));
     const auto entries = rng.uniform_int(1, 7);

@@ -1,11 +1,14 @@
 // Concurrency suite (tsan label): 64 sessions hammering one service with
 // mixed edits, resolves, syncs, and snapshot reads — no deadlock, no
-// torn state, and the journal still replays to the exact final bits. A
-// second case drives real AF_UNIX connections through the socket server.
+// torn state, and the journal still replays to the exact final bits. The
+// socket cases drive real AF_UNIX connections through the socket server:
+// parallel clients, the session limit, the request-line cap, and the
+// reaping of finished connections.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -15,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/serve/codec.hpp"
 #include "src/serve/socket_server.hpp"
 #include "tests/serve/serve_test_util.hpp"
@@ -108,6 +112,14 @@ int connect_unix(const std::string& path) {
   return fd;
 }
 
+/// Bounds every blocking read on `fd`, so a server that never answers
+/// fails the test instead of hanging it.
+void set_recv_timeout(int fd, int seconds) {
+  timeval tv{};
+  tv.tv_sec = seconds;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
 /// Sends one line and reads one reply line (blocking).
 std::string roundtrip(int fd, const std::string& line) {
   const std::string out = line + "\n";
@@ -187,6 +199,62 @@ TEST(ConcurrencyTest, SessionLimitRefusesTheExtraConnection) {
   EXPECT_EQ(refusal.rfind("err unavailable", 0), 0u) << refusal;  // ...admission refuses
   ::close(second);
   ::close(first);
+  server.stop();
+  service.stop();
+}
+
+TEST(ConcurrencyTest, OversizedRequestLineIsRefusedAndClosed) {
+  TempDir dir;
+  core::Prepared bench = eco::make_bench(704, 12, 40);
+  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), ServeOptions{});
+  ASSERT_TRUE(service.start().is_ok());
+  SocketServer server(&service, dir.path("eco.sock"));
+  ASSERT_TRUE(server.start().is_ok());
+
+  const int fd = connect_unix(dir.path("eco.sock"));
+  ASSERT_GE(fd, 0);
+  set_recv_timeout(fd, 30);
+  // One byte over the 64 KiB line cap and no newline: the server reads all
+  // of it, so it closes with nothing unread and the client sees a clean EOF.
+  const std::string unterminated(64 * 1024 + 1, 'x');
+  ASSERT_EQ(::send(fd, unterminated.data(), unterminated.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(unterminated.size()));
+  std::string reply;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply.push_back(c);
+  EXPECT_EQ(reply.rfind("err bad-input", 0), 0u) << reply;
+  EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "the connection stayed open";
+  ::close(fd);
+  server.stop();
+  service.stop();
+}
+
+TEST(ConcurrencyTest, FinishedConnectionsAreReaped) {
+  TempDir dir;
+  core::Prepared bench = eco::make_bench(705, 12, 40);
+  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), ServeOptions{});
+  ASSERT_TRUE(service.start().is_ok());
+  SocketServer server(&service, dir.path("eco.sock"));
+  ASSERT_TRUE(server.start().is_ok());
+
+  char c = 0;
+  for (int i = 0; i < 32; ++i) {
+    const int fd = connect_unix(dir.path("eco.sock"));
+    ASSERT_GE(fd, 0);
+    set_recv_timeout(fd, 30);
+    ASSERT_EQ(roundtrip(fd, "quit"), "ok bye");
+    ASSERT_EQ(::recv(fd, &c, 1, 0), 0);  // the server closed its end
+    ::close(fd);
+  }
+  const int open = connect_unix(dir.path("eco.sock"));
+  ASSERT_GE(open, 0);
+  set_recv_timeout(open, 30);
+  ASSERT_EQ(roundtrip(open, "sync"), "ok");  // accepted and served
+  // The acceptor joined the finished connections when it took this one.
+  const double live = obs::metrics().gauge("serve.socket.connections.open").value();
+  EXPECT_GE(live, 1.0);
+  EXPECT_LE(live, 2.0);
+  ::close(open);
   server.stop();
   service.stop();
 }

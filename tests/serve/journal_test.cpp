@@ -126,7 +126,7 @@ TEST(JournalTest, AppendScanRoundTrip) {
   g.u64(0x1122334455667788ull);
   ASSERT_TRUE(j.append(RecordType::kGenesis, 0, g.data()).is_ok());
   ASSERT_TRUE(j.append(RecordType::kDelta, 7, "payload").is_ok());
-  ASSERT_TRUE(j.append(RecordType::kResolveAborted, 7, "").is_ok());
+  ASSERT_TRUE(j.append(RecordType::kResolveStart, 7, "").is_ok());
   ASSERT_TRUE(j.sync().is_ok());
   j.close();
 

@@ -3,7 +3,7 @@
 // abort), a trailing kResolveStart completed on replay, restart
 // bit-identity, replay determinism across both partitioning shapes
 // (quadtree refinement vs pure K x K) and across OpenMP thread counts, and
-// the genesis record's pinned commit batch.
+// the genesis record's exact format.
 //
 // Every "restart" builds a FRESH base triple from the same generator seed
 // — exactly what a real process restart does — and recovery must land the
@@ -66,8 +66,7 @@ TEST(RecoveryTest, FreshJournalStartsWithAGenesisRecord) {
   EXPECT_EQ(scan.value().records[0].type, RecordType::kGenesis);
   ByteReader r(scan.value().records[0].payload);
   EXPECT_EQ(r.u64(), live_hash);
-  EXPECT_GE(r.i32(), 1);  // the pinned commit batch
-  EXPECT_TRUE(r.ok() && r.at_end());
+  EXPECT_TRUE(r.ok() && r.at_end());  // the base hash and nothing else
 }
 
 TEST(RecoveryTest, RestartFromTheJournalIsBitIdentical) {
@@ -302,12 +301,12 @@ TEST(RecoveryTest, ReplayIsDeterministicUnderBothPartitioningShapes) {
 #ifdef _OPENMP
 
 TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
-  // The auto commit batch follows the OpenMP thread count of the thread
-  // running the flow. The journal is written by a service started at 2
-  // threads (its worker resolves at that count), then recovered and
-  // replayed from a thread running at 1: both must land on the live bits.
-  // A denser base than fresh_base(): on it the commit batch changes the
-  // resolved assignment, so a replay at the wrong batch cannot pass.
+  // Resolves depend only on their inputs, never on the OpenMP thread
+  // count. The journal is written by a service started at 2 threads, then
+  // recovered and replayed from a thread running at 1: both must land on
+  // the live bits. A denser base than fresh_base(): on it the commit batch
+  // changes the resolved assignment, so a thread-count-dependent batch
+  // cannot pass.
   auto dense_base = [] { return eco::make_bench(kSeed, 12, 150); };
   const obs::Counter& mismatches = obs::metrics().counter("serve.replay.hash_mismatches");
   const std::int64_t mismatches_before = mismatches.value();
@@ -349,7 +348,7 @@ TEST(RecoveryTest, ReplayMatchesTheLiveRunAtAnyThreadCount) {
 }
 #endif
 
-TEST(RecoveryTest, GenesisWithoutACommitBatchIsRefused) {
+TEST(RecoveryTest, GenesisWithACommitBatchIsRefused) {
   TempDir dir;
   {
     core::Prepared bench = fresh_base();
@@ -358,13 +357,17 @@ TEST(RecoveryTest, GenesisWithoutACommitBatchIsRefused) {
     ASSERT_TRUE(service.start().is_ok());
     service.stop();
   }
-  // Rewrite the journal with a genesis that carries only the base hash.
+  // Rewrite the journal with the older 12-byte genesis: the base hash
+  // followed by an i32 commit batch. It is refused, never misread.
   {
     Result<Journal::ScanResult> scan = Journal::scan(dir.path("journal.wal"));
     ASSERT_TRUE(scan.is_ok());
     const Record& genesis = scan.value().records[0];
-    const std::string frame = encode_frame(RecordType::kGenesis, genesis.seq,
-                                           std::string_view(genesis.payload).substr(0, 8));
+    ASSERT_EQ(genesis.payload.size(), 8u);
+    ByteWriter w;
+    w.u64(ByteReader(genesis.payload).u64());
+    w.i32(1);
+    const std::string frame = encode_frame(RecordType::kGenesis, genesis.seq, w.data());
     std::ofstream out(dir.path("journal.wal"), std::ios::binary | std::ios::trunc);
     out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   }
@@ -375,6 +378,7 @@ TEST(RecoveryTest, GenesisWithoutACommitBatchIsRefused) {
   const Status st = service.start();
   ASSERT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), StatusCode::kBadInput);
+  EXPECT_NE(st.message().find("genesis"), std::string::npos) << st.message();
   EXPECT_FALSE(service.running());
 
   core::Prepared base = fresh_base();
@@ -383,43 +387,6 @@ TEST(RecoveryTest, GenesisWithoutACommitBatchIsRefused) {
                      base.rc.get(), durable_options(dir).eco);
   ASSERT_FALSE(replayed.is_ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kBadInput);
-}
-
-TEST(RecoveryTest, CommitBatchConflictingWithTheJournalIsRefused) {
-  TempDir dir;
-  ServeOptions opt = durable_options(dir);
-  opt.eco.flow.commit_batch = 2;
-  {
-    core::Prepared bench = fresh_base();
-    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
-    ASSERT_TRUE(service.start().is_ok());
-    service.stop();
-  }
-
-  // A different explicit batch is refused by both recovery paths.
-  opt.eco.flow.commit_batch = 3;
-  {
-    core::Prepared bench = fresh_base();
-    EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
-    const Status st = service.start();
-    ASSERT_FALSE(st.is_ok());
-    EXPECT_EQ(st.code(), StatusCode::kBadInput);
-    EXPECT_FALSE(service.running());
-  }
-  {
-    core::Prepared bench = fresh_base();
-    Result<std::uint64_t> replayed = replay_journal(
-        dir.path("journal.wal"), bench.design.get(), bench.state.get(), bench.rc.get(), opt.eco);
-    ASSERT_FALSE(replayed.is_ok());
-    EXPECT_EQ(replayed.status().code(), StatusCode::kBadInput);
-  }
-
-  // Auto (0) adopts the recorded batch.
-  opt.eco.flow.commit_batch = 0;
-  core::Prepared bench = fresh_base();
-  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
-  ASSERT_TRUE(service.start().is_ok());
-  service.stop();
 }
 
 }  // namespace
