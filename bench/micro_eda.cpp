@@ -74,12 +74,9 @@ BENCHMARK(BM_ElmoreWholeDesign)->Unit(benchmark::kMillisecond);
 void BM_PartitionSdpSolve(benchmark::State& state) {
   core::Prepared prep = core::prepare(gen::generate(small_spec()));
   const core::CriticalSet cs = core::select_critical(*prep.state, *prep.rc, 0.01);
-  std::unordered_map<int, timing::NetTiming> timings;
+  const core::RoundTiming timings = core::freeze_timing(*prep.state, *prep.rc, cs.nets, {});
   std::vector<core::SegRef> refs;
   for (int net : cs.nets) {
-    timings.emplace(net,
-                    timing::compute_timing(prep.state->tree(net), prep.state->layers(net),
-                                           *prep.rc));
     for (const auto& seg : prep.state->tree(net).segs) {
       refs.push_back(core::SegRef{net, seg.id,
                                   {(seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2}});

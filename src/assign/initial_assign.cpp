@@ -27,38 +27,38 @@ constexpr double kTierLength = 25.0;
 constexpr double kTopReserve = 0.30;
 constexpr double kMidReserve = 0.15;
 
-/// DP costs for one net under the current usage state (the net itself must
-/// not be in the usage maps while its costs are evaluated).
-NetDpCosts make_costs(const AssignState& state, int net) {
-  NetDpCosts costs;
-  const auto& g = state.design().grid;
+/// The DP costs of one net under the current usage state (the net itself
+/// must not be in the usage maps while its costs are evaluated).
+class NetCosts {
+ public:
+  NetCosts(const AssignState& state, int net) : state_(state), net_(net) {
+    // Length-tier layer preference is driven by the net's total
+    // wirelength: long (timing-relevant) nets ride the high,
+    // low-resistance pairs, short local nets stay low — mirroring
+    // production layer-assignment tiers.
+    long net_len = 0;
+    for (const auto& seg : state.tree(net).segs) net_len += seg.length();
+    num_layers_ = state.design().grid.num_layers();
+    const int num_pairs = (num_layers_ + 1) / 2;
+    preferred_ = std::min(num_pairs - 1, static_cast<int>(net_len / kTierLength));
+  }
 
-  // Length-tier layer preference is driven by the net's total wirelength:
-  // long (timing-relevant) nets ride the high, low-resistance pairs, short
-  // local nets stay low — mirroring production layer-assignment tiers.
-  long net_len = 0;
-  for (const auto& seg : state.tree(net).segs) net_len += seg.length();
-  const int num_pairs = (g.num_layers() + 1) / 2;
-  const int preferred =
-      std::min(num_pairs - 1, static_cast<int>(net_len / kTierLength));
-
-  const int num_layers = g.num_layers();
-  costs.seg_cost = [&state, net, preferred, num_layers](int s, int l) {
+  double seg(int s, int l) const {
     double cost = 0.0;
-    const int len = state.tree(net).segs[s].length();
-    cost += kTierBias * len * std::abs(preferred - l / 2);
+    const int len = state_.tree(net_).segs[s].length();
+    cost += kTierBias * len * std::abs(preferred_ - l / 2);
     // Reserve headroom on the upper pairs for the incremental timing pass.
     const int pair = l / 2;
-    const int top_pair = (num_layers - 1) / 2;
+    const int top_pair = (num_layers_ - 1) / 2;
     double reserve = 0.0;
     if (pair == top_pair) {
       reserve = kTopReserve;
     } else if (pair == top_pair - 1) {
       reserve = kMidReserve;
     }
-    state.for_each_edge(net, s, [&](int e) {
-      const int usage = state.wire_usage(l, e);
-      const int cap = state.wire_cap(l, e);
+    state_.for_each_edge(net_, s, [&](int e) {
+      const int usage = state_.wire_usage(l, e);
+      const int cap = state_.wire_cap(l, e);
       const int eff_cap = std::max(1, static_cast<int>(cap * (1.0 - reserve)));
       // Real capacity is hard (heavy penalty); the reserve band is soft —
       // it bends when the lower layers are exhausted.
@@ -72,34 +72,35 @@ NetDpCosts make_costs(const AssignState& state, int net) {
       }
     });
     // Sink vias attached to this segment (depend only on this layer).
-    const auto& tree = state.tree(net);
-    for (const route::SinkAttach& sink : tree.sinks) {
+    for (const route::SinkAttach& sink : state_.tree(net_).sinks) {
       if (sink.seg_id == s) cost += kViaWeight * std::abs(l - sink.pin_layer);
     }
     return cost;
-  };
+  }
 
-  costs.root_via_cost = [&state, net](int s, int l) {
-    const auto& tree = state.tree(net);
-    (void)s;
-    return kViaWeight * std::abs(l - tree.root_pin_layer);
-  };
+  double root_via(int l) const {
+    return kViaWeight * std::abs(l - state_.tree(net_).root_pin_layer);
+  }
 
-  costs.via_cost = [&state, &g, net](int c, int lp, int lc) {
+  double via(int c, int lp, int lc) const {
     double cost = kViaWeight * std::abs(lp - lc);
     // Via-site congestion on intermediate layers at the junction.
-    const route::Segment& seg = state.tree(net).segs[c];
-    const int cell = g.cell_id(seg.a.x, seg.a.y);
+    const route::Segment& seg = state_.tree(net_).segs[c];
+    const int cell = state_.design().grid.cell_id(seg.a.x, seg.a.y);
     for (int l = std::min(lp, lc) + 1; l < std::max(lp, lc); ++l) {
-      if (state.via_load(l, cell) + 1 > state.via_cap(l, cell)) {
+      if (state_.via_load(l, cell) + 1 > state_.via_cap(l, cell)) {
         cost += kViaOverflowPenalty;
       }
     }
     return cost;
-  };
+  }
 
-  return costs;
-}
+ private:
+  const AssignState& state_;
+  int net_;
+  int num_layers_ = 0;
+  int preferred_ = 0;
+};
 
 }  // namespace
 
@@ -113,15 +114,21 @@ void initial_assign(AssignState* state) {
   }
   std::sort(order.begin(), order.end(), [&](int a, int b) { return wl[a] > wl[b]; });
 
+  NetDp dp;
   for (int net : order) {
     const route::SegTree& tree = state->tree(net);
     if (tree.segs.empty()) continue;
     state->clear_net(net);
-    const NetDpCosts costs = make_costs(*state, net);
-    auto allowed = [state, &tree](int s) -> const std::vector<int>& {
-      return state->allowed_layers(tree.segs[s].horizontal);
-    };
-    state->set_layers(net, solve_net_dp(tree, allowed, costs));
+    const NetCosts costs(*state, net);
+    state->set_layers(
+        net, dp.solve(
+                 tree,
+                 [state, &tree](int s) -> const std::vector<int>& {
+                   return state->allowed_layers(tree.segs[s].horizontal);
+                 },
+                 [&costs](int s, int l) { return costs.seg(s, l); },
+                 [&costs](int, int l) { return costs.root_via(l); },
+                 [&costs](int c, int lp, int lc) { return costs.via(c, lp, lc); }));
   }
 
   LOG_INFO("initial assign: wire_ov=%ld via_ov=%ld vias=%ld", state->wire_overflow(),

@@ -36,49 +36,84 @@ AssignState::AssignState(const grid::Design* design, std::vector<route::SegTree>
                   "need at least one layer per direction");
 }
 
-void AssignState::apply_net(int net, int delta) {
+void AssignState::sync_wire_total() {
   const auto& g = design_->grid;
   if (wire_stamp_ != g.capacity_stamp()) {
     wire_overflow_ = scan_wire_overflow();
     wire_stamp_ = g.capacity_stamp();
   }
+}
+
+void AssignState::apply_segment(int net, int seg, int l, int delta) {
+  const auto& g = design_->grid;
+  CPLA_ASSERT_MSG(g.is_horizontal(l) == trees_[net].segs[seg].horizontal,
+                  "layer direction mismatch");
   auto excess = [](int load, int cap) { return static_cast<long>(std::max(0, load - cap)); };
-  const auto& layer_of = layers_[net];
-  const route::SegTree& tree = trees_[net];
-  for (const route::Segment& s : tree.segs) {
-    const int l = layer_of[s.id];
-    CPLA_ASSERT_MSG(g.is_horizontal(l) == s.horizontal, "layer direction mismatch");
-    for_each_edge(net, s.id, [&](int e) {
-      int& usage = wire_usage_[l][e];
-      const int cap = g.edge_capacity(l, e);
-      wire_overflow_ -= excess(usage, cap);
-      usage += delta;
-      wire_overflow_ += excess(usage, cap);
-    });
-    for_each_cell(net, s.id, [&](int cell) {
-      const int load = via_load(l, cell);
-      track_usage_[l][cell] += delta;
-      via_overflow_ += excess(load + nv_ * delta, via_cap_[l][cell]) -
-                       excess(load, via_cap_[l][cell]);
-    });
-  }
-  for_each_via(net, layer_of, [&](int x, int y, int lo, int hi) {
-    via_count_ += static_cast<long>(delta) * (hi - lo);
-    const int cell = g.cell_id(x, y);
-    for (int l = lo + 1; l < hi; ++l) {
-      const int load = via_load(l, cell);
-      via_usage_[l][cell] += delta;
-      via_overflow_ +=
-          excess(load + delta, via_cap_[l][cell]) - excess(load, via_cap_[l][cell]);
-    }
+  for_each_edge(net, seg, [&](int e) {
+    int& usage = wire_usage_[l][e];
+    const int cap = g.edge_capacity(l, e);
+    wire_overflow_ -= excess(usage, cap);
+    usage += delta;
+    wire_overflow_ += excess(usage, cap);
+  });
+  for_each_cell(net, seg, [&](int cell) {
+    const int load = via_load(l, cell);
+    track_usage_[l][cell] += delta;
+    via_overflow_ +=
+        excess(load + nv_ * delta, via_cap_[l][cell]) - excess(load, via_cap_[l][cell]);
   });
 }
 
+void AssignState::apply_stack(const Stack& stack, int delta) {
+  auto excess = [](int load, int cap) { return static_cast<long>(std::max(0, load - cap)); };
+  via_count_ += static_cast<long>(delta) * (stack.hi - stack.lo);
+  const int cell = design_->grid.cell_id(stack.x, stack.y);
+  for (int l = stack.lo + 1; l < stack.hi; ++l) {
+    const int load = via_load(l, cell);
+    via_usage_[l][cell] += delta;
+    via_overflow_ += excess(load + delta, via_cap_[l][cell]) - excess(load, via_cap_[l][cell]);
+  }
+}
+
+void AssignState::apply_net(int net, int delta) {
+  sync_wire_total();
+  const auto& layer_of = layers_[net];
+  for (const route::Segment& s : trees_[net].segs) apply_segment(net, s.id, layer_of[s.id], delta);
+  for_each_via(net, layer_of,
+               [&](int x, int y, int lo, int hi) { apply_stack({x, y, lo, hi}, delta); });
+}
+
 void AssignState::set_layers(int net, std::vector<int> layers) {
-  clear_net(net);
   CPLA_ASSERT(layers.size() == trees_[net].segs.size());
-  layers_[net] = std::move(layers);
-  apply_net(net, +1);
+  std::vector<int>& old = layers_[net];
+  if (old.empty()) {
+    old = std::move(layers);
+    apply_net(net, +1);
+    return;
+  }
+  // Reassignment touches only what moved: the wires and tracks of changed
+  // segments, and the via stacks at their ends. Usage is additive per
+  // slot and every total telescopes, so this lands on exactly the state
+  // (totals included) that clearing and reapplying the whole net would.
+  sync_wire_total();
+  const route::SegTree& tree = trees_[net];
+  auto moved = [&](int s) { return s >= 0 && old[s] != layers[s]; };
+  for (const route::Segment& s : tree.segs) {
+    if (!moved(s.id) && !moved(s.parent)) continue;
+    apply_stack(segment_stack(tree, s, old), -1);
+    apply_stack(segment_stack(tree, s, layers), +1);
+  }
+  for (const route::SinkAttach& sink : tree.sinks) {
+    if (!moved(sink.seg_id)) continue;
+    apply_stack(sink_stack(tree, sink, old), -1);
+    apply_stack(sink_stack(tree, sink, layers), +1);
+  }
+  for (const route::Segment& s : tree.segs) {
+    if (!moved(s.id)) continue;
+    apply_segment(net, s.id, old[s.id], -1);
+    apply_segment(net, s.id, layers[s.id], +1);
+  }
+  old = std::move(layers);
 }
 
 void AssignState::clear_net(int net) {

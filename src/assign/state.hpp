@@ -7,8 +7,8 @@
 //   * track usage per (layer, cell): wires crossing the cell, which consume
 //     nv via sites each (the nv*(x_ij+x_pq) term of (4d))
 // and the paper's reported metrics (wire overflow, via overflow OV#, via
-// count). The overflow totals are running sums kept exact by apply_net, so
-// reading them is O(1).
+// count). The overflow totals are running sums kept exact by every usage
+// update (apply_segment, apply_stack), so reading them is O(1).
 
 #include <algorithm>
 #include <cstdint>
@@ -32,7 +32,9 @@ class AssignState {
   const std::vector<int>& layers(int net) const { return layers_[net]; }
 
   /// Replaces a net's assignment (empty = unassigned); usage is updated
-  /// incrementally. Layer directions must match segment directions.
+  /// incrementally: for an assigned net, only the segments whose layer
+  /// changes and the via stacks at their ends. Layer directions must match
+  /// segment directions.
   void set_layers(int net, std::vector<int> layers);
 
   /// Removes a net from the usage maps (leaves it unassigned).
@@ -134,26 +136,46 @@ class AssignState {
     const route::SegTree& tree = trees_[net];
     CPLA_ASSERT(layers.size() == tree.segs.size());
     for (const route::Segment& s : tree.segs) {
-      // Source via (root segment): pin layer up to the segment's layer.
-      const int from = s.parent < 0 ? tree.root_pin_layer : layers[s.parent];
-      const int lo = std::min(from, layers[s.id]);
-      const int hi = std::max(from, layers[s.id]);
-      if (lo != hi) fn(s.a.x, s.a.y, lo, hi);
+      const Stack st = segment_stack(tree, s, layers);
+      if (st.lo != st.hi) fn(st.x, st.y, st.lo, st.hi);
     }
     for (const route::SinkAttach& sink : tree.sinks) {
       if (sink.seg_id < 0) continue;  // same cell as the driver: no wire via
-      const route::Segment& s = tree.segs[sink.seg_id];
-      const int lo = std::min(sink.pin_layer, layers[sink.seg_id]);
-      const int hi = std::max(sink.pin_layer, layers[sink.seg_id]);
-      if (lo != hi) fn(s.b.x, s.b.y, lo, hi);
+      const Stack st = sink_stack(tree, sink, layers);
+      if (st.lo != st.hi) fn(st.x, st.y, st.lo, st.hi);
     }
   }
 
  private:
+  /// A via stack from layer `lo` to `hi` at cell (x, y).
+  struct Stack {
+    int x, y, lo, hi;
+  };
+  /// The stack at segment s's near end: from its parent's layer (the
+  /// source pin's for a root segment) to its own.
+  static Stack segment_stack(const route::SegTree& tree, const route::Segment& s,
+                             const std::vector<int>& layers) {
+    const int from = s.parent < 0 ? tree.root_pin_layer : layers[s.parent];
+    return {s.a.x, s.a.y, std::min(from, layers[s.id]), std::max(from, layers[s.id])};
+  }
+  /// The stack from a sink's pin to its segment's layer, at the far end.
+  static Stack sink_stack(const route::SegTree& tree, const route::SinkAttach& sink,
+                          const std::vector<int>& layers) {
+    const route::Segment& s = tree.segs[sink.seg_id];
+    const int l = layers[sink.seg_id];
+    return {s.b.x, s.b.y, std::min(sink.pin_layer, l), std::max(sink.pin_layer, l)};
+  }
+
   /// Adds `delta` (+1/-1) of net's wires, tracks and vias to the usage maps
   /// and moves the overflow totals by each touched slot's change in
-  /// max(0, usage - cap). The only place usage changes.
+  /// max(0, usage - cap).
   void apply_net(int net, int delta);
+  /// apply_net's pieces, the only places usage changes: one segment's
+  /// wires and tracks on layer `l`, and one via stack.
+  void apply_segment(int net, int seg, int l, int delta);
+  void apply_stack(const Stack& stack, int delta);
+  /// Recounts the running wire total after a capacity write.
+  void sync_wire_total();
 
   /// The wire total recounted over every (layer, edge) at the grid's
   /// current capacities.

@@ -68,16 +68,17 @@ CriticalSet select_critical(const assign::AssignState& state, const sta::TimingG
     if (state.tree(net).segs.empty() || !graph.has_net(net)) continue;
     ranked.push_back({graph.net_slack(net), net});
   }
-  std::sort(ranked.begin(), ranked.end());
+  // Net ids make every pair distinct, so the first `want` of a partial
+  // sort are the first `want` of the full order. Runs every live-STA round.
+  const int want = static_cast<int>(std::ceil(ratio * n));
+  const auto last = ranked.begin() + std::min<std::ptrdiff_t>(want, std::ssize(ranked));
+  std::partial_sort(ranked.begin(), last, ranked.end());
 
   CriticalSet out;
   out.released.assign(static_cast<std::size_t>(n), 0);
-  const int want = static_cast<int>(std::ceil(ratio * n));
-  for (const auto& [slack, net] : ranked) {
-    (void)slack;
-    if (static_cast<int>(out.nets.size()) >= want) break;
-    out.nets.push_back(net);
-    out.released[net] = 1;
+  for (auto it = ranked.begin(); it != last; ++it) {
+    out.nets.push_back(it->second);
+    out.released[it->second] = 1;
   }
   return out;
 }

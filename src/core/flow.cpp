@@ -89,21 +89,27 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
   CriticalSet rediscovered;
   const CriticalSet* active = &critical;
 
-  // One full partition-solve-commit sweep under the given model options;
-  // returns false if there was nothing to do.
-  auto run_round = [&](const ModelOptions& model_options) {
+  // Timing snapshot of every released net: downstream caps, critical
+  // paths and focus factors are frozen for the round's displacement and
+  // solves.
+  auto freeze = [&](const ModelOptions& model_options) {
+    obs::ScopedPhase phase("core.flow.timing_snapshot");
+    return freeze_timing(*state, rc, active->nets, model_options);
+  };
+
+  // One full partition-solve-commit sweep under the given model options
+  // and the round's frozen timing; returns false if there was nothing to
+  // do.
+  auto run_round = [&](const ModelOptions& model_options, const RoundTiming& timings) {
     obs::ScopedPhase round_phase("core.flow.round");
     obs::metrics().counter("core.flow.rounds").add();
 
-    // Timing snapshot of every released net (downstream caps and critical
-    // paths are frozen for this round's solves).
-    std::unordered_map<int, timing::NetTiming> timings;
-    {
-      obs::ScopedPhase phase("core.flow.timing_snapshot");
-      for (int net : active->nets) {
-        timings.emplace(net, timing::compute_timing(state->tree(net), state->layers(net), rc));
-      }
-    }
+    // Worst-sink delay of every released net at its current layers, for
+    // the commit guard: the frozen timing to start (nothing but commits
+    // moves a released net within a round), then each kept commit's
+    // "after" value.
+    std::vector<double> delay_now(static_cast<std::size_t>(state->num_nets()), 0.0);
+    for (int net : active->nets) delay_now[net] = timings.at(net).timing.max_sink_delay;
 
     // All released segments with midpoints.
     std::vector<SegRef> refs;
@@ -154,6 +160,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       for (const GuardStats& s : local_stats) result.guard_stats.merge(s);
 
       obs::ScopedPhase commit_phase("core.flow.commit");
+      std::vector<double> after_delay;  // per touched net, in `undo` order
 
       // Commit each partition as a transaction: apply its picks, re-check
       // capacity and the affected nets' timing against the pre-commit
@@ -183,7 +190,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
         for (const auto& [net, layers] : updates) {
           (void)layers;
           undo.emplace(net, state->layers(net));
-          const double d = net_delay(net);
+          const double d = delay_now[net];
           before_sum += d;
           before_max = std::max(before_max, d);
         }
@@ -192,9 +199,11 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
         for (auto& [net, layers] : updates) state->set_layers(net, std::move(layers));
 
         double after_sum = 0.0, after_max = 0.0;
+        after_delay.clear();
         for (const auto& [net, layers] : undo) {
           (void)layers;
           const double d = net_delay(net);
+          after_delay.push_back(d);
           after_sum += d;
           after_max = std::max(after_max, d);
         }
@@ -210,6 +219,12 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
           for (auto& [net, layers] : undo) state->set_layers(net, std::move(layers));
           ++result.guard_stats.commit_rollbacks;
           obs::metrics().counter("core.guard.commit_rollbacks").add();
+        } else {
+          std::size_t k = 0;
+          for (const auto& [net, layers] : undo) {
+            (void)layers;
+            delay_now[net] = after_delay[k++];
+          }
         }
       }
     }
@@ -231,9 +246,10 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
       obs::metrics().counter("core.flow.sta_reselects").add();
     }
 
+    const RoundTiming timings = freeze(options.model);
     if (options.displace_victims) {
       obs::ScopedPhase phase("core.flow.displace");
-      make_headroom(state, rc, *active);
+      make_headroom(state, *active, timings);
     }
 
     // Snapshot the released nets so a regressing round can be rolled back
@@ -241,7 +257,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     std::map<int, std::vector<int>> snapshot;
     for (int net : active->nets) snapshot.emplace(net, state->layers(net));
 
-    if (!run_round(options.model)) break;
+    if (!run_round(options.model, timings)) break;
 
     // Convergence check on Avg(Tcp); roll back a regressing round. The
     // best (Avg, Max)-scored state is tracked independently.
@@ -272,7 +288,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     ModelOptions refine = options.model;
     refine.max_focus_gamma = kRefineGamma;
     for (int round = 0; round < options.max_refine_rounds; ++round) {
-      if (!run_round(refine)) break;
+      if (!run_round(refine, freeze(refine))) break;
       const auto [avg, worst] = critical_timing(*state, rc, critical);
       const double score = score_of(avg, worst, avg0, max0);
       LOG_DEBUG("cpla: refine %d avg(Tcp)=%.1f max(Tcp)=%.1f", round + 1, avg, worst);

@@ -46,10 +46,29 @@ double PartitionProblem::evaluate(const std::vector<int>& pick) const {
   return total;
 }
 
-PartitionProblem build_partition_problem(
-    const assign::AssignState& state, const timing::RcTable& rc,
-    const std::unordered_map<int, timing::NetTiming>& timings, const PartitionRegion& region,
-    const ModelOptions& options) {
+RoundTiming freeze_timing(const assign::AssignState& state, const timing::RcTable& rc,
+                          const std::vector<int>& nets, const ModelOptions& options) {
+  RoundTiming out;
+  for (int net : nets) {
+    out.emplace(net, FrozenNet{timing::compute_timing(state.tree(net), state.layers(net), rc)});
+  }
+  // Global criticality: the worst frozen net anchors the weighting
+  // (Problem 1 minimizes the maximum path timing).
+  double global_max = 0.0;
+  for (int net : nets) global_max = std::max(global_max, out.at(net).timing.max_sink_delay);
+  if (options.max_focus_gamma > 0.0 && global_max > 0.0) {
+    for (int net : nets) {
+      FrozenNet& frozen = out.at(net);
+      frozen.focus = std::pow(frozen.timing.max_sink_delay / global_max, options.max_focus_gamma);
+    }
+  }
+  return out;
+}
+
+PartitionProblem build_partition_problem(const assign::AssignState& state,
+                                         const timing::RcTable& rc, const RoundTiming& timing,
+                                         const PartitionRegion& region,
+                                         const ModelOptions& options) {
   PartitionProblem p;
   p.rc = &rc;
   p.options = options;
@@ -59,28 +78,16 @@ PartitionProblem build_partition_problem(
   p.region_y1 = region.y1;
   const auto& g = state.design().grid;
 
-  // Global criticality: the worst released net anchors the weighting
-  // (Problem 1 minimizes the maximum path timing).
-  double global_max = 0.0;
-  // cpla-lint: allow(unordered-iteration) -- max over doubles is order-independent
-  for (const auto& [net, t] : timings) {
-    (void)net;
-    global_max = std::max(global_max, t.max_sink_delay);
-  }
-  auto net_factor = [&](const timing::NetTiming& t) {
-    if (options.max_focus_gamma <= 0.0 || global_max <= 0.0) return 1.0;
-    return std::pow(t.max_sink_delay / global_max, options.max_focus_gamma);
-  };
-
   // Pass 1: create variables and the (net, seg) -> var index map, a
   // sorted vector of (key, var) pairs: a partition holds a handful of
   // segments, and the build runs once per partition per round.
   std::vector<std::pair<long long, int>> var_index;
   var_index.reserve(region.segments.size());
+  p.vars.reserve(region.segments.size());
   auto key = [](int net, int seg) { return (static_cast<long long>(net) << 24) | seg; };
   for (const SegRef& ref : region.segments) {
     const route::SegTree& tree = state.tree(ref.net);
-    const timing::NetTiming& t = timings.at(ref.net);
+    const FrozenNet& frozen = timing.at(ref.net);
     VarGroup var;
     var.net = ref.net;
     var.seg = ref.seg;
@@ -90,7 +97,7 @@ PartitionProblem build_partition_problem(
     // the critical path is not traded off (branch_weight is the floor);
     // the whole net is further scaled by its global criticality.
     var.weight =
-        std::max(options.branch_weight, t.criticality[ref.seg] * net_factor(t));
+        std::max(options.branch_weight, frozen.timing.criticality[ref.seg] * frozen.focus);
 
     // Allowed layers: every direction-matching layer. Feasibility is the
     // job of the capacity rows (4c) and the post-mapping step; pruning
@@ -110,15 +117,41 @@ PartitionProblem build_partition_problem(
     return it != var_index.begin() && (it - 1)->first == key(net, seg) ? (it - 1)->second : -1;
   };
 
-  // Pass 2: linear costs and quadratic pairs.
+  // Pass 2: linear costs and quadratic pairs. What a var's per-layer costs
+  // share — its sink pins, its fixed neighbours and their weights — is
+  // gathered once per var.
+  struct FixedChild {
+    int layer;
+    int cell;
+    double weight;
+    double load;
+  };
+  std::vector<int> sink_pins;             // pin layers of the sinks on the var's segment
+  std::vector<FixedChild> fixed_children;  // children outside the partition
   for (std::size_t vi = 0; vi < p.vars.size(); ++vi) {
     VarGroup& var = p.vars[vi];
     const route::SegTree& tree = state.tree(var.net);
-    const timing::NetTiming& t = timings.at(var.net);
+    const FrozenNet& frozen = timing.at(var.net);
+    const timing::NetTiming& t = frozen.timing;
     const route::Segment& seg = tree.segs[var.seg];
     const double len = static_cast<double>(seg.length());
     const double cd = t.downstream_cap[var.seg];
     const std::vector<int>& fixed_layers = state.layers(var.net);
+    const int parent_var = seg.parent >= 0 ? var_of(var.net, seg.parent) : -1;
+
+    sink_pins.clear();
+    for (const route::SinkAttach& sink : tree.sinks) {
+      if (sink.seg_id == var.seg) sink_pins.push_back(sink.pin_layer);
+    }
+    fixed_children.clear();
+    for (int c : seg.children) {
+      if (var_of(var.net, c) >= 0) continue;
+      const route::Segment& cseg = tree.segs[c];
+      fixed_children.push_back(
+          FixedChild{fixed_layers[c], g.cell_id(cseg.a.x, cseg.a.y),
+                     std::max(options.branch_weight, t.criticality[c] * frozen.focus),
+                     std::min(cd, t.downstream_cap[c])});
+    }
 
     var.cost.resize(var.layers.size());
     for (std::size_t k = 0; k < var.layers.size(); ++k) {
@@ -127,10 +160,9 @@ PartitionProblem build_partition_problem(
       double cost = var.weight * rc.res(l) * len * (rc.cap(l) * len / 2.0 + cd);
 
       // Sink pin vias on this segment.
-      for (const route::SinkAttach& sink : tree.sinks) {
-        if (sink.seg_id != var.seg) continue;
-        cost += var.weight * rc.via_stack_res(l, sink.pin_layer) * rc.sink_cap();
-        cost += stack_penalty(state, g.cell_id(seg.b.x, seg.b.y), l, sink.pin_layer);
+      for (int pin_layer : sink_pins) {
+        cost += var.weight * rc.via_stack_res(l, pin_layer) * rc.sink_cap();
+        cost += stack_penalty(state, g.cell_id(seg.b.x, seg.b.y), l, pin_layer);
       }
 
       if (seg.parent < 0) {
@@ -138,7 +170,7 @@ PartitionProblem build_partition_problem(
         const double subtree = rc.cap(l) * len + cd;
         cost += var.weight * rc.via_stack_res(tree.root_pin_layer, l) * subtree;
         cost += stack_penalty(state, g.cell_id(seg.a.x, seg.a.y), l, tree.root_pin_layer);
-      } else if (var_of(var.net, seg.parent) < 0) {
+      } else if (parent_var < 0) {
         // Parent is outside the partition: a fixed-layer via (Eqn 3).
         const int lp = fixed_layers[seg.parent];
         const double load = std::min(cd, t.downstream_cap[seg.parent]);
@@ -146,35 +178,27 @@ PartitionProblem build_partition_problem(
         cost += stack_penalty(state, g.cell_id(seg.a.x, seg.a.y), l, lp);
       }
       // Fixed children.
-      for (int c : seg.children) {
-        if (var_of(var.net, c) >= 0) continue;
-        const int lc = fixed_layers[c];
-        const double w = std::max(options.branch_weight, t.criticality[c] * net_factor(t));
-        const double load = std::min(cd, t.downstream_cap[c]);
-        const route::Segment& cseg = tree.segs[c];
-        cost += w * rc.via_stack_res(l, lc) * load;
-        cost += stack_penalty(state, g.cell_id(cseg.a.x, cseg.a.y), l, lc);
+      for (const FixedChild& child : fixed_children) {
+        cost += child.weight * rc.via_stack_res(l, child.layer) * child.load;
+        cost += stack_penalty(state, child.cell, l, child.layer);
       }
       var.cost[k] = cost;
     }
 
     // Quadratic pair with an in-partition parent.
-    if (seg.parent >= 0) {
-      const int parent = var_of(var.net, seg.parent);
-      if (parent >= 0) {
-        VarPair pair;
-        pair.child = static_cast<int>(vi);
-        pair.parent = parent;
-        pair.junction = seg.a;
-        pair.scale = var.weight * std::min(cd, t.downstream_cap[seg.parent]);
-        pair.load_ratio.resize(static_cast<std::size_t>(g.num_layers()), 0.0);
-        const int cell = g.cell_id(seg.a.x, seg.a.y);
-        for (int l = 0; l < g.num_layers(); ++l) {
-          const double cap = std::max(1, state.via_cap(l, cell));
-          pair.load_ratio[l] = static_cast<double>(state.via_load(l, cell)) / cap;
-        }
-        p.pairs.push_back(std::move(pair));
+    if (parent_var >= 0) {
+      VarPair pair;
+      pair.child = static_cast<int>(vi);
+      pair.parent = parent_var;
+      pair.junction = seg.a;
+      pair.scale = var.weight * std::min(cd, t.downstream_cap[seg.parent]);
+      pair.load_ratio.resize(static_cast<std::size_t>(g.num_layers()), 0.0);
+      const int cell = g.cell_id(seg.a.x, seg.a.y);
+      for (int l = 0; l < g.num_layers(); ++l) {
+        const double cap = std::max(1, state.via_cap(l, cell));
+        pair.load_ratio[l] = static_cast<double>(state.via_load(l, cell)) / cap;
       }
+      p.pairs.push_back(std::move(pair));
     }
   }
 
@@ -182,8 +206,8 @@ PartitionProblem build_partition_problem(
   // actually overflow. "Remaining" capacity excludes everything except the
   // in-partition segments themselves.
   //
-  // One flat entry per (var, allowed layer, crossed edge), stable-sorted by
-  // (layer, edge): the cap_rows emission order is solver-visible (it feeds
+  // One flat entry per (var, allowed layer, crossed edge), sorted by
+  // (layer, edge, var): the cap_rows emission order is solver-visible (it feeds
   // the SDP Schur assembly and the ILP row order), so rows come out in key
   // order and each row keeps its members in var order.
   struct Entry {
@@ -207,8 +231,11 @@ PartitionProblem build_partition_problem(
       });
     }
   }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  // A var crosses each (layer, edge) at most once and entries go in by
+  // var, so ordering by (key, var) is the stable key order.
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    return a.key != b.key ? a.key < b.key : a.var < b.var;
+  });
   for (std::size_t lo = 0, hi = 0; lo < entries.size(); lo = hi) {
     int self_usage = 0;  // in-partition members currently assigned to this layer
     for (hi = lo; hi < entries.size() && entries[hi].key == entries[lo].key; ++hi) {

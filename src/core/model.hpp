@@ -90,11 +90,25 @@ bool rows_feasible(const PartitionProblem& problem, const std::vector<int>& pick
 /// noise).
 void polish_pick(const PartitionProblem& problem, std::vector<int>* pick);
 
-/// Builds the model for one partition region. `timings` must hold a
-/// NetTiming entry for every net with a segment in the region.
-PartitionProblem build_partition_problem(
-    const assign::AssignState& state, const timing::RcTable& rc,
-    const std::unordered_map<int, timing::NetTiming>& timings, const PartitionRegion& region,
-    const ModelOptions& options);
+/// One released net's timing as a flow round freezes it for its solves.
+struct FrozenNet {
+  timing::NetTiming timing;
+  // The global net-criticality factor (net Tcp / worst frozen Tcp)^gamma
+  // of ModelOptions::max_focus_gamma; 1 when gamma is 0.
+  double focus = 1.0;
+};
+using RoundTiming = std::unordered_map<int, FrozenNet>;
+
+/// Times `nets` at their current layers and derives each one's focus
+/// factor against the worst of them, once per round.
+RoundTiming freeze_timing(const assign::AssignState& state, const timing::RcTable& rc,
+                          const std::vector<int>& nets, const ModelOptions& options);
+
+/// Builds the model for one partition region. `timing` must hold an entry
+/// for every net with a segment in the region.
+PartitionProblem build_partition_problem(const assign::AssignState& state,
+                                         const timing::RcTable& rc, const RoundTiming& timing,
+                                         const PartitionRegion& region,
+                                         const ModelOptions& options);
 
 }  // namespace cpla::core

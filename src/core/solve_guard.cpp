@@ -102,6 +102,7 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
         static_cast<int>(q);
   }
 
+  assign::NetDp dp;
   for (const auto& [net, vars] : net_vars) {
     ScopedFailureContext context(-1, net);
     const route::SegTree& tree = state.tree(net);
@@ -117,10 +118,9 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
       var_of[p.vars[vi].seg] = vi;
     }
 
-    assign::NetDpCosts costs;
     // Linear cost of a released segment's layer choice; fixed segments are
     // constants and contribute nothing to the argmin.
-    costs.seg_cost = [&](int s, int l) -> double {
+    auto seg_cost = [&](int s, int l) -> double {
       const int vi = var_of[s];
       if (vi < 0) return 0.0;
       const VarGroup& var = p.vars[vi];
@@ -131,8 +131,7 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
     };
     // Vias to fixed neighbors are already folded into the linear costs by
     // the model builder; only released-released couplings vary here.
-    costs.root_via_cost = [](int, int) { return 0.0; };
-    costs.via_cost = [&](int c, int lp, int lc) -> double {
+    auto via_cost = [&](int c, int lp, int lc) -> double {
       const int pv = var_of[tree.segs[c].parent];
       const int cv = var_of[c];
       if (pv < 0 || cv < 0) return 0.0;
@@ -141,8 +140,9 @@ EngineResult solve_partition_net_dp(const PartitionProblem& p,
       return p.pair_cost(p.pairs[it->second], lp, lc);
     };
 
-    const std::vector<int> dp_layers = assign::solve_net_dp(
-        tree, [&](int s) -> const std::vector<int>& { return allowed[s]; }, costs);
+    const std::vector<int>& dp_layers = dp.solve(
+        tree, [&](int s) -> const std::vector<int>& { return allowed[s]; }, seg_cost,
+        [](int, int) { return 0.0; }, via_cost);
 
     for (int vi : vars) {
       const VarGroup& var = p.vars[vi];

@@ -49,7 +49,7 @@ std::vector<TimingPath> TimingGraph::report_top_k_paths(int corner, int k) const
   std::vector<TimingPath> out;
   const int n = num_nodes();
   if (k <= 0 || n == 0) return out;
-  const std::vector<double>& delay = edge_delay_[corner];
+  auto delay = [&](int e) { return edge_delay_[slot(e, corner)]; };
   const double required = effective_required_[corner];
 
   // Longest completion per node, computed against the level order in
@@ -60,7 +60,7 @@ std::vector<TimingPath> TimingGraph::report_top_k_paths(int corner, int k) const
     double best = 0.0;
     for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
       if (!edge_enabled_[e]) continue;
-      best = std::max(best, delay[e] + completion[edge_to_[e]]);
+      best = std::max(best, delay(e) + completion[edge_to_[e]]);
     }
     completion[v] = best;  // 0 at endpoints
   }
@@ -86,7 +86,7 @@ std::vector<TimingPath> TimingGraph::report_top_k_paths(int corner, int k) const
       Prefix child;
       child.nodes = top.nodes;
       child.nodes.push_back(edge_to_[e]);
-      child.delay = top.delay + delay[e];
+      child.delay = top.delay + delay(e);
       child.bound = child.delay + completion[edge_to_[e]];
       heap.push(std::move(child));
     }

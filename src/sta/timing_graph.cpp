@@ -31,6 +31,7 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
 
   CPLA_ASSERT_MSG(corners.size() > 0, "TimingGraph needs at least one corner");
   corners_ = &corners;
+  num_corners_ = corners.size();
   options_ = options;
   topology_dirty_ = false;
 
@@ -71,7 +72,6 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
 
   out_begin_.assign(n + 1, 0);
   edge_to_.clear();
-  edge_from_.clear();
   for (int v = 0; v < n; ++v) {
     out_begin_[v] = static_cast<int>(edge_to_.size());
     const int net = node_net_[v];
@@ -79,7 +79,6 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
     if (kind(v) == NodeKind::kDriver) {
       // Net edges, sink order: edge id of driver->sink k is out_begin_[v]+k.
       for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-        edge_from_.push_back(v);
         edge_to_.push_back(v + 1 + k);
       }
     } else {
@@ -92,7 +91,6 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
                                     [](const auto& a, const auto& b) { return a.first < b.first; });
       for (auto it = range.first; it != range.second; ++it) {
         if (it->second == driver_node_[net]) continue;  // no self-stage
-        edge_from_.push_back(v);
         edge_to_.push_back(it->second);
       }
     }
@@ -107,23 +105,30 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   for (int e = 0; e < m; ++e) ++in_begin_[edge_to_[e] + 1];
   for (int v = 0; v < n; ++v) in_begin_[v + 1] += in_begin_[v];
   in_edge_.assign(m, 0);
+  in_from_.assign(m, 0);
   {
     std::vector<int> cursor(in_begin_.begin(), in_begin_.end() - 1);
-    for (int e = 0; e < m; ++e) in_edge_[cursor[edge_to_[e]]++] = e;
+    for (int v = 0; v < n; ++v) {
+      for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
+        const int i = cursor[edge_to_[e]]++;
+        in_edge_[i] = e;
+        in_from_[i] = v;
+      }
+    }
   }
 
   levelize();
 
   // --- Delays and propagation ------------------------------------------
-  edge_delay_.assign(nc, std::vector<double>(m, options_.stage_delay));
+  edge_delay_.assign(static_cast<std::size_t>(m) * nc, options_.stage_delay);
   timed_layers_.assign(num_nets, {});
   for (int net = 0; net < num_nets; ++net) {
     if (driver_node_[net] >= 0) retime_net(state, net);
   }
 
-  arrival_.assign(nc, std::vector<double>(n, 0.0));
-  required_.assign(nc, std::vector<double>(n, 0.0));
-  slack_.assign(nc, std::vector<double>(n, 0.0));
+  arrival_.assign(static_cast<std::size_t>(n) * nc, 0.0);
+  required_.assign(static_cast<std::size_t>(n) * nc, 0.0);
+  slack_.assign(static_cast<std::size_t>(n) * nc, 0.0);
   worst_slack_.assign(n, kInf);
   effective_required_.assign(nc, 0.0);
   propagate_full();
@@ -157,22 +162,20 @@ void TimingGraph::levelize() {
   }
   int processed = 0;
   int level = 0;
+  int unplaced = 0;  // every node below it is placed
   while (processed < n) {
     if (frontier.empty()) {
       // Cycle (the spatial stage heuristic can produce them): break it at
       // the smallest unplaced node by disabling its in-edges from unplaced
-      // sources. Deterministic, and counted.
-      int victim = -1;
-      for (int v = 0; v < n; ++v) {
-        if (!placed[v]) {
-          victim = v;
-          break;
-        }
-      }
-      CPLA_ASSERT(victim >= 0);
+      // sources. Deterministic, and counted. `placed` only grows, so the
+      // smallest unplaced id never decreases and the scan resumes where
+      // the last break left it.
+      while (unplaced < n && placed[unplaced]) ++unplaced;
+      CPLA_ASSERT(unplaced < n);
+      const int victim = unplaced;
       for (int i = in_begin_[victim]; i < in_begin_[victim + 1]; ++i) {
         const int e = in_edge_[i];
-        if (edge_enabled_[e] && !placed[edge_from_[e]]) {
+        if (edge_enabled_[e] && !placed[in_from_[i]]) {
           edge_enabled_[e] = 0;
           ++stats_.broken_cycle_edges;
           cycle_edges.add();
@@ -222,48 +225,54 @@ void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   timed_layers_[net] = *layers;
   if (tree.sinks.empty()) return;
   const int first_edge = out_begin_[driver_node_[net]];
-  // corners_->size(), not num_corners(): build() retimes before the
-  // arrival arrays (which num_corners() measures) are allocated.
-  for (int c = 0; c < corners_->size(); ++c) {
-    const timing::NetTiming nt = timing::compute_timing(tree, *layers, corners_->rc(c));
-    for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-      edge_delay_[c][first_edge + k] = nt.sink_delay[k];
-    }
+  const int num_sinks = static_cast<int>(tree.sinks.size());
+  elmore_cd_.resize(std::max(elmore_cd_.size(), tree.segs.size()));
+  elmore_arrival_.resize(elmore_cd_.size());
+  elmore_sinks_.resize(std::max(elmore_sinks_.size(), tree.sinks.size()));
+  for (int c = 0; c < num_corners_; ++c) {
+    timing::elmore_delays(tree, *layers, corners_->rc(c), elmore_cd_, elmore_arrival_,
+                          elmore_sinks_);
+    for (int k = 0; k < num_sinks; ++k) edge_delay_[slot(first_edge + k, c)] = elmore_sinks_[k];
   }
 }
 
 void TimingGraph::recompute_arrival(int v) {
-  for (int c = 0; c < num_corners(); ++c) {
-    double arr = 0.0;
-    for (int i = in_begin_[v]; i < in_begin_[v + 1]; ++i) {
-      const int e = in_edge_[i];  // ascending edge ids: pinned max order
-      if (!edge_enabled_[e]) continue;
-      arr = std::max(arr, arrival_[c][edge_from_[e]] + edge_delay_[c][e]);
-    }
-    arrival_[c][v] = arr;
+  // Edge-major: one pass over the in-edges serves every corner, and each
+  // corner still folds its max in ascending edge-id order (pinned).
+  double* arr = &arrival_[slot(v, 0)];
+  std::fill(arr, arr + num_corners_, 0.0);
+  for (int i = in_begin_[v]; i < in_begin_[v + 1]; ++i) {
+    const int e = in_edge_[i];
+    if (!edge_enabled_[e]) continue;
+    const double* from = &arrival_[slot(in_from_[i], 0)];
+    const double* delay = &edge_delay_[slot(e, 0)];
+    for (int c = 0; c < num_corners_; ++c) arr[c] = std::max(arr[c], from[c] + delay[c]);
   }
 }
 
 void TimingGraph::recompute_required(int v) {
-  for (int c = 0; c < num_corners(); ++c) {
-    double req = kInf;
-    for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
-      if (!edge_enabled_[e]) continue;
-      req = std::min(req, required_[c][edge_to_[e]] - edge_delay_[c][e]);
-    }
-    required_[c][v] = req == kInf ? effective_required_[c] : req;  // endpoint
+  double* req = &required_[slot(v, 0)];
+  std::fill(req, req + num_corners_, kInf);
+  for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
+    if (!edge_enabled_[e]) continue;
+    const double* to = &required_[slot(edge_to_[e], 0)];
+    const double* delay = &edge_delay_[slot(e, 0)];
+    for (int c = 0; c < num_corners_; ++c) req[c] = std::min(req[c], to[c] - delay[c]);
+  }
+  for (int c = 0; c < num_corners_; ++c) {
+    if (req[c] == kInf) req[c] = effective_required_[c];  // endpoint
   }
 }
 
 bool TimingGraph::refresh_effective_required() {
   bool changed = false;
-  for (int c = 0; c < num_corners(); ++c) {
+  for (int c = 0; c < num_corners_; ++c) {
     double req = corners_->corner(c).required_time;
     if (req < 0.0) {
       // Derived budget: the corner's worst endpoint arrival, so the most
       // critical endpoint sits at exactly zero slack.
       req = 0.0;
-      for (const int v : endpoints_) req = std::max(req, arrival_[c][v]);
+      for (const int v : endpoints_) req = std::max(req, arrival_[slot(v, c)]);
     }
     if (req != effective_required_[c]) {
       effective_required_[c] = req;
@@ -275,9 +284,10 @@ bool TimingGraph::refresh_effective_required() {
 
 void TimingGraph::merge_slack(int v) {
   double worst = kInf;
-  for (int c = 0; c < num_corners(); ++c) {
-    slack_[c][v] = required_[c][v] - arrival_[c][v];
-    worst = std::min(worst, slack_[c][v]);
+  for (int c = 0; c < num_corners_; ++c) {
+    const std::size_t i = slot(v, c);
+    slack_[i] = required_[i] - arrival_[i];
+    worst = std::min(worst, slack_[i]);
   }
   worst_slack_[v] = worst;
 }
@@ -350,26 +360,25 @@ void TimingGraph::update(const assign::AssignState& state) {
       in_frontier[sink_node(net, k)] = 1;
     }
   }
-  const int nc = num_corners();
+  // Recomputes `values`' entry for v (all corners) and reports whether any
+  // changed. "Unchanged" must mean bitwise-equal (the contract): +0.0 ==
+  // -0.0 compares equal but differs in bits, so signs are checked too.
+  std::vector<double> before(static_cast<std::size_t>(num_corners_));
+  auto recompute = [&](std::vector<double>& values, int v, auto&& fn) {
+    const double* now = &values[slot(v, 0)];
+    std::copy(now, now + num_corners_, before.begin());
+    fn(v);
+    bool changed = false;
+    for (int c = 0; c < num_corners_; ++c) {
+      changed |= now[c] != before[c] || std::signbit(now[c]) != std::signbit(before[c]);
+    }
+    return changed;
+  };
   for (int i = 0; i < n; ++i) {  // level_nodes_ is (level, id)-ordered
     const int v = level_nodes_[i];
     if (!in_frontier[v]) continue;
     ++stats_.dirty_nodes;
-    bool changed = false;
-    for (int c = 0; c < nc; ++c) {
-      const double before = arrival_[c][v];
-      double arr = 0.0;
-      for (int j = in_begin_[v]; j < in_begin_[v + 1]; ++j) {
-        const int e = in_edge_[j];
-        if (!edge_enabled_[e]) continue;
-        arr = std::max(arr, arrival_[c][edge_from_[e]] + edge_delay_[c][e]);
-      }
-      arrival_[c][v] = arr;
-      // "Unchanged" must mean bitwise-equal (the contract): +0.0 == -0.0
-      // compares equal but differs in bits, so check signs too.
-      changed |= arr != before || std::signbit(arr) != std::signbit(before);
-    }
-    if (!changed) continue;
+    if (!recompute(arrival_, v, [this](int u) { recompute_arrival(u); })) continue;
     touched[v] = 1;
     for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
       if (edge_enabled_[e]) in_frontier[edge_to_[e]] = 1;
@@ -388,23 +397,10 @@ void TimingGraph::update(const assign::AssignState& state) {
     const int v = level_nodes_[i];
     if (!in_frontier[v]) continue;
     ++stats_.dirty_nodes;
-    bool changed = false;
-    for (int c = 0; c < nc; ++c) {
-      const double before = required_[c][v];
-      double req = kInf;
-      for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
-        if (!edge_enabled_[e]) continue;
-        req = std::min(req, required_[c][edge_to_[e]] - edge_delay_[c][e]);
-      }
-      if (req == kInf) req = effective_required_[c];
-      required_[c][v] = req;
-      changed |= req != before || std::signbit(req) != std::signbit(before);
-    }
-    if (!changed) continue;
+    if (!recompute(required_, v, [this](int u) { recompute_required(u); })) continue;
     touched[v] = 1;
     for (int j = in_begin_[v]; j < in_begin_[v + 1]; ++j) {
-      const int e = in_edge_[j];
-      if (edge_enabled_[e]) in_frontier[edge_from_[e]] = 1;
+      if (edge_enabled_[in_edge_[j]]) in_frontier[in_from_[j]] = 1;
     }
   }
 

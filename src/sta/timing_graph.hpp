@@ -40,6 +40,7 @@
 // propagation (Options::parallel) is deterministic — nodes within a level
 // write disjoint entries and read only earlier levels.
 
+#include <algorithm>
 #include <vector>
 
 #include "src/assign/state.hpp"
@@ -90,7 +91,7 @@ class TimingGraph {
   void update(const assign::AssignState& state);
 
   // --- Shape -----------------------------------------------------------
-  int num_corners() const { return static_cast<int>(arrival_.size()); }
+  int num_corners() const { return num_corners_; }
   int num_nodes() const { return static_cast<int>(kind_.size()); }
   int num_edges() const { return static_cast<int>(edge_to_.size()); }
   int num_levels() const { return num_levels_; }
@@ -116,18 +117,23 @@ class TimingGraph {
   int out_edge_end(NodeId v) const { return out_begin_[v + 1]; }
   int in_degree(NodeId v) const { return in_begin_[v + 1] - in_begin_[v]; }
   int in_edge(NodeId v, int i) const { return in_edge_[in_begin_[v] + i]; }
-  int edge_from(int e) const { return edge_from_[e]; }
+  /// Source node of edge `e`: the node whose out-edge range holds it.
+  int edge_from(int e) const {
+    return static_cast<int>(std::upper_bound(out_begin_.begin(), out_begin_.end(), e) -
+                            out_begin_.begin()) -
+           1;
+  }
   int edge_to(int e) const { return edge_to_[e]; }
   /// False = removed by deterministic cycle breaking.
   bool edge_enabled(int e) const { return edge_enabled_[e] != 0; }
-  double edge_delay(int corner, int e) const { return edge_delay_[corner][e]; }
+  double edge_delay(int corner, int e) const { return edge_delay_[slot(e, corner)]; }
   /// Topological level of `v` (enabled edges always go level-up).
   int level(NodeId v) const { return level_[v]; }
 
   // --- Timing ----------------------------------------------------------
-  double arrival(int corner, NodeId v) const { return arrival_[corner][v]; }
-  double required(int corner, NodeId v) const { return required_[corner][v]; }
-  double slack(int corner, NodeId v) const { return slack_[corner][v]; }
+  double arrival(int corner, NodeId v) const { return arrival_[slot(v, corner)]; }
+  double required(int corner, NodeId v) const { return required_[slot(v, corner)]; }
+  double slack(int corner, NodeId v) const { return slack_[slot(v, corner)]; }
 
   /// Worst slack over corners at one node — the flow's objective merge.
   double worst_slack(NodeId v) const { return worst_slack_[v]; }
@@ -153,6 +159,12 @@ class TimingGraph {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Index of (node or edge `i`, corner `c`) in the corner-minor arrays.
+  std::size_t slot(int i, int c) const {
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(num_corners_) +
+           static_cast<std::size_t>(c);
+  }
+
   void levelize();
   void retime_net(const assign::AssignState& state, int net);
   void propagate_full();
@@ -162,6 +174,7 @@ class TimingGraph {
   void merge_slack(int v);
 
   const CornerSet* corners_ = nullptr;  // borrowed
+  int num_corners_ = 0;
   Options options_;
   bool topology_dirty_ = false;
   int num_levels_ = 0;
@@ -176,12 +189,13 @@ class TimingGraph {
   // reduction below iterates in.
   std::vector<int> out_begin_;      // per node, size nodes+1
   std::vector<int> edge_to_;        // per edge
-  std::vector<int> edge_from_;      // per edge
   std::vector<char> edge_enabled_;  // false = removed by cycle breaking
-  std::vector<std::vector<double>> edge_delay_;  // [corner][edge]
-  // Reverse adjacency: in-edge ids per node, ascending (CSR).
+  std::vector<double> edge_delay_;  // [edge][corner], slot(e, c)
+  // Reverse adjacency: in-edge ids per node, ascending (CSR), each with
+  // its source node (what every in-edge walk reads next).
   std::vector<int> in_begin_;
   std::vector<int> in_edge_;
+  std::vector<int> in_from_;
 
   // Levelization: nodes sorted by (level, id), CSR over levels.
   std::vector<int> level_;
@@ -190,11 +204,14 @@ class TimingGraph {
 
   std::vector<NodeId> endpoints_;
 
-  // Timing values, [corner][node].
-  std::vector<std::vector<double>> arrival_, required_, slack_;
+  // Timing values, [node][corner] (slot(v, c)): a node's corners share a
+  // cache line, and every propagation step reads all of them.
+  std::vector<double> arrival_, required_, slack_;
   std::vector<double> worst_slack_;          // per node, min over corners
   std::vector<double> effective_required_;   // per corner
   std::vector<std::vector<int>> timed_layers_;  // per net: layers last timed with
+  // retime_net's Elmore kernel scratch (per segment / per sink).
+  std::vector<double> elmore_cd_, elmore_arrival_, elmore_sinks_;
 
   Stats stats_;
 };

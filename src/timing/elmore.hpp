@@ -11,6 +11,7 @@
 // sinks-to-source. Source/sink pin vias (layer 0 up to the wire layer) are
 // also modeled; a source via drives the whole net, a sink via only its pin.
 
+#include <span>
 #include <vector>
 
 #include "src/route/seg_tree.hpp"
@@ -40,11 +41,29 @@ struct NetTiming {
   std::vector<double> criticality;
 };
 
+/// What the delay kernel reports besides its per-segment and per-sink
+/// arrays.
+struct ElmoreSummary {
+  double total_cap = 0.0;
+  double max_sink_delay = 0.0;
+  int critical_sink = -1;
+};
+
+/// The delay-only Elmore kernel every timing entry point runs on: fills
+/// `downstream_cap` and `arrival` (one entry per segment) and `sink_delay`
+/// (one per sink), overwriting them, and allocates nothing. Counted as one
+/// `timing.elmore.evals`.
+ElmoreSummary elmore_delays(const route::SegTree& tree, const std::vector<int>& layers,
+                            const RcTable& rc, std::span<double> downstream_cap,
+                            std::span<double> arrival, std::span<double> sink_delay);
+
 /// Computes timing for one net. `layers[s]` is the metal layer of segment s.
 NetTiming compute_timing(const route::SegTree& tree, const std::vector<int>& layers,
                          const RcTable& rc);
 
-/// Just the worst-sink delay (convenience for selection loops).
+/// Just the worst-sink delay (convenience for selection loops): the
+/// kernel on per-thread scratch, bit for bit compute_timing's
+/// max_sink_delay.
 double critical_delay(const route::SegTree& tree, const std::vector<int>& layers,
                       const RcTable& rc);
 

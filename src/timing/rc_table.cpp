@@ -14,24 +14,29 @@ RcTable::RcTable(const grid::GridGraph& g) {
     cap_[l] = g.layer(l).unit_cap;
     via_res_[l] = g.layer(l).via_res_up;
   }
+  sum_stacks();
+}
+
+void RcTable::sum_stacks() {
+  const int nl = num_layers();
+  stack_res_.assign(static_cast<std::size_t>(nl) * nl, 0.0);
+  for (int from = 0; from < nl; ++from) {
+    for (int to = 0; to < nl; ++to) {
+      double sum = 0.0;
+      for (int l = std::min(from, to); l < std::max(from, to); ++l) sum += via_res_[l];
+      stack_res_[static_cast<std::size_t>(from) * nl + to] = sum;
+    }
+  }
 }
 
 void RcTable::scale_resistance(double factor) {
   for (double& r : res_) r *= factor;
   for (double& r : via_res_) r *= factor;
+  sum_stacks();
 }
 
 void RcTable::scale_capacitance(double factor) {
   for (double& c : cap_) c *= factor;
-}
-
-double RcTable::via_stack_res(int from, int to) const {
-  const int lo = std::min(from, to);
-  const int hi = std::max(from, to);
-  CPLA_ASSERT(lo >= 0 && hi < num_layers());
-  double sum = 0.0;
-  for (int l = lo; l < hi; ++l) sum += via_res_[l];
-  return sum;
 }
 
 }  // namespace cpla::timing

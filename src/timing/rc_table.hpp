@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/grid/grid_graph.hpp"
+#include "src/util/check.hpp"
 
 namespace cpla::timing {
 
@@ -26,8 +27,13 @@ class RcTable {
   /// Resistance of a single via between layers l and l+1.
   double via_res(int l) const { return via_res_[l]; }
 
-  /// Total resistance of a via stack between layers `from` and `to`.
-  double via_stack_res(int from, int to) const;
+  /// Total resistance of a via stack between layers `from` and `to`: the
+  /// via resistances summed upward from the lower layer, kept in a table
+  /// (every Elmore evaluation and model build reads it per segment).
+  double via_stack_res(int from, int to) const {
+    CPLA_ASSERT(from >= 0 && from < num_layers() && to >= 0 && to < num_layers());
+    return stack_res_[static_cast<std::size_t>(from) * res_.size() + static_cast<std::size_t>(to)];
+  }
 
   /// Scales every wire and via resistance (testing and what-if analysis).
   void scale_resistance(double factor);
@@ -42,7 +48,11 @@ class RcTable {
   void set_driver_res(double r) { driver_res_ = r; }
 
  private:
+  /// Refills stack_res_ from via_res_.
+  void sum_stacks();
+
   std::vector<double> res_, cap_, via_res_;
+  std::vector<double> stack_res_;  // [from][to]
   double sink_cap_ = 3.0;
   double driver_res_ = 12.0;
 };

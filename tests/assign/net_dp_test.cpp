@@ -3,14 +3,38 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <limits>
 #include <tuple>
 
+#include "src/core/critical.hpp"
+#include "src/core/displace.hpp"
+#include "src/core/pipeline.hpp"
+#include "src/gen/synth.hpp"
 #include "src/grid/layer_stack.hpp"
 #include "src/util/rng.hpp"
 
 namespace cpla::assign {
 namespace {
+
+/// The DP's cost callbacks as std::function objects: the interface the DP
+/// had before its functors became template parameters, which the oracle
+/// below still takes.
+struct NetDpCosts {
+  std::function<double(int s, int l)> seg_cost;
+  std::function<double(int s, int l)> root_via_cost;
+  std::function<double(int c, int lp, int lc)> via_cost;
+};
+
+std::vector<int> solve_net_dp(const route::SegTree& tree,
+                              const std::function<const std::vector<int>&(int s)>& allowed,
+                              const NetDpCosts& costs) {
+  NetDp dp;
+  return dp.solve(tree, allowed, costs.seg_cost, costs.root_via_cost, costs.via_cost);
+}
 
 /// Builds a random segment tree (synthetic shapes, not geometric) to
 /// exercise the DP; directions alternate from the parent.
@@ -224,6 +248,7 @@ TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
   const std::vector<std::vector<int>> option_sets = {
       {0}, {0, 2}, {2, 0, 4}, {0, 2, 4, 6}, {1}, {1, 3}, {3, 1, 5}, {1, 3, 5, 7}};
   cpla::Rng rng(4242);
+  NetDp dp;  // one solver throughout: its tables are reused across trees
   for (int trial = 0; trial < 300; ++trial) {
     const int num_segs = 1 + static_cast<int>(rng.uniform_int(0, 30));
     route::SegTree tree = random_tree(&rng, num_segs);
@@ -245,27 +270,121 @@ TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
     for (double& v : via_table) v = static_cast<double>(rng.uniform_int(0, 2));
 
     std::vector<Call> log;
-    NetDpCosts costs;
-    costs.seg_cost = [&](int s, int l) {
+    auto seg_cost = [&](int s, int l) {
       log.emplace_back('s', s, l, -1);
       return seg_table[static_cast<std::size_t>(s) * 8 + l];
     };
-    costs.root_via_cost = [&](int s, int l) {
+    auto root_via_cost = [&](int s, int l) {
       log.emplace_back('r', s, l, -1);
       return static_cast<double>(l % 2);
     };
-    costs.via_cost = [&](int c, int lp, int lc) {
+    auto via_cost = [&](int c, int lp, int lc) {
       log.emplace_back('v', c, lp, lc);
       return via_table[static_cast<std::size_t>(c) * 64 + lp * 8 + lc];
     };
 
-    const std::vector<int> expected = parent_solve_net_dp(tree, allowed, costs);
+    const std::vector<int> expected =
+        parent_solve_net_dp(tree, allowed, NetDpCosts{seg_cost, root_via_cost, via_cost});
     const std::vector<Call> expected_log = std::move(log);
     log.clear();
-    const std::vector<int> got = solve_net_dp(tree, allowed, costs);
+    const std::vector<int> got = dp.solve(tree, allowed, seg_cost, root_via_cost, via_cost);
     ASSERT_EQ(got, expected) << "trial " << trial;
     ASSERT_EQ(log, expected_log) << "trial " << trial;
   }
+
+  // The victim-trial costs of victim displacement, against the per-call
+  // std::function costs they replaced (kept verbatim below): same picks,
+  // same calls, and every returned cost bit for bit, the via cost read
+  // from its prefix counts included. A congested design with a random
+  // wanted map makes forbidden slots and full via sites common.
+  using Priced = std::tuple<char, int, int, int, std::uint64_t>;
+  gen::SynthSpec spec;
+  spec.xsize = spec.ysize = 14;
+  spec.num_nets = 260;
+  spec.num_layers = 8;
+  spec.tracks_per_layer = 2;
+  spec.seed = 4243;
+  core::Prepared bench = core::prepare(gen::generate(spec));
+  AssignState& state = *bench.state;
+  const auto& g = state.design().grid;
+  const std::size_t stride =
+      static_cast<std::size_t>(std::max(g.num_h_edges(), g.num_v_edges()));
+  std::vector<unsigned char> wanted(static_cast<std::size_t>(g.num_layers()) * stride, 0);
+  for (unsigned char& w : wanted) w = rng.uniform_int(0, 5) == 0 ? 1 : 0;
+  auto slot = [stride](int l, int e) {
+    return static_cast<std::size_t>(l) * stride + static_cast<std::size_t>(e);
+  };
+  core::HeadroomCosts headroom(state, wanted, stride);
+  std::vector<Priced> priced;
+  auto log_cost = [&](char kind, int a, int b, int c, double v) {
+    priced.emplace_back(kind, a, b, c, std::bit_cast<std::uint64_t>(v));
+    return v;
+  };
+  int penalized_vias = 0;
+  int compared = 0;
+  for (int net = 0; net < state.num_nets(); ++net) {
+    const route::SegTree& tree = state.tree(net);
+    if (tree.segs.empty()) continue;
+    const std::vector<int> layers = state.layers(net);
+    state.clear_net(net);
+    auto allowed = [&](int s) -> const std::vector<int>& {
+      return state.allowed_layers(tree.segs[s].horizontal);
+    };
+
+    NetDpCosts parent;
+    const int nv = state.nv();
+    parent.seg_cost = [&](int s, int l) {
+      double cost = 0.0;
+      state.for_each_edge(net, s, [&](int e) {
+        if (wanted[slot(l, e)]) {
+          cost += 1e7;  // stay out of the corridor being cleared
+        }
+        const int usage = state.wire_usage(l, e);
+        const int cap = state.wire_cap(l, e);
+        if (usage + 1 > cap) {
+          cost += 1e5 * (usage + 1 - cap);  // never trade into wire overflow
+        } else {
+          cost += static_cast<double>(usage) / std::max(1, cap);
+        }
+      });
+      state.for_each_cell(net, s, [&](int cell) {
+        if (state.via_load(l, cell) + nv > state.via_cap(l, cell)) cost += 1e4;
+      });
+      for (const route::SinkAttach& sink : tree.sinks) {
+        if (sink.seg_id == s) cost += std::abs(l - sink.pin_layer);
+      }
+      return log_cost('s', s, l, -1, cost);
+    };
+    parent.root_via_cost = [&](int s, int l) {
+      return log_cost('r', s, l, -1, static_cast<double>(std::abs(l - tree.root_pin_layer)));
+    };
+    parent.via_cost = [&](int c, int lp, int lc) {
+      double cost = std::abs(lp - lc);
+      const route::Segment& seg = tree.segs[c];
+      const int cell = g.cell_id(seg.a.x, seg.a.y);
+      for (int l = std::min(lp, lc) + 1; l < std::max(lp, lc); ++l) {
+        if (state.via_load(l, cell) + 1 > state.via_cap(l, cell)) cost += 1e4;
+      }
+      penalized_vias += cost >= 1e4 ? 1 : 0;
+      return log_cost('v', c, lp, lc, cost);
+    };
+    const std::vector<int> expected = parent_solve_net_dp(tree, allowed, parent);
+    const std::vector<Priced> expected_priced = std::move(priced);
+    priced.clear();
+
+    headroom.begin(net);
+    const std::vector<int>& got = dp.solve(
+        tree, allowed, [&](int s, int l) { return log_cost('s', s, l, -1, headroom.seg(s, l)); },
+        [&](int s, int l) { return log_cost('r', s, l, -1, headroom.root_via(l)); },
+        [&](int c, int lp, int lc) { return log_cost('v', c, lp, lc, headroom.via(c, lp, lc)); });
+    ASSERT_EQ(got, expected) << "net " << net;
+    ASSERT_EQ(priced, expected_priced) << "net " << net;
+    priced.clear();
+    state.set_layers(net, layers);
+    ++compared;
+  }
+  EXPECT_GT(compared, 200);
+  EXPECT_GT(penalized_vias, 0);  // full via sites were priced
 }
 
 }  // namespace

@@ -251,5 +251,124 @@ TEST(AssignState, OverflowTotalsMatchSlotSumsUnderRandomEdits) {
   ASSERT_TRUE(copy.has_value());
 }
 
+/// A short random tree laid out on the grid: each segment starts at its
+/// parent's far end (or the root) and runs 1-3 tiles in a random
+/// direction, so collinear same-layer segments share junction cells and
+/// several children can stack vias at one junction. Segments may also
+/// overlap; reassignment must be exact for any tree.
+route::SegTree random_walk_tree(const grid::GridGraph& g, Rng* rng) {
+  route::SegTree tree;
+  const int top = g.num_layers() - 1;
+  tree.root = {static_cast<int>(rng->uniform_int(0, g.xsize() - 1)),
+               static_cast<int>(rng->uniform_int(0, g.ysize() - 1))};
+  tree.root_pin_layer = static_cast<int>(rng->uniform_int(0, top));
+  const int num_segs = static_cast<int>(rng->uniform_int(1, 7));
+  for (int i = 0; i < num_segs; ++i) {
+    route::Segment seg;
+    seg.id = i;
+    seg.parent = i == 0 || rng->chance(0.15) ? -1 : static_cast<int>(rng->uniform_int(0, i - 1));
+    seg.a = seg.parent < 0 ? tree.root : tree.segs[seg.parent].b;
+    seg.horizontal = rng->chance(0.5);
+    const int extent = seg.horizontal ? g.xsize() : g.ysize();
+    const int from = seg.horizontal ? seg.a.x : seg.a.y;
+    int step = static_cast<int>(rng->uniform_int(1, 3)) * (rng->chance(0.5) ? 1 : -1);
+    if (from + step < 0 || from + step >= extent) step = -step;
+    const int to = std::clamp(from + step, 0, extent - 1);
+    if (to == from) {
+      --i;  // no room on this line; draw again
+      continue;
+    }
+    seg.b = seg.horizontal ? grid::XY{to, seg.a.y} : grid::XY{seg.a.x, to};
+    if (seg.parent >= 0) tree.segs[seg.parent].children.push_back(i);
+    tree.segs.push_back(seg);
+  }
+  int pin = 1;
+  for (const route::Segment& seg : tree.segs) {
+    if (rng->chance(0.6)) {
+      tree.sinks.push_back({pin++, seg.id, static_cast<int>(rng->uniform_int(0, top))});
+    }
+  }
+  if (rng->chance(0.2)) {
+    tree.sinks.push_back({pin++, -1, static_cast<int>(rng->uniform_int(0, top))});
+  }
+  return tree;
+}
+
+// Reassigning an assigned net updates only the moved segments and the via
+// stacks at their ends. Against a clear and a full apply, slot for slot
+// and total for total, on short trees whose same-layer segments share
+// junction cells and whose children stack vias at one junction: a slot the
+// net crosses twice must be priced at the net's summed load on it. Tiny
+// grids with one or two vias per track make via sites as tight as wire
+// tracks, background nets load the slots, and the net's wire capacities
+// are rewritten to sit at or just below its load before each move.
+TEST(AssignState, ReassignmentMatchesClearAndApply) {
+  Rng rng(0xde17au);
+  int cases = 0;
+  int moved_totals = 0;
+  while (cases < 2400) {
+    grid::GeomParams geom = grid::default_geom();
+    geom.tile_width = rng.chance(0.5) ? 2.0 : 4.0;  // nv = 1 or 2
+    const int num_layers = static_cast<int>(rng.uniform_int(4, 6));
+    grid::GridGraph g(5, 5, grid::make_layer_stack(num_layers), geom);
+    for (int l = 0; l < num_layers; ++l) {
+      for (int e = 0; e < g.num_edges_on_layer(l); ++e) {
+        g.set_edge_capacity(l, e, static_cast<int>(rng.uniform_int(0, 2)));
+      }
+    }
+    grid::Design design("delta", std::move(g));
+    std::vector<route::SegTree> trees;
+    const int num_nets = static_cast<int>(rng.uniform_int(2, 6));
+    for (int i = 0; i < num_nets; ++i) trees.push_back(random_walk_tree(design.grid, &rng));
+    AssignState delta(&design, trees);
+    AssignState full(&design, std::move(trees));
+    for (int net = 0; net < delta.num_nets(); ++net) {
+      const std::vector<int> layers = random_layers(delta, delta.tree(net), &rng);
+      delta.set_layers(net, layers);
+      full.set_layers(net, layers);
+    }
+    for (int step = 0; step < 8; ++step, ++cases) {
+      const int net = static_cast<int>(rng.uniform_int(0, delta.num_nets() - 1));
+      std::vector<int> layers = delta.layers(net);
+      if (rng.chance(0.5)) {
+        layers = random_layers(delta, delta.tree(net), &rng);
+      } else {  // move one segment only
+        const route::Segment& s = delta.tree(net).segs[rng.uniform_int(0, layers.size() - 1)];
+        const std::vector<int>& allowed = delta.allowed_layers(s.horizontal);
+        layers[s.id] = allowed[rng.uniform_int(0, static_cast<std::int64_t>(allowed.size()) - 1)];
+      }
+      // Wire capacities at, or one below, the load the new layers bring.
+      for (std::size_t s = 0; s < layers.size(); ++s) {
+        delta.for_each_edge(net, static_cast<int>(s), [&](int e) {
+          const int load = delta.wire_usage(layers[s], e) + (delta.layers(net)[s] == layers[s] ? 0 : 1);
+          design.grid.set_edge_capacity(layers[s], e,
+                                        std::max(0, load - static_cast<int>(rng.uniform_int(0, 1))));
+        });
+      }
+      const long wire0 = full.wire_overflow();
+      const long via0 = full.via_overflow();
+      delta.set_layers(net, layers);
+      full.clear_net(net);
+      full.set_layers(net, layers);
+      ASSERT_EQ(delta.wire_overflow(), full.wire_overflow()) << "case " << cases;
+      ASSERT_EQ(delta.via_overflow(), full.via_overflow()) << "case " << cases;
+      ASSERT_EQ(delta.via_count(), full.via_count()) << "case " << cases;
+      ASSERT_EQ(full.via_overflow(), via_overflow_by_slots(full)) << "case " << cases;
+      moved_totals += full.wire_overflow() != wire0 || full.via_overflow() != via0 ? 1 : 0;
+      const auto& grid = design.grid;
+      for (int l = 0; l < grid.num_layers(); ++l) {
+        for (int e = 0; e < grid.num_edges_on_layer(l); ++e) {
+          ASSERT_EQ(delta.wire_usage(l, e), full.wire_usage(l, e)) << "case " << cases;
+        }
+        for (int c = 0; c < grid.num_cells(); ++c) {
+          ASSERT_EQ(delta.via_usage(l, c), full.via_usage(l, c)) << "case " << cases;
+          ASSERT_EQ(delta.track_usage(l, c), full.track_usage(l, c)) << "case " << cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(moved_totals, cases / 4);  // moves usually change the totals
+}
+
 }  // namespace
 }  // namespace cpla::assign

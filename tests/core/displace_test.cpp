@@ -59,7 +59,8 @@ TEST_F(DisplaceTest, ClearsBlockedTopLayer) {
   DisplaceOptions opt;
   opt.min_criticality = 0.0;  // the single net is trivially critical
   // Victims are 12 tiles long, below the default displacement cutoff.
-  const int moved = make_headroom(&state, rc, critical, opt);
+  const int moved =
+      make_headroom(&state, critical, freeze_timing(state, rc, critical.nets, {}), opt);
   EXPECT_GE(moved, 1);
   EXPECT_LT(state.wire_usage(2, design_.grid.h_edge_id(5, 2)), 2);
   // No overflow introduced anywhere.
@@ -82,7 +83,7 @@ TEST_F(DisplaceTest, NoOpWhenNothingBlocked) {
 
   DisplaceOptions opt;
   opt.min_criticality = 0.0;
-  EXPECT_EQ(make_headroom(&state, rc, critical, opt), 0);
+  EXPECT_EQ(make_headroom(&state, critical, freeze_timing(state, rc, critical.nets, {}), opt), 0);
   EXPECT_EQ(state.layers(1), (std::vector<int>{2}));
 }
 
@@ -96,7 +97,8 @@ TEST(Displace, NeverWorsensOverflowOnBenchmark) {
   const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.03);
   const long wire_before = bench.state->wire_overflow();
   const long via_before = bench.state->via_overflow();
-  make_headroom(bench.state.get(), *bench.rc, critical);
+  make_headroom(bench.state.get(), critical,
+                freeze_timing(*bench.state, *bench.rc, critical.nets, {}));
   EXPECT_LE(bench.state->wire_overflow(), wire_before);
   EXPECT_LE(bench.state->via_overflow(), via_before);
 }
@@ -111,7 +113,8 @@ TEST(Displace, ReleasedNetsAreNeverVictims) {
   const CriticalSet critical = select_critical(*bench.state, *bench.rc, 0.03);
   std::vector<std::vector<int>> released_before;
   for (int net : critical.nets) released_before.push_back(bench.state->layers(net));
-  make_headroom(bench.state.get(), *bench.rc, critical);
+  make_headroom(bench.state.get(), critical,
+                freeze_timing(*bench.state, *bench.rc, critical.nets, {}));
   for (std::size_t i = 0; i < critical.nets.size(); ++i) {
     EXPECT_EQ(bench.state->layers(critical.nets[i]), released_before[i]);
   }

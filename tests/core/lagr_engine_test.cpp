@@ -38,11 +38,10 @@ class LagrEngineTest : public ::testing::Test {
   void TearDown() override { FaultInjector::instance().reset(); }
 
   static std::vector<PartitionProblem> problems(int max_segments) {
-    std::unordered_map<int, timing::NetTiming> t;
+    const RoundTiming t =
+        freeze_timing(*prepared_->state, *prepared_->rc, critical_->nets, ModelOptions{});
     std::vector<SegRef> refs;
     for (int net : critical_->nets) {
-      t.emplace(net, timing::compute_timing(prepared_->state->tree(net),
-                                            prepared_->state->layers(net), *prepared_->rc));
       for (const auto& seg : prepared_->state->tree(net).segs) {
         refs.push_back(SegRef{net, seg.id, {(seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2}});
       }

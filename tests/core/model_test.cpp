@@ -30,13 +30,8 @@ class ModelTest : public ::testing::Test {
     prepared_ = nullptr;
   }
 
-  static std::unordered_map<int, timing::NetTiming> timings() {
-    std::unordered_map<int, timing::NetTiming> out;
-    for (int net : critical_->nets) {
-      out.emplace(net, timing::compute_timing(prepared_->state->tree(net),
-                                              prepared_->state->layers(net), *prepared_->rc));
-    }
-    return out;
+  static RoundTiming timings() {
+    return freeze_timing(*prepared_->state, *prepared_->rc, critical_->nets, ModelOptions{});
   }
 
   static std::vector<SegRef> all_refs() {
@@ -204,10 +199,7 @@ std::vector<CapRow> parent_cap_rows(const assign::AssignState& state,
 /// the number of rows compared.
 int expect_oracle_rows(const Prepared& run, const CriticalSet& critical,
                        const std::vector<PartitionRegion>& regions) {
-  std::unordered_map<int, timing::NetTiming> t;
-  for (int net : critical.nets) {
-    t.emplace(net, timing::compute_timing(run.state->tree(net), run.state->layers(net), *run.rc));
-  }
+  const RoundTiming t = freeze_timing(*run.state, *run.rc, critical.nets, ModelOptions{});
   int compared = 0;
   for (std::size_t r = 0; r < regions.size(); ++r) {
     const PartitionProblem p = build_partition_problem(*run.state, *run.rc, t, regions[r], {});

@@ -1,4 +1,4 @@
-// Unit tests for the observability layer: OpenMP-safe aggregation, the
+// Unit tests for the observability layer: thread-safe aggregation, the
 // histogram percentile math, the JSON export (validated by re-parsing it
 // with a minimal in-test JSON reader), and the phase-timer plumbing.
 
@@ -11,11 +11,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <variant>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <vector>
 
 namespace cpla::obs {
 namespace {
@@ -131,21 +129,30 @@ class JsonReader {
 
 // ---------------------------------------------------------------------------
 
+/// Runs fn(i) for every i in [0, n) on four std::threads (strided) and
+/// joins them: real concurrency whose synchronisation ThreadSanitizer can
+/// model, whatever the OpenMP thread count.
+template <typename Fn>
+void on_four_threads(int n, Fn fn) {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([=] {
+      for (int i = t; i < n; i += kThreads) fn(i);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+}
+
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
   MetricsRegistry reg;
   Counter& c = reg.counter("test.counter");
   constexpr int kIters = 200000;
-#ifdef _OPENMP
-#pragma omp parallel for
-#endif
-  for (int i = 0; i < kIters; ++i) c.add();
+  on_four_threads(kIters, [&c](int) { c.add(); });
   EXPECT_EQ(c.value(), kIters);
 
   // Weighted adds from multiple threads are exact too.
-#ifdef _OPENMP
-#pragma omp parallel for
-#endif
-  for (int i = 0; i < 1000; ++i) c.add(3);
+  on_four_threads(1000, [&c](int) { c.add(3); });
   EXPECT_EQ(c.value(), kIters + 3000);
 }
 
@@ -153,10 +160,7 @@ TEST(HistogramTest, ConcurrentRecordsKeepExactCountAndSum) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("test.hist");
   constexpr int kIters = 100000;
-#ifdef _OPENMP
-#pragma omp parallel for
-#endif
-  for (int i = 0; i < kIters; ++i) h.record(1.0);
+  on_four_threads(kIters, [&h](int) { h.record(1.0); });
   EXPECT_EQ(h.count(), kIters);
   EXPECT_NEAR(h.sum(), static_cast<double>(kIters), 1e-6);
   EXPECT_DOUBLE_EQ(h.min(), 1.0);
