@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   sta::TimingGraph live;
   {
     WallTimer timer;
-    live.build(*run.state, corner_set, sta::TimingGraph::Options{});
+    live.build(*run.state, corner_set);
     report.record_phase("sta.initial_build", timer.seconds() * 1e3);
   }
   std::printf("graph: %d corners, %d nodes, %d edges, %d levels\n", live.num_corners(),
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     sta::TimingGraph scratch;
     {
       WallTimer timer;
-      scratch.build(*run.state, corner_set, sta::TimingGraph::Options{});
+      scratch.build(*run.state, corner_set);
       scratch_s += timer.seconds();
     }
     mismatches += diff_graphs(live, scratch);

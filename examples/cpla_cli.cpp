@@ -9,8 +9,8 @@
 //     --file <path>       parse an ISPD'08 .gr file instead of generating
 //     --ratio <r>         critical-net ratio (default 0.005)
 //     --engine <sdp|ilp|lagr|hybrid|tila>  optimizer (default sdp; hybrid
-//                         picks per partition: Lagrangian for large or
-//                         deadline-pressured partitions, SDP elsewhere)
+//                         picks per partition: Lagrangian for large
+//                         partitions, SDP elsewhere)
 //     --rounds <n>        max CPLA rounds (default 8)
 //     --max-segs <n>      partition cap (default 10)
 //     --eco <script>      ECO mode: apply an edit script incrementally
@@ -35,7 +35,7 @@
 //                                      design netlist, so --write-routes and
 //                                      --validate are skipped after one)
 //     remove <net>                     delete a net added earlier
-//     resolve [<deadline_ms>]          incremental re-optimization
+//     resolve                          incremental re-optimization
 // A trailing resolve is implied when the script ends with pending edits.
 // A token after an op's fields that is not a '#' comment is an error.
 
@@ -92,9 +92,7 @@ bool apply_script_line(const std::string& line, int lineno, cpla::eco::EcoSessio
   if (req.kind == serve::RequestKind::kEmpty) return true;  // blank or comment
   if (req.kind == serve::RequestKind::kResolve) {
     WallTimer timer;
-    eco::ResolveOptions ro;
-    ro.deadline_ms = req.deadline_ms;
-    session->resolve(ro);
+    session->resolve();
     *resolve_s += timer.seconds();
     *pending = 0;
     return true;

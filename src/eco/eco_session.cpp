@@ -45,18 +45,16 @@ Result<int> EcoSession::apply(const Delta& delta) {
   return applied;
 }
 
-core::OptimizeResult EcoSession::resolve(const ResolveOptions& request) {
+core::OptimizeResult EcoSession::resolve() {
   ++resolves_;
   obs::metrics().counter("eco.resolve.calls").add();
   degraded_.store(false, std::memory_order_relaxed);
   cache_.clear_poison();
 
   core::CplaOptions opts = options_.flow;
-  if (request.deadline_ms > 0.0) opts.guard.deadline_ms = request.deadline_ms;
-  opts.partition_solver = [this, guard = opts.guard](const core::PartitionProblem& problem,
-                                                     const assign::AssignState& state,
-                                                     core::GuardStats* stats) {
-    return solve_partition(problem, state, guard, stats);
+  opts.partition_solver = [this](const core::PartitionProblem& problem,
+                                 const assign::AssignState& state, core::GuardStats* stats) {
+    return solve_partition(problem, state, stats);
   };
 
   // Entry snapshot: a degraded run restores it before full_resolve() so the
@@ -144,13 +142,12 @@ bool replay_valid(const core::PartitionProblem& problem, const core::GuardedSolv
 
 core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& problem,
                                                const assign::AssignState& state,
-                                               const core::GuardOptions& guard,
                                                core::GuardStats* stats) {
   const core::CplaOptions& f = options_.flow;
-  const core::Engine engine = core::primary_engine(problem, guard, f.engine);
+  const core::Engine engine = core::primary_engine(problem, f.guard, f.engine);
   auto solve_fresh = [&]() {
     return core::guarded_solve(problem, state, engine, core::effective_sdp_options(f), f.ilp,
-                               guard, stats);
+                               f.guard, stats);
   };
 
   if (CPLA_FAULT_POINT("eco.resolve.partition")) {
@@ -178,10 +175,10 @@ core::GuardedSolve EcoSession::solve_partition(const core::PartitionProblem& pro
   if (cache_.poisoned()) degraded_.store(true, std::memory_order_relaxed);
   const long deadline_hits = stats->deadline_hits;
   const core::GuardedSolve solved = solve_fresh();
-  // A solve the wall clock truncated (deadline_ms or the forced
-  // solve_guard.deadline fault) is not a function of the key, which carries
-  // no deadline: replaying it in a later deadline-free resolve would break
-  // bit-identity with full_resolve().
+  // A solve the wall clock truncated (the flow's guard deadline_ms or the
+  // forced solve_guard.deadline fault) is not a function of the key, which
+  // carries no deadline: replaying it would break bit-identity with
+  // full_resolve().
   if (stats->deadline_hits != deadline_hits) {
     obs::metrics().counter("eco.cache.uncacheable").add();
   } else {

@@ -41,17 +41,6 @@ struct EcoOptions {
   std::size_t cache_capacity = 4096;  // LRU entries in the solution cache
 };
 
-/// Per-resolve controls layered on top of the session-wide EcoOptions.
-struct ResolveOptions {
-  /// Wall-clock budget per partition solve, routed into the solve-guard
-  /// escalation chain (GuardOptions::deadline_ms); 0 keeps the session
-  /// default. A deadline-bounded resolve trades replay determinism for
-  /// latency — whether a solve hits its deadline depends on the wall
-  /// clock, so journal replay of such a resolve is not guaranteed
-  /// bit-identical (see DESIGN.md, ECO service failure semantics).
-  double deadline_ms = 0.0;
-};
-
 /// Snapshot of session counters (stats() assembles it on demand).
 struct EcoStats {
   long deltas_applied = 0;
@@ -80,10 +69,7 @@ class EcoSession {
   /// Incremental re-optimization: every partition is served from the
   /// solution cache when its content key matches and solved otherwise.
   /// Bit-identical to full_resolve() on the same state by construction.
-  core::OptimizeResult resolve() { return resolve(ResolveOptions{}); }
-
-  /// resolve() with a per-request deadline.
-  core::OptimizeResult resolve(const ResolveOptions& request);
+  core::OptimizeResult resolve();
 
   /// From-scratch guarded optimize (no caches, no hooks) — the fallback
   /// target and the equivalence baseline.
@@ -112,11 +98,8 @@ class EcoSession {
   assign::AssignState& state() { return *state_; }
 
  private:
-  // `guard` is the resolve's guard options (session default plus the
-  // request deadline).
   core::GuardedSolve solve_partition(const core::PartitionProblem& problem,
-                                     const assign::AssignState& state,
-                                     const core::GuardOptions& guard, core::GuardStats* stats);
+                                     const assign::AssignState& state, core::GuardStats* stats);
   CacheKey build_key(const core::PartitionProblem& problem, const assign::AssignState& state,
                      core::Engine engine) const;
   void retime_sta();

@@ -29,7 +29,7 @@ namespace cpla::serve {
 enum class RecordType : std::uint32_t {
   kGenesis = 1,       // payload: u64 hash_state() at journal birth
   kDelta = 2,         // payload: one write_delta() blob; seq = delta seq
-  kResolveStart = 3,  // payload: f64 deadline_ms; covers deltas <= seq
+  kResolveStart = 3,  // payload: empty (replay ignores it); covers deltas <= seq
   kResolveDone = 4,   // payload: u64 post-resolve hash_state()
 };
 

@@ -1,8 +1,5 @@
 #include "src/serve/protocol.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/eco/reroute.hpp"
@@ -29,16 +26,6 @@ bool is_edit(RequestKind kind) {
 }
 
 namespace {
-
-/// True if `t` is a whole finite decimal number (no unit suffix, no junk).
-bool to_finite_double(const std::string& t, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(t.c_str(), &end);
-  if (end == t.c_str() || *end != '\0' || errno == ERANGE || !std::isfinite(v)) return false;
-  *out = v;
-  return true;
-}
 
 /// Reads the next token unless the line is spent or the rest is a '#'
 /// comment (which then ends the line for every later read too).
@@ -96,13 +83,6 @@ Result<Request> parse_request(std::string_view line) {
   }
   if (op == "resolve") {
     req.kind = RequestKind::kResolve;
-    std::string deadline;  // optional; absent adds no deadline
-    if (next_token(in, &deadline)) {
-      if (!to_finite_double(deadline, &req.deadline_ms)) {
-        return fail("expected: resolve [DEADLINE_MS]");
-      }
-      if (req.deadline_ms < 0.0) return fail("resolve deadline must be >= 0");
-    }
     return done();
   }
   if (op == "sync") {

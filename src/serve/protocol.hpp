@@ -5,7 +5,7 @@
 //
 //   capacity L X Y CAP | release NET | demote NET | reroute NET |
 //   add X1 Y1 X2 Y2 | remove NET        edits (each submits one delta)
-//   resolve [DEADLINE_MS]               apply + re-optimize barrier
+//   resolve                             apply + re-optimize barrier
 //   sync                                durability barrier only
 //   query hash|seq|metrics|stats        snapshot-isolated reads
 //   query net NET                       one net's layer vector
@@ -47,7 +47,6 @@ struct Request {
   int x = 0, y = 0;          // capacity edge origin / add first pin
   int cap = 0;               // capacity payload
   int x2 = 0, y2 = 0;        // add second pin
-  double deadline_ms = 0.0;  // per-solve resolve budget; 0 adds none
   std::string query;         // "hash" | "seq" | "metrics" | "stats" | "net"
 };
 
@@ -57,8 +56,8 @@ bool is_edit(RequestKind kind);
 /// Parses one protocol line. kBadInput carries a description of the
 /// malformed token; comments/blank lines come back as kEmpty requests.
 /// Fields are whole tokens, and nothing but a '#' comment may follow the
-/// last one: `release 3 junk` and `resolve 5ms` are errors, not `release 3`
-/// and a 5 ms resolve.
+/// last one: `release 3 junk` and `resolve 5` are errors, not `release 3`
+/// and a bare resolve.
 Result<Request> parse_request(std::string_view line);
 
 /// Builds the delta for an edit request against the current state (a

@@ -50,6 +50,8 @@ Status replay_records(const std::vector<Record>& records, std::size_t begin,
         break;
       }
       case RecordType::kResolveStart:
+        // The payload is empty; the 8-byte deadline older journals wrote
+        // there is ignored.
         resolve_pending = true;
         break;
       case RecordType::kResolveDone: {
@@ -61,9 +63,9 @@ Status replay_records(const std::vector<Record>& records, std::size_t begin,
         if (r.ok()) {
           const std::uint64_t now = hash_state(session->state(), session->critical());
           if (now != recorded) {
-            // Legitimate under per-request deadlines (wall-clock dependent
-            // escalation); a divergence on a deadline-free journal would
-            // be a determinism bug — surface it loudly either way.
+            // A served resolve depends only on the state and the config
+            // (start() refuses a guard deadline), so a mismatch is a
+            // determinism bug: surface it loudly.
             LOG_WARN("serve: replayed resolve hash %016llx != recorded %016llx",
                      static_cast<unsigned long long>(now),
                      static_cast<unsigned long long>(recorded));
@@ -114,14 +116,11 @@ EcoService::~EcoService() { stop(); }
 
 Status EcoService::start() {
   CPLA_CHECK(!running(), Status(StatusCode::kInternal, "serve: already running"));
+  CPLA_CHECK(options_.eco.flow.guard.deadline_ms <= 0.0,
+             Status(StatusCode::kBadInput,
+                    "serve: a flow guard deadline would make resolves depend on the wall "
+                    "clock, which replay cannot rebuild"));
   CPLA_CHECK_OK(recover());
-  if (options_.sta) {
-    // Built against the *recovered* state; the session invalidates it on
-    // tree deltas and re-times it after every resolve.
-    corner_set_ = sta::CornerSet::single(*rc_);
-    sta_graph_.build(*state_, corner_set_, options_.sta_graph);
-    session_->attach_sta(&sta_graph_);
-  }
   publish_snapshot(hash_state(*state_, session_->critical()));
 
   {
@@ -321,7 +320,7 @@ Result<std::uint64_t> EcoService::enqueue_edit(int session, Cmd cmd) {
   return seq;
 }
 
-ResolveOutcome EcoService::resolve(int session, double deadline_ms) {
+ResolveOutcome EcoService::resolve(int session) {
   ResolveOutcome out;
   if (!running()) {
     out.status = Status(StatusCode::kUnavailable, "serve: not running");
@@ -338,7 +337,6 @@ ResolveOutcome EcoService::resolve(int session, double deadline_ms) {
     cmd.kind = CmdKind::kResolve;
     cmd.session = session;
     cmd.seq = last_seq_;
-    cmd.deadline_ms = deadline_ms;
     cmd.waiter = waiter;
     queue_.push_back(std::move(cmd));
   }
@@ -510,20 +508,8 @@ void EcoService::process_batch(std::vector<Cmd> batch) {
     return;
   }
 
-  // The tightest requested deadline bounds every partition solve of this
-  // batch through the solve-guard chain.
-  eco::ResolveOptions ro;
-  for (const Cmd& c : resolves) {
-    if (c.deadline_ms > 0.0) {
-      ro.deadline_ms =
-          ro.deadline_ms > 0.0 ? std::min(ro.deadline_ms, c.deadline_ms) : c.deadline_ms;
-    }
-  }
-
   if (journal_enabled()) {
-    ByteWriter w;
-    w.f64(ro.deadline_ms);
-    Status st = journal_append(RecordType::kResolveStart, applied_seq_, w.data());
+    Status st = journal_append(RecordType::kResolveStart, applied_seq_, "");
     if (st.is_ok()) st = journal_.sync();
     if (!st.is_ok()) {
       enter_read_only(st);
@@ -533,7 +519,7 @@ void EcoService::process_batch(std::vector<Cmd> batch) {
   }
 
   obs::ScopedPhase resolve_phase("serve.resolve");
-  const core::OptimizeResult out = session_->resolve(ro);
+  const core::OptimizeResult out = session_->resolve();
   resolve_phase.stop();
 
   const std::uint64_t hash = hash_state(*state_, session_->critical());
@@ -695,14 +681,6 @@ void EcoService::publish_snapshot(std::uint64_t state_hash) {
   next->resolves = resolves_total_;
   next->hash = state_hash;
   next->metrics = core::compute_metrics(*state_, *rc_, session_->critical());
-  if (options_.sta && sta_graph_.built()) {
-    // Worker-confined like the session: bring the graph in sync with the
-    // state being published (cheap when the resolve path already did).
-    sta_graph_.update(*state_);
-    next->sta = true;
-    next->sta_worst_slack = sta_graph_.worst_slack();
-    obs::metrics().counter("sta.serve.retimes").add();
-  }
 
   std::shared_ptr<const StateSnapshot> prev;
   {

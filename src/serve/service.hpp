@@ -19,10 +19,12 @@
 //     application is deterministic, a delta the live engine rejects is
 //     rejected identically on replay, so journal and state cannot diverge,
 //   * a resolve is bracketed by kResolveStart (fsynced before the solve)
-//     and kResolveDone, and always runs to completion; a crash in between
-//     leaves a trailing kResolveStart, and recovery completes the resolve
+//     and kResolveDone, and always runs to completion with no wall-clock
+//     budget (start() refuses a flow guard deadline), so its result depends
+//     only on the state and the config; a crash in between leaves a
+//     trailing kResolveStart, and recovery completes the resolve
 //     deterministically — recovered state is bit-identical to the
-//     uncrashed run (PR 4/5 determinism contract),
+//     uncrashed run,
 //   * any journal append/fsync failure flips the service to read-only:
 //     queries keep working off the snapshot, mutations and resolves are
 //     refused, nothing already acknowledged is lost.
@@ -43,8 +45,6 @@
 #include "src/grid/design.hpp"
 #include "src/serve/journal.hpp"
 #include "src/serve/protocol.hpp"
-#include "src/sta/corner.hpp"
-#include "src/sta/timing_graph.hpp"
 #include "src/timing/rc_table.hpp"
 #include "src/util/status.hpp"
 
@@ -58,12 +58,6 @@ struct ServeOptions {
   std::size_t max_queue = 1024;  // queued edits beyond this are shed
   int max_sessions = 64;
   bool coalesce = true;  // drop superseded same-key edits within a batch
-  // Live STA (src/sta): the service owns a TimingGraph over the state at
-  // the single unscaled typical corner, re-times it incrementally after
-  // every resolve and before every snapshot publish, and reports worst
-  // slack in StateSnapshot.
-  bool sta = false;
-  sta::TimingGraph::Options sta_graph;
 };
 
 /// Immutable published view for snapshot-isolated reads. `layers` shares
@@ -73,10 +67,6 @@ struct StateSnapshot {
   std::uint64_t resolves = 0;  // completed resolves folded in
   std::uint64_t hash = 0;      // hash_state() at publish time
   core::LaMetrics metrics;
-  // Live-STA view (ServeOptions::sta): worst slack over every endpoint and
-  // corner at publish time. `sta` false = STA off, slack not meaningful.
-  bool sta = false;
-  double sta_worst_slack = 0.0;
   std::vector<std::shared_ptr<const std::vector<int>>> layers;  // per net
 };
 
@@ -120,6 +110,9 @@ class EcoService {
   /// Recovers (checkpoint restore + journal suffix replay, torn-tail
   /// repair, genesis verification) and starts the worker. On a fresh
   /// journal, writes the genesis record (the base state hash) first.
+  /// Refuses (kBadInput) a flow with a guard deadline: a served resolve's
+  /// result must depend only on the state and the config, or replay could
+  /// not rebuild it.
   Status start();
   /// Drains the queue (every waiter is fulfilled), stops the worker, and
   /// closes the journal. Idempotent.
@@ -141,11 +134,8 @@ class EcoService {
   Result<std::uint64_t> submit(int session, Request request);
 
   /// Blocks until every delta submitted before this call is applied,
-  /// journaled, and re-optimized. `deadline_ms` > 0 bounds each partition
-  /// solve through the solve-guard chain (0 adds none) — note a
-  /// deadline-bounded resolve trades replay determinism for latency (see
-  /// ResolveOptions).
-  ResolveOutcome resolve(int session, double deadline_ms = 0.0);
+  /// journaled, and re-optimized.
+  ResolveOutcome resolve(int session);
 
   /// Durability barrier: blocks until everything enqueued before this
   /// call is journaled and fsynced (no resolve).
@@ -181,7 +171,6 @@ class EcoService {
     eco::Delta delta;
     bool needs_materialize = false;  // delta is built from `request` at apply time
     Request request;
-    double deadline_ms = 0.0;
     std::shared_ptr<Waiter> waiter;
   };
 
@@ -203,11 +192,6 @@ class EcoService {
   const timing::RcTable* rc_;
   ServeOptions options_;
   std::unique_ptr<eco::EcoSession> session_;  // worker-confined after start()
-  // Live STA (ServeOptions::sta): owned here, attached to the session so
-  // tree deltas invalidate it; worker-confined after start() like the
-  // session itself.
-  sta::CornerSet corner_set_;
-  sta::TimingGraph sta_graph_;
 
   Journal journal_;
   std::uint64_t base_hash_ = 0;  // genesis payload of the open journal

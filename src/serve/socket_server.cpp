@@ -60,7 +60,7 @@ LineReply handle_line(EcoService* service, int session, std::string_view line) {
     case RequestKind::kEmpty:
       return out;  // no reply line for comments / blank lines
     case RequestKind::kResolve: {
-      const ResolveOutcome r = service->resolve(session, req.deadline_ms);
+      const ResolveOutcome r = service->resolve(session);
       out.text = r.status.is_ok()
                      ? str_format("ok hash=%016llx seq=%llu",
                                   static_cast<unsigned long long>(r.hash),

@@ -22,8 +22,7 @@ grid::XY sink_cell(const route::SegTree& tree, const route::SinkAttach& sink) {
 
 }  // namespace
 
-void TimingGraph::build(const assign::AssignState& state, const CornerSet& corners,
-                        const Options& options) {
+void TimingGraph::build(const assign::AssignState& state, const CornerSet& corners) {
   obs::ScopedPhase phase("sta.build");
   static obs::Counter& builds_counter = obs::metrics().counter("sta.graph.builds");
   static obs::Gauge& nodes_gauge = obs::metrics().gauge("sta.graph.nodes");
@@ -32,7 +31,6 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   CPLA_ASSERT_MSG(corners.size() > 0, "TimingGraph needs at least one corner");
   corners_ = &corners;
   num_corners_ = corners.size();
-  options_ = options;
   topology_dirty_ = false;
 
   const grid::GridGraph& grid = state.design().grid;
@@ -120,7 +118,7 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   levelize();
 
   // --- Delays and propagation ------------------------------------------
-  edge_delay_.assign(static_cast<std::size_t>(m) * nc, options_.stage_delay);
+  edge_delay_.assign(static_cast<std::size_t>(m) * nc, 0.0);  // stage edges: zero delay
   timed_layers_.assign(num_nets, {});
   for (int net = 0; net < num_nets; ++net) {
     if (driver_node_[net] >= 0) retime_net(state, net);
@@ -298,17 +296,17 @@ void TimingGraph::propagate_full() {
   for (int lv = 0; lv < num_levels_; ++lv) {
     const int begin = level_begin_[lv];
     const int end = level_begin_[lv + 1];
-#pragma omp parallel for schedule(static) if (options_.parallel && end - begin > 64)
+#pragma omp parallel for schedule(static) if (end - begin > 64)
     for (int i = begin; i < end; ++i) recompute_arrival(level_nodes_[i]);
   }
   refresh_effective_required();
   for (int lv = num_levels_ - 1; lv >= 0; --lv) {
     const int begin = level_begin_[lv];
     const int end = level_begin_[lv + 1];
-#pragma omp parallel for schedule(static) if (options_.parallel && end - begin > 64)
+#pragma omp parallel for schedule(static) if (end - begin > 64)
     for (int i = begin; i < end; ++i) recompute_required(level_nodes_[i]);
   }
-#pragma omp parallel for schedule(static) if (options_.parallel && n > 256)
+#pragma omp parallel for schedule(static) if (n > 256)
   for (int v = 0; v < n; ++v) merge_slack(v);
 }
 
@@ -321,7 +319,7 @@ void TimingGraph::update(const assign::AssignState& state) {
 
   if (topology_dirty_ || state.num_nets() != static_cast<int>(driver_node_.size())) {
     full_counter.add();
-    build(state, *corners_, options_);
+    build(state, *corners_);
     return;
   }
 

@@ -16,7 +16,8 @@
 //   * stage edges  sink(a, k) -> driver(b)  whenever sink k of net a sits
 //     in the same GCell as the root of net b (a != b): the spatial stand-in
 //     for the gate that would connect the two nets in a full netlist. Their
-//     delay is Options::stage_delay at every corner.
+//     delay is zero at every corner: they carry arrival across nets but add
+//     none of their own.
 //
 // The graph is levelized (Kahn; cycles from the spatial heuristic are
 // broken deterministically at the smallest-id stalled node and counted).
@@ -37,8 +38,8 @@
 // changes — call invalidate_topology() and the next update() rebuilds.
 //
 // Not thread-safe: one writer at a time. The internal level-parallel
-// propagation (Options::parallel) is deterministic — nodes within a level
-// write disjoint entries and read only earlier levels.
+// propagation (OpenMP over the nodes of a wide level) is deterministic —
+// nodes within a level write disjoint entries and read only earlier levels.
 
 #include <algorithm>
 #include <vector>
@@ -55,11 +56,6 @@ enum class NodeKind : char { kDriver, kSink };
 
 class TimingGraph {
  public:
-  struct Options {
-    double stage_delay = 0.0;  // per-corner delay of every stage edge
-    bool parallel = true;      // OpenMP over nodes within a level
-  };
-
   struct Stats {
     long builds = 0;               // from-scratch builds (including rebuilds)
     long incremental_updates = 0;  // update() calls served incrementally
@@ -72,11 +68,7 @@ class TimingGraph {
 
   /// From-scratch build. `corners` is borrowed and must outlive the graph
   /// (update() re-times against the same set).
-  void build(const assign::AssignState& state, const CornerSet& corners,
-             const Options& options);
-  void build(const assign::AssignState& state, const CornerSet& corners) {
-    build(state, corners, Options{});
-  }
+  void build(const assign::AssignState& state, const CornerSet& corners);
 
   bool built() const { return corners_ != nullptr; }
 
@@ -175,7 +167,6 @@ class TimingGraph {
 
   const CornerSet* corners_ = nullptr;  // borrowed
   int num_corners_ = 0;
-  Options options_;
   bool topology_dirty_ = false;
   int num_levels_ = 0;
 

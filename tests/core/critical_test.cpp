@@ -89,7 +89,7 @@ TEST(SelectByBudget, FeedsCplaFlow) {
 
 sta::TimingGraph build_graph(const Prepared& run, const sta::CornerSet& set) {
   sta::TimingGraph graph;
-  graph.build(*run.state, set, sta::TimingGraph::Options{});
+  graph.build(*run.state, set);
   return graph;
 }
 
@@ -120,7 +120,7 @@ TEST(SelectCriticalSta, FlowRediscoversThroughAnAttachedGraph) {
   Prepared run = bench();
   const sta::CornerSet set = sta::CornerSet::single(*run.rc);
   sta::TimingGraph graph;
-  graph.build(*run.state, set, sta::TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   const CriticalSet entry = select_critical(*run.state, graph, 0.02);
   CplaOptions opt;
@@ -132,7 +132,7 @@ TEST(SelectCriticalSta, FlowRediscoversThroughAnAttachedGraph) {
   // The flow's exit contract: the attached graph is current for the state
   // it landed on — bit-identical to a from-scratch build.
   sta::TimingGraph fresh;
-  fresh.build(*run.state, set, sta::TimingGraph::Options{});
+  fresh.build(*run.state, set);
   ASSERT_EQ(fresh.num_nodes(), graph.num_nodes());
   for (int v = 0; v < fresh.num_nodes(); ++v) {
     EXPECT_EQ(graph.worst_slack(v), fresh.worst_slack(v)) << v;

@@ -142,18 +142,17 @@ TEST_F(EcoFaultInjectTest, DeadlineTruncatedSolvesAreNeverReplayed) {
   EXPECT_EQ(session.stats().fallbacks, 0);
 }
 
-TEST_F(EcoFaultInjectTest, RequestDeadlineReachesThePartitionSolves) {
+TEST_F(EcoFaultInjectTest, FlowDeadlineReachesThePartitionSolves) {
   core::Prepared live = make_bench(95);
   EcoOptions opt;
   opt.critical_ratio = 0.03;
+  // A deadline far below one clock read: every solve expires at tier 0.
+  opt.flow.guard.deadline_ms = 1e-9;
   EcoSession session(live.design.get(), live.state.get(), live.rc.get(), opt);
   obs::Counter& deadline_hits = obs::metrics().counter("core.guard.deadline_hits");
   const long before = deadline_hits.value();
 
-  // A deadline far below one clock read: every solve expires at tier 0.
-  ResolveOptions request;
-  request.deadline_ms = 1e-9;
-  ASSERT_TRUE(session.resolve(request).status.is_ok());
+  ASSERT_TRUE(session.resolve().status.is_ok());
   EXPECT_GT(deadline_hits.value(), before);
   EXPECT_EQ(session.cache().size(), 0u);
 }

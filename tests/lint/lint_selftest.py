@@ -117,6 +117,49 @@ class OptionUnset(unittest.TestCase):
         self.assertEqual([name for name, _ in fields], ["sdp", "counts", "stop"])
 
 
+class OptionReadOnly(unittest.TestCase):
+    """A field outside src/ code only reads (a test, a comparison, a copy into
+    a local) is still unset; assignments, compound assignments, chained
+    assignments and designated initializers set theirs."""
+
+    def test_read_only_fields_fire(self) -> None:
+        rc, doc = run_lint("--root", str(DATA / "option_read_only"))
+        self.assertEqual(rc, 1)
+        self.assertEqual(
+            [(f["check"], f["line"]) for f in doc["findings"]],
+            [("option-unset", 12), ("option-unset", 14)],
+        )
+        self.assertIn("WidgetOptions::verbose", doc["findings"][0]["message"])
+        self.assertIn("WidgetOptions::retries", doc["findings"][1]["message"])
+
+    def test_assigning_them_clears_them(self) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "fixture"
+            shutil.copytree(DATA / "option_read_only", root)
+            (root / "tests").mkdir()
+            (root / "tests" / "widget_test.cpp").write_text(
+                "void f(cpla::widget::WidgetOptions* o) { o->verbose = true; }\n"
+                "void g(cpla::widget::WidgetOptions o[2]) { o[1].retries = 3; }\n"
+            )
+            rc, doc = run_lint("--root", str(root))
+            self.assertEqual(doc["findings"], [])
+            self.assertEqual(rc, 0)
+
+    def test_assigned_members(self) -> None:
+        code = (
+            "opt.eco.critical_ratio = 0.03;\n"
+            "p->rows[2].cap += 1;\n"
+            "Foo f{.alpha = 1, .beta{2}};\n"
+            "if (opt.gamma == 1 && opt.delta <= 2 && opt.eps != 3) {}\n"
+            "double x = opt.zeta;\n"
+            "run(opt.eta);\n"
+        )
+        self.assertEqual(
+            cpla_lint.assigned_members(code),
+            {"eco", "critical_ratio", "rows", "cap", "alpha", "beta"},
+        )
+
+
 class OptionStructUnused(unittest.TestCase):
     """An Options struct nothing else in src/ names fires, even when its
     fields pass option-unset through a same-named field elsewhere."""

@@ -36,8 +36,7 @@ TEST(ProtocolTest, ParsesEveryVerb) {
   EXPECT_EQ(add.y2, 4);
   EXPECT_EQ(parse_ok("remove 9").kind, RequestKind::kRemove);
 
-  EXPECT_EQ(parse_ok("resolve").deadline_ms, 0.0);
-  EXPECT_EQ(parse_ok("resolve 250.5").deadline_ms, 250.5);
+  EXPECT_EQ(parse_ok("resolve").kind, RequestKind::kResolve);
   EXPECT_EQ(parse_ok("sync").kind, RequestKind::kSync);
   EXPECT_EQ(parse_ok("query hash").query, "hash");
   EXPECT_EQ(parse_ok("query net 3").net, 3);
@@ -58,19 +57,19 @@ TEST(ProtocolTest, MalformedLinesFailWithBadInput) {
 }
 
 TEST(ProtocolTest, TrailingTokensAndBadDeadlinesAreRejected) {
-  for (const char* bad : {"resolve abc", "resolve 5ms", "resolve nan", "resolve inf",
-                          "release 3 junk", "demote 3x", "reroute 2 2", "remove 1.5",
-                          "capacity 1 2 3 4 5", "add 1 2 3 4 x", "sync now", "quit 1",
-                          "query hash x", "query net 3 4"}) {
+  // `resolve` takes no argument: a budget token is an error, not a
+  // deadline.
+  for (const char* bad : {"resolve 5", "resolve 250.5", "resolve 0", "resolve abc",
+                          "resolve 5ms", "resolve nan", "resolve inf", "release 3 junk",
+                          "demote 3x", "reroute 2 2", "remove 1.5", "capacity 1 2 3 4 5",
+                          "add 1 2 3 4 x", "sync now", "quit 1", "query hash x",
+                          "query net 3 4"}) {
     Result<Request> r = parse_request(bad);
     ASSERT_FALSE(r.is_ok()) << bad;
     EXPECT_EQ(r.status().code(), StatusCode::kBadInput) << bad;
   }
-  // A bare resolve takes the service default; a trailing '#' comment is
-  // not a token.
-  EXPECT_EQ(parse_ok("resolve").deadline_ms, 0.0);
-  EXPECT_EQ(parse_ok("resolve   # default budget").deadline_ms, 0.0);
-  EXPECT_EQ(parse_ok("resolve 5 # ms").deadline_ms, 5.0);
+  // A trailing '#' comment is not a token.
+  EXPECT_EQ(parse_ok("resolve   # no budget").kind, RequestKind::kResolve);
   EXPECT_EQ(parse_ok("reroute 17          # flip net 17").net, 17);
 }
 

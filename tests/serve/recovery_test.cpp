@@ -223,6 +223,9 @@ TEST(RecoveryTest, TrailingResolveStartIsCompletedOnRecovery) {
 
   // The crash left a fsynced kResolveStart with no outcome record — the
   // exact state a SIGKILL between the marker fsync and kResolveDone leaves.
+  // The frame carries the 8-byte f64 deadline payload older journals wrote
+  // (the service now writes an empty one): replay ignores the payload, so
+  // such a journal still recovers.
   {
     ByteWriter deadline;
     deadline.f64(0.0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -76,6 +77,22 @@ TEST(ServiceTest, UnknownSessionsAreRefused) {
   service.stop();
   EXPECT_EQ(service.submit(0, eco::Delta::net_removed(0)).status().code(),
             StatusCode::kUnavailable);
+}
+
+// A served resolve must depend only on the state and the config, so that
+// replay rebuilds the acknowledged hash: a flow whose guard carries a
+// wall-clock deadline is refused before recovery touches the journal.
+TEST(ServiceTest, FlowDeadlineIsRefusedAtStart) {
+  core::Prepared bench = small_base();
+  TempDir dir;
+  ServeOptions opt = durable_options(dir);
+  opt.eco.flow.guard.deadline_ms = 50.0;
+  EcoService service(bench.design.get(), bench.state.get(), bench.rc.get(), opt);
+  const Status st = service.start();
+  EXPECT_EQ(st.code(), StatusCode::kBadInput) << st.to_string();
+  EXPECT_FALSE(service.running());
+  EXPECT_FALSE(std::filesystem::exists(dir.path("journal.wal")));
+  EXPECT_EQ(service.resolve(0).status.code(), StatusCode::kUnavailable);
 }
 
 TEST(ServiceTest, SessionLimitIsTheConnectionAdmissionControl) {

@@ -15,7 +15,7 @@ TEST(TimingGraphBuild, NodeLayoutMirrorsTheRoutedDesign) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   ASSERT_TRUE(graph.built());
   ASSERT_EQ(graph.num_corners(), 3);
@@ -48,7 +48,7 @@ TEST(TimingGraphBuild, EnabledEdgesAlwaysGoLevelUp) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int e = 0; e < graph.num_edges(); ++e) {
     if (!graph.edge_enabled(e)) continue;
@@ -68,7 +68,7 @@ TEST(TimingGraphBuild, NetEdgeDelaysAreTheCornersElmoreDelays) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int n = 0; n < run.state->num_nets(); ++n) {
     if (!graph.has_net(n)) continue;
@@ -93,7 +93,7 @@ TEST(TimingGraphBuild, ArrivalIsTheMaxOverEnabledInEdges) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int c = 0; c < graph.num_corners(); ++c) {
     for (int v = 0; v < graph.num_nodes(); ++v) {
@@ -112,7 +112,7 @@ TEST(TimingGraphTiming, SlackIsRequiredMinusArrivalAndMergesWorstCorner) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int v = 0; v < graph.num_nodes(); ++v) {
     double worst = std::numeric_limits<double>::infinity();
@@ -136,7 +136,7 @@ TEST(TimingGraphTiming, DerivedCornersZeroTheirWorstEndpoint) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int c = 0; c < graph.num_corners(); ++c) {
     double worst_arrival = 0.0;
@@ -162,7 +162,7 @@ TEST(TimingGraphTiming, SlowCornerDominatesFastCorner) {
   // three_corners(): corner 0 scales everything up, corner 1 scales down.
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int v = 0; v < graph.num_nodes(); ++v) {
     EXPECT_GE(graph.arrival(0, v), graph.arrival(1, v)) << v;
@@ -173,7 +173,7 @@ TEST(TimingGraphTiming, NetSlackIsTheMinOverTheNetsNodes) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   for (int n = 0; n < run.state->num_nets(); ++n) {
     if (!graph.has_net(n)) {
@@ -187,27 +187,6 @@ TEST(TimingGraphTiming, NetSlackIsTheMinOverTheNetsNodes) {
     }
     EXPECT_EQ(graph.net_slack(n), expect) << n;
   }
-}
-
-TEST(TimingGraphOptions, StageDelayOnlyEverIncreasesArrivals) {
-  core::Prepared run = sta_bench();
-  CornerSet set(*run.rc, three_corners());
-  TimingGraph plain, staged;
-  plain.build(*run.state, set, TimingGraph::Options{});
-  TimingGraph::Options options;
-  options.stage_delay = 7.0;
-  staged.build(*run.state, set, options);
-
-  ASSERT_EQ(staged.num_nodes(), plain.num_nodes());
-  bool any_grew = false;
-  for (int c = 0; c < plain.num_corners(); ++c) {
-    for (int v = 0; v < plain.num_nodes(); ++v) {
-      EXPECT_GE(staged.arrival(c, v), plain.arrival(c, v));
-      any_grew = any_grew || staged.arrival(c, v) > plain.arrival(c, v);
-    }
-  }
-  // The bench has stage edges, so a nonzero stage delay must show up.
-  EXPECT_TRUE(any_grew);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(IncrementalSta, NoOpUpdateTouchesNothingAndStaysIdentical) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph, fresh;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   graph.update(*run.state);
   EXPECT_EQ(graph.stats().builds, 1);
@@ -43,7 +43,7 @@ TEST(IncrementalSta, NoOpUpdateTouchesNothingAndStaysIdentical) {
   EXPECT_EQ(graph.stats().dirty_nets, 0);
   EXPECT_EQ(graph.stats().dirty_nodes, 0);
 
-  fresh.build(*run.state, set, TimingGraph::Options{});
+  fresh.build(*run.state, set);
   expect_graphs_bit_identical(graph, fresh);
 }
 
@@ -54,7 +54,7 @@ TEST(IncrementalSta, RandomizedLayerChurnIsBitIdenticalToScratch) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph incremental;
-  incremental.build(*run.state, set, TimingGraph::Options{});
+  incremental.build(*run.state, set);
 
   Rng rng(2026);
   for (int step = 0; step < 12; ++step) {
@@ -63,7 +63,7 @@ TEST(IncrementalSta, RandomizedLayerChurnIsBitIdenticalToScratch) {
     incremental.update(*run.state);
 
     TimingGraph fresh;
-    fresh.build(*run.state, set, TimingGraph::Options{});
+    fresh.build(*run.state, set);
     SCOPED_TRACE(step);
     expect_graphs_bit_identical(incremental, fresh);
   }
@@ -75,7 +75,7 @@ TEST(IncrementalSta, DirtyConeIsSmallForALocalDelta) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   // Flip one segment of one net.
   int victim = -1;
@@ -104,7 +104,7 @@ TEST(IncrementalSta, DirtyConeIsSmallForALocalDelta) {
   EXPECT_LT(graph.stats().dirty_nodes, graph.num_nodes() / 2);
 
   TimingGraph fresh;
-  fresh.build(*run.state, set, TimingGraph::Options{});
+  fresh.build(*run.state, set);
   expect_graphs_bit_identical(graph, fresh);
 }
 
@@ -112,7 +112,7 @@ TEST(IncrementalSta, TopologyInvalidationForcesARebuild) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   // Reroute one net onto a copy of another net's tree: a real shape change.
   int a = -1, b = -1;
@@ -132,7 +132,7 @@ TEST(IncrementalSta, TopologyInvalidationForcesARebuild) {
   EXPECT_EQ(graph.stats().builds, 2);
 
   TimingGraph fresh;
-  fresh.build(*run.state, set, TimingGraph::Options{});
+  fresh.build(*run.state, set);
   expect_graphs_bit_identical(graph, fresh);
 }
 
@@ -140,7 +140,7 @@ TEST(IncrementalSta, NetCountGrowthForcesARebuild) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   int donor = -1;
   for (int n = 0; n < run.state->num_nets(); ++n) {
@@ -155,7 +155,7 @@ TEST(IncrementalSta, NetCountGrowthForcesARebuild) {
   EXPECT_EQ(graph.stats().builds, 2);
 
   TimingGraph fresh;
-  fresh.build(*run.state, set, TimingGraph::Options{});
+  fresh.build(*run.state, set);
   expect_graphs_bit_identical(graph, fresh);
 }
 
@@ -167,7 +167,7 @@ TEST(IncrementalSta, EcoSessionKeepsTheAttachedGraphCurrent) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());
   TimingGraph graph;
-  graph.build(*run.state, set, TimingGraph::Options{});
+  graph.build(*run.state, set);
 
   eco::EcoSession session(run.design.get(), run.state.get(), run.rc.get(), {});
   session.attach_sta(&graph);
@@ -184,7 +184,7 @@ TEST(IncrementalSta, EcoSessionKeepsTheAttachedGraphCurrent) {
   ASSERT_TRUE(session.resolve().status.is_ok());
   {
     TimingGraph fresh;
-    fresh.build(*run.state, set, TimingGraph::Options{});
+    fresh.build(*run.state, set);
     expect_graphs_bit_identical(graph, fresh);
   }
 
@@ -195,7 +195,7 @@ TEST(IncrementalSta, EcoSessionKeepsTheAttachedGraphCurrent) {
   ASSERT_TRUE(session.resolve().status.is_ok());
   {
     TimingGraph fresh;
-    fresh.build(*run.state, set, TimingGraph::Options{});
+    fresh.build(*run.state, set);
     expect_graphs_bit_identical(graph, fresh);
   }
 }

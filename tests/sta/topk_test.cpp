@@ -66,9 +66,7 @@ struct Fixture {
   TimingGraph graph;
 
   Fixture() : run(sta_bench(12, 60)), set(*run.rc, three_corners()) {
-    TimingGraph::Options options;
-    options.stage_delay = 3.0;  // make stage hops visible in the ranking
-    graph.build(*run.state, set, options);
+    graph.build(*run.state, set);  // zero-delay stage edges
   }
 };
 

@@ -55,11 +55,15 @@ Concurrency/suppression hygiene:
 Surface audit:
 
   option-unset              every field of a `struct ...Options` in src/
-                            must be named as `.field` by some file under
-                            tests/, bench/, examples/, perfbench/ or tools/;
-                            a value only src/ ever sets is a constant.
-                            Matching is by name, so a dead field whose name
-                            another struct's live field shares still passes
+                            must be set by some file under tests/, bench/,
+                            examples/, perfbench/ or tools/: named on the
+                            left of an assignment (`x.field = ...`,
+                            `x.field.sub = ...`) or as a designated
+                            initializer (`{.field = ...}`); a read does not
+                            count. A value only src/ ever sets is a
+                            constant. Matching is by name, so a dead field
+                            whose name another struct's live field shares
+                            still passes
   option-struct-unused      every `struct ...Options` in src/ must be named
                             by some other src/ code (a parameter, a member,
                             a use): a struct nothing takes is dead surface,
@@ -168,7 +172,14 @@ RAW_SYNC_RE = re.compile(
 MUTEX_MEMBER_RE = re.compile(r"\bMutex\s+(\w+)\s*[;={]")
 GUARDED_BY_RE = re.compile(r"\bCPLA_(?:PT_)?GUARDED_BY\s*\(\s*(\w+)\s*\)")
 OPTIONS_STRUCT_RE = re.compile(r"\bstruct\s+(\w*Options)\s*(?::[^;{}()]*)?\{")
-MEMBER_ACCESS_RE = re.compile(r"\.\s*([A-Za-z_]\w*)")
+# The left-hand side of an assignment: a member chain (`x.f`, `x->f.g`,
+# `x.f[i]`) followed by `=` or a compound assignment, never `==`.
+ASSIGNED_CHAIN_RE = re.compile(
+    r"((?:(?:\.|->)\s*[A-Za-z_]\w*\s*(?:\[[^\]\n]*\]\s*)*)+)(?:<<|>>|[-+*/%&|^])?=(?!=)"
+)
+CHAIN_MEMBER_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)")
+# A designated initializer: `{.f = ...}`, `{..., .f{...}}`.
+DESIGNATOR_RE = re.compile(r"[{,]\s*\.\s*([A-Za-z_]\w*)\s*(?:=(?!=)|\{)")
 FUNCTION_HEAD_RE = re.compile(r"\)\s*(?:const|noexcept|override|final|\s)*$")
 NON_FIELD_STMT_RE = re.compile(
     r"^(?:static|using|typedef|friend|template|enum|struct|class|union)\b"
@@ -803,7 +814,7 @@ class Linter:
         named: set[str] = set()
         for d in OPTION_CALLER_DIRS:
             for f in Repo._glob(self.repo.root / d, (*SOURCE_SUFFIXES, ".py")):
-                named.update(m.group(1) for m in MEMBER_ACCESS_RE.finditer(f.code))
+                named.update(assigned_members(f.code))
         for f in self.repo.src:
             for m in OPTIONS_STRUCT_RE.finditer(f.code):
                 for name, offset in option_fields(f.code, m.end() - 1):
@@ -903,6 +914,18 @@ def class_body_spans(code: str) -> list[tuple[int, int]]:
                     spans.append((open_brace, i + 1))
                     break
     return spans
+
+
+def assigned_members(code: str) -> set[str]:
+    """Member names `code` writes: every name in the chain on the left of an
+    assignment (`x.f = ...` sets f, `x.f.g = ...` sets f and g) and every
+    designated-initializer name. A read (`if (x.f)`, `y = x.f`) sets nothing.
+    """
+    names: set[str] = set()
+    for m in ASSIGNED_CHAIN_RE.finditer(code):
+        names.update(CHAIN_MEMBER_RE.findall(m.group(1)))
+    names.update(m.group(1) for m in DESIGNATOR_RE.finditer(code))
+    return names
 
 
 def option_fields(code: str, open_brace: int) -> list[tuple[str, int]]:
