@@ -1,6 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the EDA substrates —
 // global routing, segment-tree extraction, Elmore timing, partitioning,
-// and one full partition SDP solve.
+// one full partition SDP solve, and the flow's two largest per-round
+// layers outside the solver: one victim-displacement pass and one
+// incremental STA update under derived budgets.
 
 #include <benchmark/benchmark.h>
 
@@ -9,12 +11,15 @@
 #include "bench/micro_main.hpp"
 
 #include "src/core/critical.hpp"
+#include "src/core/displace.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/sdp_engine.hpp"
 #include "src/gen/synth.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/route/router.hpp"
 #include "src/route/seg_tree.hpp"
+#include "src/sta/corner.hpp"
+#include "src/sta/timing_graph.hpp"
 #include "src/timing/elmore.hpp"
 
 namespace {
@@ -97,6 +102,56 @@ void BM_PartitionSdpSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartitionSdpSolve)->Unit(benchmark::kMillisecond);
+
+// One displacement pass (core::make_headroom) from a fixed congested
+// state: the suite's smallest design at the flow's 3% release ratio. Each
+// iteration starts from a copy of the same state; the copy is untimed.
+void BM_MakeHeadroom(benchmark::State& state) {
+  core::Prepared prep = core::prepare(gen::generate(gen::suite_spec("newblue1")));
+  const core::CriticalSet cs = core::select_critical(*prep.state, *prep.rc, 0.03);
+  const core::RoundTiming timings = core::freeze_timing(*prep.state, *prep.rc, cs.nets, {});
+  const core::VictimIndex victims(*prep.state);
+  long moved = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    assign::AssignState copy = *prep.state;
+    state.ResumeTiming();
+    moved += core::make_headroom(&copy, cs, timings, victims);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["moved"] =
+      static_cast<double>(moved) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_MakeHeadroom)->Unit(benchmark::kMillisecond);
+
+// One incremental STA update after a one-net edit, at three corners that
+// all derive their budget from the worst endpoint arrival (the flow's
+// live-STA set-up). Each iteration moves one segment of the worst net up
+// or back down a layer, so every update re-times the net and moves the
+// budget.
+void BM_StaUpdateDerivedBudget(benchmark::State& state) {
+  core::Prepared prep = core::prepare(gen::generate(gen::suite_spec("newblue1")));
+  const sta::CornerSet corners(*prep.rc, {{"typ", 1.0, 1.0, 1.0, -1.0},
+                                          {"slow", 1.15, 1.10, 1.10, -1.0},
+                                          {"fast", 0.90, 0.92, 0.90, -1.0}});
+  sta::TimingGraph graph;
+  graph.build(*prep.state, corners);
+  const int net = core::select_critical(*prep.state, *prep.rc, 0.01).nets.front();
+  const std::vector<int> base = prep.state->layers(net);
+  const std::vector<int>& options =
+      prep.state->allowed_layers(prep.state->tree(net).segs.front().horizontal);
+  std::vector<int> edited = base;
+  edited.front() = base.front() == options.back() ? options.front() : options.back();
+  bool flip = false;
+  for (auto _ : state) {
+    flip = !flip;
+    prep.state->set_layers(net, flip ? edited : base);
+    graph.update(*prep.state);
+    benchmark::DoNotOptimize(graph.worst_slack());
+  }
+  state.counters["dirty_nodes"] = static_cast<double>(graph.stats().dirty_nodes);
+}
+BENCHMARK(BM_StaUpdateDerivedBudget)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -83,11 +83,11 @@ void AssignState::apply_net(int net, int delta) {
                [&](int x, int y, int lo, int hi) { apply_stack({x, y, lo, hi}, delta); });
 }
 
-void AssignState::set_layers(int net, std::vector<int> layers) {
+void AssignState::set_layers(int net, const std::vector<int>& layers) {
   CPLA_ASSERT(layers.size() == trees_[net].segs.size());
   std::vector<int>& old = layers_[net];
   if (old.empty()) {
-    old = std::move(layers);
+    old = layers;
     apply_net(net, +1);
     return;
   }
@@ -113,7 +113,7 @@ void AssignState::set_layers(int net, std::vector<int> layers) {
     apply_segment(net, s.id, old[s.id], -1);
     apply_segment(net, s.id, layers[s.id], +1);
   }
-  old = std::move(layers);
+  old = layers;
 }
 
 void AssignState::clear_net(int net) {
@@ -128,7 +128,7 @@ void AssignState::replace_tree(int net, route::SegTree tree, std::vector<int> la
   trees_[net] = std::move(tree);
   if (trees_[net].segs.empty()) return;
   if (layers.empty()) layers = default_layers(trees_[net]);
-  set_layers(net, std::move(layers));
+  set_layers(net, layers);
 }
 
 int AssignState::add_net(route::SegTree tree, std::vector<int> layers) {
@@ -138,7 +138,7 @@ int AssignState::add_net(route::SegTree tree, std::vector<int> layers) {
   layers_.emplace_back();
   if (!trees_[net].segs.empty()) {
     if (layers.empty()) layers = default_layers(trees_[net]);
-    set_layers(net, std::move(layers));
+    set_layers(net, layers);
   }
   return net;
 }

@@ -31,11 +31,12 @@ class AssignState {
   bool assigned(int net) const { return !layers_[net].empty() || trees_[net].segs.empty(); }
   const std::vector<int>& layers(int net) const { return layers_[net]; }
 
-  /// Replaces a net's assignment (empty = unassigned); usage is updated
-  /// incrementally: for an assigned net, only the segments whose layer
-  /// changes and the via stacks at their ends. Layer directions must match
-  /// segment directions.
-  void set_layers(int net, std::vector<int> layers);
+  /// Replaces a net's assignment; usage is updated incrementally: for an
+  /// assigned net, only the segments whose layer changes and the via stacks
+  /// at their ends. Layer directions must match segment directions. The
+  /// layers are copied into storage the net already holds, so re-assigning
+  /// an assigned net allocates nothing.
+  void set_layers(int net, const std::vector<int>& layers);
 
   /// Removes a net from the usage maps (leaves it unassigned).
   void clear_net(int net);
@@ -66,6 +67,10 @@ class AssignState {
   int track_usage(int layer, int cell) const { return track_usage_[layer][cell]; }
   int via_cap(int layer, int cell) const { return via_cap_[layer][cell]; }
   int nv() const { return nv_; }
+  const int* wire_usage_row(int l) const { return wire_usage_[l].data(); }
+  const int* via_usage_row(int l) const { return via_usage_[l].data(); }
+  const int* track_usage_row(int l) const { return track_usage_[l].data(); }
+  const int* via_cap_row(int l) const { return via_cap_[l].data(); }
 
   /// Via-site load of constraint (4d): via_usage + nv * track_usage.
   int via_load(int layer, int cell) const {

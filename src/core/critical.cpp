@@ -21,7 +21,11 @@ CriticalSet select_critical(const assign::AssignState& state, const timing::RcTa
 
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) { return delay[a] > delay[b]; });
+  // Ties break by net id, ascending, so the released set is a pure
+  // function of the input (std::sort leaves equal keys in any order).
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return delay[a] != delay[b] ? delay[a] > delay[b] : a < b;
+  });
 
   CriticalSet out;
   out.released.assign(static_cast<std::size_t>(n), 0);
@@ -44,8 +48,9 @@ CriticalSet select_by_budget(const assign::AssignState& state, const timing::RcT
     const double d = timing::critical_delay(state.tree(net), state.layers(net), rc);
     if (d > required_time) violators.push_back({d, net});
   }
-  std::sort(violators.begin(), violators.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::sort(violators.begin(), violators.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;  // ties by id
+  });
 
   CriticalSet out;
   out.released.assign(static_cast<std::size_t>(n), 0);

@@ -18,12 +18,14 @@ struct CriticalSet {
 };
 
 /// Selects ceil(ratio * #nets) critical nets (nets without segments are
-/// never selected — they carry no assignable wire).
+/// never selected — they carry no assignable wire). Equal delays break
+/// toward the smaller net id.
 CriticalSet select_critical(const assign::AssignState& state, const timing::RcTable& rc,
                             double ratio);
 
 /// Slack-based selection: releases every net whose critical-path delay
-/// exceeds `required_time` (negative slack), worst first. This is how a
+/// exceeds `required_time` (negative slack), worst first, equal delays by
+/// net id. This is how a
 /// timing-closure flow would feed CPLA from an STA report instead of a
 /// fixed release ratio.
 CriticalSet select_by_budget(const assign::AssignState& state, const timing::RcTable& rc,

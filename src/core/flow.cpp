@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <utility>
 
@@ -232,6 +233,7 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     return true;
   };
 
+  std::optional<VictimIndex> victims;
   double prev_avg = 1e300;
   for (int round = 0; round < options.max_rounds; ++round) {
     result.rounds = round + 1;
@@ -249,7 +251,9 @@ CplaResult run_cpla(assign::AssignState* state, const timing::RcTable& rc,
     const RoundTiming timings = freeze(options.model);
     if (options.displace_victims) {
       obs::ScopedPhase phase("core.flow.displace");
-      make_headroom(state, *active, timings);
+      // Trees do not change inside a flow: the index is built once.
+      if (!victims) victims.emplace(*state);
+      make_headroom(state, *active, timings, *victims);
     }
 
     // Snapshot the released nets so a regressing round can be rolled back

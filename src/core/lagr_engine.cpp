@@ -39,27 +39,53 @@ EngineResult solve_partition_lagr(const PartitionProblem& p,
   const std::size_t nrows = p.cap_rows.size();
 
   // Row membership per (var, option): rows a var loads iff it picks the
-  // row's layer. Built once; the pricing sweeps index it per candidate.
-  std::vector<std::vector<std::vector<int>>> rows_of(nvars);
+  // row's layer, ascending. Built once as CSR (option o = opt_begin[i] + k
+  // owns rows[row_begin[o] .. row_begin[o + 1])); the pricing sweeps index
+  // it per candidate.
+  std::vector<int> opt_begin(nvars + 1, 0);
   for (std::size_t i = 0; i < nvars; ++i) {
-    rows_of[i].resize(p.vars[i].layers.size());
+    opt_begin[i + 1] = opt_begin[i] + static_cast<int>(p.vars[i].layers.size());
   }
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const CapRow& row = p.cap_rows[r];
-    for (int i : row.members) {
-      const VarGroup& var = p.vars[static_cast<std::size_t>(i)];
-      for (std::size_t k = 0; k < var.layers.size(); ++k) {
-        if (var.layers[k] == row.layer) {
-          rows_of[static_cast<std::size_t>(i)][k].push_back(static_cast<int>(r));
+  std::vector<int> row_begin(static_cast<std::size_t>(opt_begin[nvars]) + 1, 0);
+  auto for_each_membership = [&](auto&& fn) {  // (option, row), rows ascending
+    for (std::size_t r = 0; r < nrows; ++r) {
+      const CapRow& row = p.cap_rows[r];
+      for (int i : row.members) {
+        const VarGroup& var = p.vars[static_cast<std::size_t>(i)];
+        for (std::size_t k = 0; k < var.layers.size(); ++k) {
+          if (var.layers[k] == row.layer) {
+            fn(static_cast<std::size_t>(opt_begin[static_cast<std::size_t>(i)]) + k,
+               static_cast<int>(r));
+          }
         }
       }
     }
+  };
+  for_each_membership([&](std::size_t o, int) { ++row_begin[o + 1]; });
+  for (std::size_t o = 1; o < row_begin.size(); ++o) row_begin[o] += row_begin[o - 1];
+  std::vector<int> rows(static_cast<std::size_t>(row_begin.back()));
+  {
+    std::vector<int> cursor(row_begin.begin(), row_begin.end() - 1);
+    for_each_membership(
+        [&](std::size_t o, int r) { rows[static_cast<std::size_t>(cursor[o]++)] = r; });
   }
-  // Pairs touching each var, for the linearized quadratic terms.
-  std::vector<std::vector<int>> pairs_of(nvars);
-  for (std::size_t q = 0; q < p.pairs.size(); ++q) {
-    pairs_of[static_cast<std::size_t>(p.pairs[q].child)].push_back(static_cast<int>(q));
-    pairs_of[static_cast<std::size_t>(p.pairs[q].parent)].push_back(static_cast<int>(q));
+  // Pairs touching each var, ascending, for the linearized quadratic terms
+  // (CSR: var i owns pairs[pair_begin[i] .. pair_begin[i + 1])).
+  std::vector<int> pair_begin(nvars + 1, 0);
+  for (const VarPair& pair : p.pairs) {
+    ++pair_begin[static_cast<std::size_t>(pair.child) + 1];
+    ++pair_begin[static_cast<std::size_t>(pair.parent) + 1];
+  }
+  for (std::size_t i = 1; i <= nvars; ++i) pair_begin[i] += pair_begin[i - 1];
+  std::vector<int> pairs(static_cast<std::size_t>(pair_begin[nvars]));
+  {
+    std::vector<int> cursor(pair_begin.begin(), pair_begin.end() - 1);
+    for (std::size_t q = 0; q < p.pairs.size(); ++q) {
+      pairs[static_cast<std::size_t>(cursor[static_cast<std::size_t>(p.pairs[q].child)]++)] =
+          static_cast<int>(q);
+      pairs[static_cast<std::size_t>(cursor[static_cast<std::size_t>(p.pairs[q].parent)]++)] =
+          static_cast<int>(q);
+    }
   }
 
   // Step scale: mean linear-cost spread per var, so the multiplier prices
@@ -89,10 +115,14 @@ EngineResult solve_partition_lagr(const PartitionProblem& p,
       int best_k = pick[i];
       for (std::size_t k = 0; k < var.layers.size(); ++k) {
         double cost = var.cost[k];
-        for (int r : rows_of[i][k]) cost += nu[static_cast<std::size_t>(r)];
+        const std::size_t o = static_cast<std::size_t>(opt_begin[i]) + k;
+        for (int j = row_begin[o]; j < row_begin[o + 1]; ++j) {
+          cost += nu[static_cast<std::size_t>(rows[static_cast<std::size_t>(j)])];
+        }
         const int layer = var.layers[k];
-        for (int q : pairs_of[i]) {
-          const VarPair& pair = p.pairs[static_cast<std::size_t>(q)];
+        for (int j = pair_begin[i]; j < pair_begin[i + 1]; ++j) {
+          const auto q = static_cast<std::size_t>(pairs[static_cast<std::size_t>(j)]);
+          const VarPair& pair = p.pairs[q];
           if (pair.child == static_cast<int>(i)) {
             const int lp = p.vars[static_cast<std::size_t>(pair.parent)]
                                .layers[static_cast<std::size_t>(

@@ -94,6 +94,7 @@ class GridGraph {
   /// Wire capacity of directional edge `e` on layer `l` (e is an h-edge id
   /// for horizontal layers, v-edge id for vertical layers).
   int edge_capacity(int l, int e) const { return cap_[l][e]; }
+  const int* capacity_row(int l) const { return cap_[l].data(); }
   void set_edge_capacity(int l, int e, int cap);
 
   /// Sets every edge of layer l to `cap` (>= 0).

@@ -49,7 +49,7 @@ std::vector<TimingPath> TimingGraph::report_top_k_paths(int corner, int k) const
   std::vector<TimingPath> out;
   const int n = num_nodes();
   if (k <= 0 || n == 0) return out;
-  auto delay = [&](int e) { return edge_delay_[slot(e, corner)]; };
+  auto delay = [&](int e) { return edge_delay(corner, e); };
   const double required = effective_required_[corner];
 
   // Longest completion per node, computed against the level order in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "src/obs/metrics.hpp"
 #include "src/timing/elmore.hpp"
@@ -18,6 +19,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // sinks merged into the driver cell.
 grid::XY sink_cell(const route::SegTree& tree, const route::SinkAttach& sink) {
   return sink.seg_id < 0 ? tree.root : tree.segs[sink.seg_id].b;
+}
+
+// Runs fn(i) for every i in [begin, end): on an OpenMP team when the range
+// holds more than `serial_max` items, serially otherwise, without entering
+// a parallel construct at all — its set-up costs more than a narrow
+// level's work, and most levels hold a handful of nodes. Iterations write
+// disjoint entries, so both ways give the same bits.
+template <typename Fn>
+void for_range(int begin, int end, int serial_max, const Fn& fn) {
+  if (end - begin > serial_max) {
+#pragma omp parallel for schedule(static)
+    for (int i = begin; i < end; ++i) fn(i);
+  } else {
+    for (int i = begin; i < end; ++i) fn(i);
+  }
 }
 
 }  // namespace
@@ -116,9 +132,10 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   }
 
   levelize();
+  order_storage();
 
   // --- Delays and propagation ------------------------------------------
-  edge_delay_.assign(static_cast<std::size_t>(m) * nc, 0.0);  // stage edges: zero delay
+  delay_.assign(static_cast<std::size_t>(m) * nc, 0.0);  // stage edges: zero delay
   timed_layers_.assign(num_nets, {});
   for (int net = 0; net < num_nets; ++net) {
     if (driver_node_[net] >= 0) retime_net(state, net);
@@ -126,7 +143,6 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
 
   arrival_.assign(static_cast<std::size_t>(n) * nc, 0.0);
   required_.assign(static_cast<std::size_t>(n) * nc, 0.0);
-  slack_.assign(static_cast<std::size_t>(n) * nc, 0.0);
   worst_slack_.assign(n, kInf);
   effective_required_.assign(nc, 0.0);
   propagate_full();
@@ -212,6 +228,53 @@ void TimingGraph::levelize() {
   }
 }
 
+void TimingGraph::order_storage() {
+  const int n = num_nodes();
+  const int m = num_edges();
+  pos_.assign(n, 0);
+  for (int p = 0; p < n; ++p) pos_[level_nodes_[p]] = p;
+  endpoint_pos_.clear();
+  for (const int v : endpoints_) endpoint_pos_.push_back(pos_[v]);
+
+  // Enabled out-edge slots, by source position; each node's keep their
+  // ascending id order (the pinned order of the required min). Disabled
+  // edges take the slots after them: propagation never reads those, but
+  // their delays stay readable.
+  out_slot_begin_.assign(n + 1, 0);
+  slot_to_.clear();
+  edge_slot_.assign(m, 0);
+  int k = 0;
+  for (int p = 0; p < n; ++p) {
+    out_slot_begin_[p] = k;
+    const int v = level_nodes_[p];
+    for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
+      if (!edge_enabled_[e]) continue;
+      edge_slot_[e] = k++;
+      slot_to_.push_back(pos_[edge_to_[e]]);
+    }
+  }
+  out_slot_begin_[n] = k;
+  for (int e = 0; e < m; ++e) {
+    if (!edge_enabled_[e]) edge_slot_[e] = k++;
+  }
+
+  // Enabled in-edges, by target position, in ascending edge id (the pinned
+  // order of the arrival max).
+  in_pos_begin_.assign(n + 1, 0);
+  in_from_pos_.clear();
+  in_slot_.clear();
+  for (int p = 0; p < n; ++p) {
+    in_pos_begin_[p] = static_cast<int>(in_slot_.size());
+    const int v = level_nodes_[p];
+    for (int i = in_begin_[v]; i < in_begin_[v + 1]; ++i) {
+      if (!edge_enabled_[in_edge_[i]]) continue;
+      in_from_pos_.push_back(pos_[in_from_[i]]);
+      in_slot_.push_back(edge_slot_[in_edge_[i]]);
+    }
+  }
+  in_pos_begin_[n] = static_cast<int>(in_slot_.size());
+}
+
 void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   const route::SegTree& tree = state.tree(net);
   const std::vector<int>* layers = &state.layers(net);
@@ -222,6 +285,7 @@ void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   }
   timed_layers_[net] = *layers;
   if (tree.sinks.empty()) return;
+  // Net edges are the driver's first out-edges, in sink order.
   const int first_edge = out_begin_[driver_node_[net]];
   const int num_sinks = static_cast<int>(tree.sinks.size());
   elmore_cd_.resize(std::max(elmore_cd_.size(), tree.segs.size()));
@@ -230,48 +294,78 @@ void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   for (int c = 0; c < num_corners_; ++c) {
     timing::elmore_delays(tree, *layers, corners_->rc(c), elmore_cd_, elmore_arrival_,
                           elmore_sinks_);
-    for (int k = 0; k < num_sinks; ++k) edge_delay_[slot(first_edge + k, c)] = elmore_sinks_[k];
+    for (int k = 0; k < num_sinks; ++k) {
+      delay_[slot(edge_slot_[first_edge + k], c)] = elmore_sinks_[k];
+    }
   }
 }
 
-void TimingGraph::recompute_arrival(int v) {
+template <typename Fn>
+void TimingGraph::with_corner_count(const Fn& fn) {
+  switch (num_corners_) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 3: return fn(std::integral_constant<int, 3>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    default: return fn(std::integral_constant<int, 0>{});
+  }
+}
+
+template <int NC>
+void TimingGraph::arrival_into(int p, double* arr) const {
   // Edge-major: one pass over the in-edges serves every corner, and each
   // corner still folds its max in ascending edge-id order (pinned).
-  double* arr = &arrival_[slot(v, 0)];
-  std::fill(arr, arr + num_corners_, 0.0);
-  for (int i = in_begin_[v]; i < in_begin_[v + 1]; ++i) {
-    const int e = in_edge_[i];
-    if (!edge_enabled_[e]) continue;
-    const double* from = &arrival_[slot(in_from_[i], 0)];
-    const double* delay = &edge_delay_[slot(e, 0)];
-    for (int c = 0; c < num_corners_; ++c) arr[c] = std::max(arr[c], from[c] + delay[c]);
+  const int nc = corners<NC>();
+  std::fill(arr, arr + nc, 0.0);
+  for (int i = in_pos_begin_[p]; i < in_pos_begin_[p + 1]; ++i) {
+    const double* from = &arrival_[at<NC>(in_from_pos_[i], 0)];
+    const double* delay = &delay_[at<NC>(in_slot_[i], 0)];
+    for (int c = 0; c < nc; ++c) arr[c] = std::max(arr[c], from[c] + delay[c]);
   }
 }
 
-void TimingGraph::recompute_required(int v) {
-  double* req = &required_[slot(v, 0)];
-  std::fill(req, req + num_corners_, kInf);
-  for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
-    if (!edge_enabled_[e]) continue;
-    const double* to = &required_[slot(edge_to_[e], 0)];
-    const double* delay = &edge_delay_[slot(e, 0)];
-    for (int c = 0; c < num_corners_; ++c) req[c] = std::min(req[c], to[c] - delay[c]);
+template <int NC>
+void TimingGraph::required_into(int p, double* req) const {
+  const int nc = corners<NC>();
+  std::fill(req, req + nc, kInf);
+  for (int k = out_slot_begin_[p]; k < out_slot_begin_[p + 1]; ++k) {
+    const double* to = &required_[at<NC>(slot_to_[k], 0)];
+    const double* delay = &delay_[at<NC>(k, 0)];
+    for (int c = 0; c < nc; ++c) req[c] = std::min(req[c], to[c] - delay[c]);
   }
-  for (int c = 0; c < num_corners_; ++c) {
+  for (int c = 0; c < nc; ++c) {
     if (req[c] == kInf) req[c] = effective_required_[c];  // endpoint
   }
 }
 
+template <int NC, typename Kernel>
+void TimingGraph::store(std::vector<double>& values, int p, const Kernel& kernel) {
+  double* now = &values[at<NC>(p, 0)];
+  if constexpr (NC > 0) {
+    // A local array keeps the kernel's max/min chains in registers: written
+    // in place, every step would reload through pointers that may alias.
+    double fresh[NC];
+    kernel(p, fresh);
+    std::copy(fresh, fresh + NC, now);
+  } else {
+    kernel(p, now);  // reads other nodes' entries only
+  }
+}
+
 bool TimingGraph::refresh_effective_required() {
+  // Derived budgets: the corner's worst endpoint arrival, so the most
+  // critical endpoint sits at exactly zero slack. One pass over the
+  // endpoints serves every corner; each corner's max still folds in
+  // endpoint order.
+  budget_.assign(static_cast<std::size_t>(num_corners_), 0.0);
+  for (const int p : endpoint_pos_) {
+    const double* arr = &arrival_[slot(p, 0)];
+    for (int c = 0; c < num_corners_; ++c) budget_[c] = std::max(budget_[c], arr[c]);
+  }
   bool changed = false;
   for (int c = 0; c < num_corners_; ++c) {
-    double req = corners_->corner(c).required_time;
-    if (req < 0.0) {
-      // Derived budget: the corner's worst endpoint arrival, so the most
-      // critical endpoint sits at exactly zero slack.
-      req = 0.0;
-      for (const int v : endpoints_) req = std::max(req, arrival_[slot(v, c)]);
-    }
+    const double explicit_time = corners_->corner(c).required_time;
+    const double req = explicit_time < 0.0 ? budget_[c] : explicit_time;
     if (req != effective_required_[c]) {
       effective_required_[c] = req;
       changed = true;
@@ -280,34 +374,110 @@ bool TimingGraph::refresh_effective_required() {
   return changed;
 }
 
-void TimingGraph::merge_slack(int v) {
+template <int NC>
+void TimingGraph::merge_slack(int p) {
   double worst = kInf;
-  for (int c = 0; c < num_corners_; ++c) {
-    const std::size_t i = slot(v, c);
-    slack_[i] = required_[i] - arrival_[i];
-    worst = std::min(worst, slack_[i]);
+  for (int c = 0; c < corners<NC>(); ++c) {
+    const std::size_t i = at<NC>(p, c);
+    worst = std::min(worst, required_[i] - arrival_[i]);
   }
-  worst_slack_[v] = worst;
+  worst_slack_[p] = worst;
+}
+
+template <int NC>
+void TimingGraph::sweep_required() {
+  // Arrival is final, so each node's slack merges as soon as its required
+  // time is.
+  const auto required = [this](int p, double* out) { required_into<NC>(p, out); };
+  for (int lv = num_levels_ - 1; lv >= 0; --lv) {
+    for_range(level_begin_[lv], level_begin_[lv + 1], 64, [&](int p) {
+      store<NC>(required_, p, required);
+      merge_slack<NC>(p);
+    });
+  }
 }
 
 void TimingGraph::propagate_full() {
   obs::ScopedPhase phase("sta.propagate");
+  with_corner_count([this](auto nc) {
+    constexpr int NC = decltype(nc)::value;
+    const auto arrival = [this](int p, double* out) { arrival_into<NC>(p, out); };
+    for (int lv = 0; lv < num_levels_; ++lv) {
+      for_range(level_begin_[lv], level_begin_[lv + 1], 64,
+                [&](int p) { store<NC>(arrival_, p, arrival); });
+    }
+    refresh_effective_required();
+    sweep_required<NC>();
+  });
+}
+
+template <int NC>
+void TimingGraph::propagate_cones(const assign::AssignState& state,
+                                  const std::vector<int>& dirty_nets) {
   const int n = num_nodes();
-  for (int lv = 0; lv < num_levels_; ++lv) {
-    const int begin = level_begin_[lv];
-    const int end = level_begin_[lv + 1];
-#pragma omp parallel for schedule(static) if (end - begin > 64)
-    for (int i = begin; i < end; ++i) recompute_arrival(level_nodes_[i]);
+  const int nc = corners<NC>();
+
+  // --- Forward cone: arrival, level order, stop on bitwise equality -----
+  // Frontier and touched flags are per position.
+  std::vector<char> in_frontier(n, 0);
+  std::vector<char> touched(n, 0);
+  for (const int net : dirty_nets) {
+    const route::SegTree& tree = state.tree(net);
+    for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
+      in_frontier[pos_[sink_node(net, k)]] = 1;
+    }
   }
-  refresh_effective_required();
-  for (int lv = num_levels_ - 1; lv >= 0; --lv) {
-    const int begin = level_begin_[lv];
-    const int end = level_begin_[lv + 1];
-#pragma omp parallel for schedule(static) if (end - begin > 64)
-    for (int i = begin; i < end; ++i) recompute_required(level_nodes_[i]);
+  // Recomputes `values`' entry for p (all corners) with `kernel` and
+  // reports whether any changed. "Unchanged" must mean bitwise-equal (the
+  // contract): +0.0 == -0.0 compares equal but differs in bits, so signs
+  // are checked too. The fresh values go to a local array (see store()).
+  std::vector<double> scratch(NC > 0 ? 0 : static_cast<std::size_t>(nc));
+  auto recompute = [&](std::vector<double>& values, int p, auto&& kernel) {
+    double local[NC > 0 ? NC : 1];
+    double* fresh = NC > 0 ? local : scratch.data();
+    kernel(p, fresh);
+    double* now = &values[at<NC>(p, 0)];
+    bool changed = false;
+    for (int c = 0; c < nc; ++c) {
+      changed |= now[c] != fresh[c] || std::signbit(now[c]) != std::signbit(fresh[c]);
+      now[c] = fresh[c];
+    }
+    return changed;
+  };
+  const auto arrival = [this](int p, double* out) { arrival_into<NC>(p, out); };
+  const auto required = [this](int p, double* out) { required_into<NC>(p, out); };
+  for (int p = 0; p < n; ++p) {  // positions are (level, id)-ordered
+    if (!in_frontier[p]) continue;
+    ++stats_.dirty_nodes;
+    if (!recompute(arrival_, p, arrival)) continue;
+    touched[p] = 1;
+    for (int k = out_slot_begin_[p]; k < out_slot_begin_[p + 1]; ++k) {
+      in_frontier[slot_to_[k]] = 1;
+    }
   }
-#pragma omp parallel for schedule(static) if (n > 256)
-  for (int v = 0; v < n; ++v) merge_slack(v);
+
+  // --- Required: a sweep when the budget moved, else the backward cone ----
+  if (refresh_effective_required()) {
+    // A derived budget moved: every endpoint's required time changes, so
+    // the backward cone is the whole graph. Sweep it as build() does —
+    // bit-identical by construction — and merge every node's slack.
+    stats_.dirty_nodes += n;
+    sweep_required<NC>();
+    return;
+  }
+  std::fill(in_frontier.begin(), in_frontier.end(), 0);
+  // A dirty net's edge delays feed the driver's required min directly.
+  for (const int net : dirty_nets) in_frontier[pos_[driver_node_[net]]] = 1;
+  for (int p = n - 1; p >= 0; --p) {
+    if (!in_frontier[p]) continue;
+    ++stats_.dirty_nodes;
+    if (!recompute(required_, p, required)) continue;
+    touched[p] = 1;
+    for (int i = in_pos_begin_[p]; i < in_pos_begin_[p + 1]; ++i) in_frontier[in_from_pos_[i]] = 1;
+  }
+  for (int p = 0; p < n; ++p) {
+    if (touched[p]) merge_slack<NC>(p);
+  }
 }
 
 void TimingGraph::update(const assign::AssignState& state) {
@@ -324,7 +494,6 @@ void TimingGraph::update(const assign::AssignState& state) {
   }
 
   obs::ScopedPhase phase("sta.update");
-  const int n = num_nodes();
 
   // --- Dirty nets: exact compare against the last-timed layer vectors ---
   std::vector<int> dirty_nets;
@@ -343,75 +512,17 @@ void TimingGraph::update(const assign::AssignState& state) {
   incr_counter.add();
   stats_.dirty_nets = static_cast<long>(dirty_nets.size());
   stats_.dirty_nodes = 0;
-  if (dirty_nets.empty()) {
-    worst_gauge.set(worst_slack());
-    return;
+  if (!dirty_nets.empty()) {
+    for (const int net : dirty_nets) retime_net(state, net);
+    with_corner_count([&](auto nc) { propagate_cones<decltype(nc)::value>(state, dirty_nets); });
+    dirty_counter.add(stats_.dirty_nodes);
   }
-  for (const int net : dirty_nets) retime_net(state, net);
-
-  // --- Forward cone: arrival, level order, stop on bitwise equality -----
-  std::vector<char> in_frontier(n, 0);
-  std::vector<char> touched(n, 0);
-  for (const int net : dirty_nets) {
-    const route::SegTree& tree = state.tree(net);
-    for (int k = 0; k < static_cast<int>(tree.sinks.size()); ++k) {
-      in_frontier[sink_node(net, k)] = 1;
-    }
-  }
-  // Recomputes `values`' entry for v (all corners) and reports whether any
-  // changed. "Unchanged" must mean bitwise-equal (the contract): +0.0 ==
-  // -0.0 compares equal but differs in bits, so signs are checked too.
-  std::vector<double> before(static_cast<std::size_t>(num_corners_));
-  auto recompute = [&](std::vector<double>& values, int v, auto&& fn) {
-    const double* now = &values[slot(v, 0)];
-    std::copy(now, now + num_corners_, before.begin());
-    fn(v);
-    bool changed = false;
-    for (int c = 0; c < num_corners_; ++c) {
-      changed |= now[c] != before[c] || std::signbit(now[c]) != std::signbit(before[c]);
-    }
-    return changed;
-  };
-  for (int i = 0; i < n; ++i) {  // level_nodes_ is (level, id)-ordered
-    const int v = level_nodes_[i];
-    if (!in_frontier[v]) continue;
-    ++stats_.dirty_nodes;
-    if (!recompute(arrival_, v, [this](int u) { recompute_arrival(u); })) continue;
-    touched[v] = 1;
-    for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
-      if (edge_enabled_[e]) in_frontier[edge_to_[e]] = 1;
-    }
-  }
-
-  // --- Backward cone: required --------------------------------------------
-  std::fill(in_frontier.begin(), in_frontier.end(), 0);
-  // A dirty net's edge delays feed the driver's required min directly.
-  for (const int net : dirty_nets) in_frontier[driver_node_[net]] = 1;
-  if (refresh_effective_required()) {
-    // The derived budget moved: every endpoint's required changes.
-    for (const int v : endpoints_) in_frontier[v] = 1;
-  }
-  for (int i = n - 1; i >= 0; --i) {
-    const int v = level_nodes_[i];
-    if (!in_frontier[v]) continue;
-    ++stats_.dirty_nodes;
-    if (!recompute(required_, v, [this](int u) { recompute_required(u); })) continue;
-    touched[v] = 1;
-    for (int j = in_begin_[v]; j < in_begin_[v + 1]; ++j) {
-      if (edge_enabled_[in_edge_[j]]) in_frontier[in_from_[j]] = 1;
-    }
-  }
-
-  for (int v = 0; v < n; ++v) {
-    if (touched[v]) merge_slack(v);
-  }
-  dirty_counter.add(stats_.dirty_nodes);
   worst_gauge.set(worst_slack());
 }
 
 double TimingGraph::worst_slack() const {
   double worst = kInf;
-  for (const int v : endpoints_) worst = std::min(worst, worst_slack_[v]);
+  for (const int p : endpoint_pos_) worst = std::min(worst, worst_slack_[p]);
   return worst;
 }
 
@@ -420,7 +531,7 @@ double TimingGraph::net_slack(int net) const {
   double worst = kInf;
   // A net's nodes are contiguous: driver, then its sinks.
   for (int v = driver_node_[net]; v < num_nodes() && node_net_[v] == net; ++v) {
-    worst = std::min(worst, worst_slack_[v]);
+    worst = std::min(worst, worst_slack_[pos_[v]]);
   }
   return worst;
 }

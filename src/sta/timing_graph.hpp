@@ -118,17 +118,17 @@ class TimingGraph {
   int edge_to(int e) const { return edge_to_[e]; }
   /// False = removed by deterministic cycle breaking.
   bool edge_enabled(int e) const { return edge_enabled_[e] != 0; }
-  double edge_delay(int corner, int e) const { return edge_delay_[slot(e, corner)]; }
+  double edge_delay(int corner, int e) const { return delay_[slot(edge_slot_[e], corner)]; }
   /// Topological level of `v` (enabled edges always go level-up).
   int level(NodeId v) const { return level_[v]; }
 
   // --- Timing ----------------------------------------------------------
-  double arrival(int corner, NodeId v) const { return arrival_[slot(v, corner)]; }
-  double required(int corner, NodeId v) const { return required_[slot(v, corner)]; }
-  double slack(int corner, NodeId v) const { return slack_[slot(v, corner)]; }
+  double arrival(int corner, NodeId v) const { return arrival_[slot(pos_[v], corner)]; }
+  double required(int corner, NodeId v) const { return required_[slot(pos_[v], corner)]; }
+  double slack(int corner, NodeId v) const { return required(corner, v) - arrival(corner, v); }
 
   /// Worst slack over corners at one node — the flow's objective merge.
-  double worst_slack(NodeId v) const { return worst_slack_[v]; }
+  double worst_slack(NodeId v) const { return worst_slack_[pos_[v]]; }
 
   /// Worst slack over every endpoint (the design's critical-path slack).
   double worst_slack() const;
@@ -151,19 +151,53 @@ class TimingGraph {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Index of (node or edge `i`, corner `c`) in the corner-minor arrays.
+  /// Index of (position or edge slot `i`, corner `c`) in the corner-minor
+  /// arrays.
   std::size_t slot(int i, int c) const {
     return static_cast<std::size_t>(i) * static_cast<std::size_t>(num_corners_) +
            static_cast<std::size_t>(c);
   }
 
   void levelize();
+  /// Lays out the level-ordered storage below from the node-id CSR and the
+  /// levelization.
+  void order_storage();
   void retime_net(const assign::AssignState& state, int net);
   void propagate_full();
-  void recompute_arrival(int v);
-  void recompute_required(int v);
   bool refresh_effective_required();
-  void merge_slack(int v);
+
+  // Propagation kernels, templated on the corner count: NC > 0 fixes it at
+  // compile time so the per-corner loops unroll, NC == 0 reads
+  // num_corners_. with_corner_count calls fn(std::integral_constant<int,
+  // NC>) for the graph's count. Kernels take a position.
+  template <typename Fn>
+  void with_corner_count(const Fn& fn);
+  template <int NC>
+  int corners() const {
+    return NC > 0 ? NC : num_corners_;
+  }
+  template <int NC>
+  std::size_t at(int i, int c) const {
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(corners<NC>()) +
+           static_cast<std::size_t>(c);
+  }
+  /// p's arrival (required time) at every corner, into out[0, corners).
+  template <int NC>
+  void arrival_into(int p, double* out) const;
+  template <int NC>
+  void required_into(int p, double* out) const;
+  /// Stores kernel(p, out)'s values as p's entry of `values`.
+  template <int NC, typename Kernel>
+  void store(std::vector<double>& values, int p, const Kernel& kernel);
+  template <int NC>
+  void merge_slack(int p);
+  /// Every required time in one reverse-level sweep, merging each slack.
+  template <int NC>
+  void sweep_required();
+  /// update()'s propagation after the dirty nets are re-timed: the
+  /// forward cone, then the required sweep or the backward cone.
+  template <int NC>
+  void propagate_cones(const assign::AssignState& state, const std::vector<int>& dirty_nets);
 
   const CornerSet* corners_ = nullptr;  // borrowed
   int num_corners_ = 0;
@@ -181,7 +215,6 @@ class TimingGraph {
   std::vector<int> out_begin_;      // per node, size nodes+1
   std::vector<int> edge_to_;        // per edge
   std::vector<char> edge_enabled_;  // false = removed by cycle breaking
-  std::vector<double> edge_delay_;  // [edge][corner], slot(e, c)
   // Reverse adjacency: in-edge ids per node, ascending (CSR), each with
   // its source node (what every in-edge walk reads next).
   std::vector<int> in_begin_;
@@ -195,11 +228,30 @@ class TimingGraph {
 
   std::vector<NodeId> endpoints_;
 
-  // Timing values, [node][corner] (slot(v, c)): a node's corners share a
-  // cache line, and every propagation step reads all of them.
-  std::vector<double> arrival_, required_, slack_;
-  std::vector<double> worst_slack_;          // per node, min over corners
+  // Level-ordered storage. A node's position is its index in level_nodes_;
+  // its timing values, its out-edges and its in-edges live at or under its
+  // position, so a sweep over the levels reads every array in order.
+  std::vector<int> pos_;             // per node id
+  std::vector<int> endpoint_pos_;    // endpoints_' positions, same order
+  // Enabled out-edges as slots, CSR by source position; each node's slots
+  // keep its ascending edge-id order. Disabled edges take the slots past
+  // out_slot_begin_.back(), for their delays only.
+  std::vector<int> out_slot_begin_;  // per position, size nodes+1
+  std::vector<int> slot_to_;         // per enabled slot: target position
+  std::vector<int> edge_slot_;       // per edge id
+  std::vector<double> delay_;        // [slot][corner], slot(k, c)
+  // Enabled in-edges, CSR by target position, ascending edge id.
+  std::vector<int> in_pos_begin_;    // per position, size nodes+1
+  std::vector<int> in_from_pos_;     // source position
+  std::vector<int> in_slot_;         // edge slot
+
+  // Timing values, [position][corner] (slot(p, c)): a node's corners share
+  // a cache line, and every propagation step reads all of them.
+  // Slack is required - arrival, computed where it is read.
+  std::vector<double> arrival_, required_;
+  std::vector<double> worst_slack_;          // per position, min over corners
   std::vector<double> effective_required_;   // per corner
+  std::vector<double> budget_;               // per corner, refresh scratch
   std::vector<std::vector<int>> timed_layers_;  // per net: layers last timed with
   // retime_net's Elmore kernel scratch (per segment / per sink).
   std::vector<double> elmore_cd_, elmore_arrival_, elmore_sinks_;

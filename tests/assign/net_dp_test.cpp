@@ -295,8 +295,10 @@ TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
   // The victim-trial costs of victim displacement, against the per-call
   // std::function costs they replaced (kept verbatim below): same picks,
   // same calls, and every returned cost bit for bit, the via cost read
-  // from its prefix counts included. A congested design with a random
-  // wanted map makes forbidden slots and full via sites common.
+  // from its prefix counts included. The oracle prices each net cleared
+  // from the usage maps; HeadroomCosts prices it in place, still applied
+  // at its layers. A congested design with a random wanted map makes
+  // forbidden slots and full via sites common.
   using Priced = std::tuple<char, int, int, int, std::uint64_t>;
   gen::SynthSpec spec;
   spec.xsize = spec.ysize = 14;
@@ -372,6 +374,7 @@ TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
     const std::vector<Priced> expected_priced = std::move(priced);
     priced.clear();
 
+    state.set_layers(net, layers);
     headroom.begin(net);
     const std::vector<int>& got = dp.solve(
         tree, allowed, [&](int s, int l) { return log_cost('s', s, l, -1, headroom.seg(s, l)); },
@@ -380,7 +383,6 @@ TEST(NetDp, FlatTablesMatchTheNestedVectorOracle) {
     ASSERT_EQ(got, expected) << "net " << net;
     ASSERT_EQ(priced, expected_priced) << "net " << net;
     priced.clear();
-    state.set_layers(net, layers);
     ++compared;
   }
   EXPECT_GT(compared, 200);

@@ -8,6 +8,8 @@
 
 #include "src/core/pipeline.hpp"
 #include "src/gen/synth.hpp"
+#include "src/grid/layer_stack.hpp"
+#include "src/route/seg_tree.hpp"
 
 namespace cpla::core {
 namespace {
@@ -52,6 +54,46 @@ TEST(SelectByBudget, ReleasesExactlyTheViolators) {
         timing::critical_delay(state.tree(cs.nets[i]), state.layers(cs.nets[i]), rc);
     EXPECT_GE(a, b);
   }
+}
+
+// Forty identical two-pin nets (same length, same layer, so the same
+// Elmore delay to the bit) and one longer net: more equal keys than
+// std::sort's insertion-sort cutoff of 16, so the library's partitioning
+// decides their order unless ties break by id. The released set must be
+// the longer net, then the smallest ids.
+TEST(SelectCritical, EqualDelaysBreakTowardTheSmallerNetId) {
+  grid::GridGraph g(48, 48, grid::make_layer_stack(4), grid::default_geom());
+  grid::Design design("ties", std::move(g));
+  auto two_pin = [&](int id, int y, int x0, int x1) {
+    grid::Net net;
+    net.id = id;
+    net.pins = {grid::Pin{x0, y, 0}, grid::Pin{x1, y, 0}};
+    route::NetRoute r;
+    for (int x = x0; x < x1; ++x) r.add_h(design.grid.h_edge_id(x, y));
+    return route::extract_tree(design.grid, net, &r);
+  };
+  std::vector<route::SegTree> trees;
+  for (int id = 0; id < 40; ++id) trees.push_back(two_pin(id, id, 2, 12));
+  trees.push_back(two_pin(40, 44, 2, 30));
+  assign::AssignState state(&design, std::move(trees));
+  for (int net = 0; net < state.num_nets(); ++net) state.set_layers(net, {0});
+  const timing::RcTable rc(design.grid);
+  for (int net = 1; net < 40; ++net) {
+    ASSERT_EQ(timing::critical_delay(state.tree(net), state.layers(net), rc),
+              timing::critical_delay(state.tree(0), state.layers(0), rc));
+  }
+
+  // ceil(0.25 * 41) = 11: the long net, then ten of the forty ties.
+  const CriticalSet cs = select_critical(state, rc, 0.25);
+  std::vector<int> expected = {40};
+  for (int id = 0; id < 10; ++id) expected.push_back(id);
+  EXPECT_EQ(cs.nets, expected);
+
+  // The budget selection orders its violators the same way.
+  const double tie = timing::critical_delay(state.tree(0), state.layers(0), rc);
+  const CriticalSet budget = select_by_budget(state, rc, tie * 0.5);
+  ASSERT_EQ(budget.nets.size(), 41u);
+  for (int i = 1; i < 41; ++i) EXPECT_EQ(budget.nets[static_cast<std::size_t>(i)], i - 1);
 }
 
 TEST(SelectByBudget, LooseBudgetReleasesNothing) {

@@ -108,6 +108,87 @@ TEST(IncrementalSta, DirtyConeIsSmallForALocalDelta) {
   expect_graphs_bit_identical(graph, fresh);
 }
 
+// Moves one segment of `net` to another allowed layer.
+void flip_first_segment(assign::AssignState* state, int net) {
+  std::vector<int> layers = state->layers(net);
+  for (const int l : state->allowed_layers(state->tree(net).segs[0].horizontal)) {
+    if (l != layers[0]) {
+      layers[0] = l;
+      break;
+    }
+  }
+  state->set_layers(net, layers);
+}
+
+// The net driving the worst endpoint at corner 0: editing it moves every
+// derived budget's corner 0.
+int worst_endpoint_net(const TimingGraph& graph) {
+  NodeId worst = graph.endpoints().front();
+  for (const NodeId v : graph.endpoints()) {
+    if (graph.arrival(0, v) > graph.arrival(0, worst)) worst = v;
+  }
+  return graph.node_net(worst);
+}
+
+// Every corner derives its budget: an edit on the critical path moves the
+// budget, the update re-sweeps every required time, and the result is a
+// fresh build's, bit for bit — after a one-net edit and after many-net
+// edits.
+TEST(IncrementalSta, DerivedBudgetUpdatesEqualAFreshBuild) {
+  core::Prepared run = sta_bench();
+  const std::vector<RcCorner> derived = {{"slow", 1.3, 1.2, 1.1, -1.0},
+                                         {"fast", 0.8, 0.9, 0.95, -1.0}};
+  CornerSet set(*run.rc, derived);
+  TimingGraph graph;
+  graph.build(*run.state, set);
+
+  Rng rng(77);
+  for (int step = 0; step < 6; ++step) {
+    SCOPED_TRACE(step);
+    const double budget_before = graph.corner_required(0);
+    if (step % 2 == 0) {
+      flip_first_segment(run.state.get(), worst_endpoint_net(graph));
+    } else {
+      mutate_random_layers(run.state.get(), &rng, 0.2);
+    }
+    graph.update(*run.state);
+    if (step % 2 == 0) {
+      EXPECT_NE(graph.corner_required(0), budget_before);
+      EXPECT_EQ(graph.stats().dirty_nets, 1);
+    }
+    // A moved budget re-sweeps the whole backward pass.
+    if (graph.corner_required(0) != budget_before) {
+      EXPECT_GE(graph.stats().dirty_nodes, graph.num_nodes());
+    }
+    TimingGraph fresh;
+    fresh.build(*run.state, set);
+    expect_graphs_bit_identical(graph, fresh);
+  }
+  EXPECT_EQ(graph.stats().builds, 1);
+}
+
+// With explicit budgets nothing moves the required times at the endpoints,
+// so a one-net edit re-propagates only its cones, stopping where values
+// come out bitwise equal.
+TEST(IncrementalSta, ExplicitBudgetKeepsTheUpdateInsideTheCones) {
+  core::Prepared run = sta_bench();
+  const std::vector<RcCorner> fixed = {{"slow", 1.3, 1.2, 1.1, 2.0e4},
+                                       {"fast", 0.8, 0.9, 0.95, 1.0e4}};
+  CornerSet set(*run.rc, fixed);
+  TimingGraph graph;
+  graph.build(*run.state, set);
+
+  flip_first_segment(run.state.get(), worst_endpoint_net(graph));
+  graph.update(*run.state);
+  EXPECT_EQ(graph.stats().dirty_nets, 1);
+  EXPECT_GT(graph.stats().dirty_nodes, 0);
+  EXPECT_LT(graph.stats().dirty_nodes, graph.num_nodes());
+
+  TimingGraph fresh;
+  fresh.build(*run.state, set);
+  expect_graphs_bit_identical(graph, fresh);
+}
+
 TEST(IncrementalSta, TopologyInvalidationForcesARebuild) {
   core::Prepared run = sta_bench();
   CornerSet set(*run.rc, three_corners());

@@ -43,7 +43,7 @@ inline bool same_bits(double a, double b) {
 }
 
 /// Asserts two graphs agree on shape and on every arrival/required/slack
-/// value bitwise, at every corner and node.
+/// value and edge delay bitwise, at every corner, node and edge.
 inline void expect_graphs_bit_identical(const TimingGraph& got, const TimingGraph& want) {
   ASSERT_EQ(got.num_corners(), want.num_corners());
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
@@ -63,6 +63,14 @@ inline void expect_graphs_bit_identical(const TimingGraph& got, const TimingGrap
   }
   for (int v = 0; v < got.num_nodes(); ++v) {
     ASSERT_TRUE(same_bits(got.worst_slack(v), want.worst_slack(v))) << "worst node " << v;
+  }
+  // Every edge's delays, cycle-broken edges included.
+  for (int e = 0; e < got.num_edges(); ++e) {
+    ASSERT_EQ(got.edge_enabled(e), want.edge_enabled(e)) << "edge " << e;
+    for (int c = 0; c < got.num_corners(); ++c) {
+      ASSERT_TRUE(same_bits(got.edge_delay(c, e), want.edge_delay(c, e)))
+          << "delay corner " << c << " edge " << e;
+    }
   }
 }
 

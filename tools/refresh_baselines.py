@@ -44,6 +44,8 @@ SPECS: list[tuple[str, str, list[str]]] = [
     ("BENCH_ablation_cpla.json", "ablation_cpla", ["--quick"]),
     ("BENCH_micro_solvers.json", "micro_solvers", ["--benchmark_filter=/(8|10|16|20)$"]),
     ("BENCH_micro_la.json", "micro_la", ["--benchmark_filter=/(32|64)$"]),
+    ("BENCH_micro_eda.json", "micro_eda",
+     ["--benchmark_filter=^BM_(MakeHeadroom|StaUpdateDerivedBudget)$"]),
     ("BENCH_eco_incremental.json", "eco_incremental", ["--quick"]),
     ("BENCH_eco_serve.json", "eco_serve", ["--quick"]),
     ("BENCH_sta_incremental.json", "sta_incremental", ["--quick"]),
