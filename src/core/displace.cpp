@@ -275,22 +275,13 @@ int make_headroom(assign::AssignState* state, const CriticalSet& critical,
   // 2. Victim candidates: short non-released nets occupying wanted slots,
   //    ranked by how many wanted slots they block (clear the biggest
   //    blockers first).
-  //    Each net's layers are looked up once, in net order (null for nets
-  //    that cannot be victims), so the scan reads one layer per segment.
-  const int num_nets = state->num_nets();
-  std::vector<const int*> layers_of(static_cast<std::size_t>(num_nets), nullptr);
-  for (int net = 0; net < num_nets; ++net) {
-    if (critical.released[net] || !state->assigned(net)) continue;
-    layers_of[static_cast<std::size_t>(net)] = state->layers(net).data();
-  }
-  std::vector<int> blocked_by(static_cast<std::size_t>(num_nets), 0);
+  std::vector<int> blocked_by(static_cast<std::size_t>(state->num_nets()), 0);
   for (const auto& [horizontal, line] : wanted_lines) {
     // A line's edge ids are contiguous, ascending with the position.
     const int line_edge = horizontal ? g.h_edge_id(0, line) : g.v_edge_id(line, 0);
     for (const VictimIndex::Entry& entry : victims.line(horizontal, line)) {
-      const int* layers = layers_of[static_cast<std::size_t>(entry.net)];
-      if (layers == nullptr) continue;
-      const int l = layers[entry.seg];
+      if (critical.released[entry.net] || !state->assigned(entry.net)) continue;
+      const int l = state->layers(entry.net)[entry.seg];
       const std::pair<int, int>& span = wanted_span[static_cast<std::size_t>(l) * lines + line];
       // Wanted slots lie inside the span, so only the overlap can hold any.
       const int lo = std::max(entry.first, span.first);
@@ -300,27 +291,15 @@ int make_headroom(assign::AssignState* state, const CriticalSet& critical,
       for (int pos = lo; pos <= hi; ++pos) count += row[pos];
     }
   }
-  // Rank by blocked count, descending, then by net id: a counting sort
-  // that visits nets in ascending id, so the victim sequence (hence the
-  // final assignment) is a pure function of the input.
-  const int most = *std::max_element(blocked_by.begin(), blocked_by.end());
-  std::vector<int> rank_begin(static_cast<std::size_t>(most) + 1, 0);  // per count, descending
-  for (const int count : blocked_by) {
-    if (count > 0) ++rank_begin[static_cast<std::size_t>(most - count)];
+  std::vector<std::pair<int, int>> ranked;  // (net, #wanted slots occupied)
+  for (int net = 0; net < state->num_nets(); ++net) {
+    if (blocked_by[net] > 0) ranked.emplace_back(net, blocked_by[net]);
   }
-  int num_victims = 0;
-  for (int& begin : rank_begin) {
-    const int count = begin;
-    begin = num_victims;
-    num_victims += count;
-  }
-  std::vector<int> ranked(static_cast<std::size_t>(num_victims));
-  for (int net = 0; net < num_nets; ++net) {
-    const int count = blocked_by[static_cast<std::size_t>(net)];
-    if (count > 0) {
-      ranked[static_cast<std::size_t>(rank_begin[static_cast<std::size_t>(most - count)]++)] = net;
-    }
-  }
+  // Tie-break on net id, so the victim sequence (hence the final
+  // assignment) is a pure function of the input.
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
 
   // 3. Re-assign victims with the wanted slots priced as forbidden. A move
   //    that would worsen global wire or via overflow is skipped outright —
@@ -332,8 +311,9 @@ int make_headroom(assign::AssignState* state, const CriticalSet& critical,
   int moved = 0;
   assign::NetDp dp;
   HeadroomCosts costs(*state, wanted, stride);
-  for (const int net : ranked) {
+  for (const auto& victim : ranked) {
     if (moved >= kMaxVictimsPerRound) break;
+    const int net = victim.first;
     const route::SegTree& tree = state->tree(net);
     costs.begin(net);
     const std::vector<int>& fresh = dp.solve(

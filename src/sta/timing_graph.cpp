@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <type_traits>
 
 #include "src/obs/metrics.hpp"
 #include "src/timing/elmore.hpp"
@@ -119,20 +118,20 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   for (int e = 0; e < m; ++e) ++in_begin_[edge_to_[e] + 1];
   for (int v = 0; v < n; ++v) in_begin_[v + 1] += in_begin_[v];
   in_edge_.assign(m, 0);
-  in_from_.assign(m, 0);
+  std::vector<int> in_from(m, 0);  // per in-edge: its source node
   {
     std::vector<int> cursor(in_begin_.begin(), in_begin_.end() - 1);
     for (int v = 0; v < n; ++v) {
       for (int e = out_begin_[v]; e < out_begin_[v + 1]; ++e) {
         const int i = cursor[edge_to_[e]]++;
         in_edge_[i] = e;
-        in_from_[i] = v;
+        in_from[i] = v;
       }
     }
   }
 
-  levelize();
-  order_storage();
+  levelize(in_from);
+  order_storage(in_from);
 
   // --- Delays and propagation ------------------------------------------
   delay_.assign(static_cast<std::size_t>(m) * nc, 0.0);  // stage edges: zero delay
@@ -155,7 +154,7 @@ void TimingGraph::build(const assign::AssignState& state, const CornerSet& corne
   worst_gauge.set(worst_slack());
 }
 
-void TimingGraph::levelize() {
+void TimingGraph::levelize(const std::vector<int>& in_from) {
   obs::ScopedPhase phase("sta.levelize");
   static obs::Counter& cycle_edges = obs::metrics().counter("sta.graph.cycle_edges");
 
@@ -189,7 +188,7 @@ void TimingGraph::levelize() {
       const int victim = unplaced;
       for (int i = in_begin_[victim]; i < in_begin_[victim + 1]; ++i) {
         const int e = in_edge_[i];
-        if (edge_enabled_[e] && !placed[in_from_[i]]) {
+        if (edge_enabled_[e] && !placed[in_from[i]]) {
           edge_enabled_[e] = 0;
           ++stats_.broken_cycle_edges;
           cycle_edges.add();
@@ -228,7 +227,7 @@ void TimingGraph::levelize() {
   }
 }
 
-void TimingGraph::order_storage() {
+void TimingGraph::order_storage(const std::vector<int>& in_from) {
   const int n = num_nodes();
   const int m = num_edges();
   pos_.assign(n, 0);
@@ -268,7 +267,7 @@ void TimingGraph::order_storage() {
     const int v = level_nodes_[p];
     for (int i = in_begin_[v]; i < in_begin_[v + 1]; ++i) {
       if (!edge_enabled_[in_edge_[i]]) continue;
-      in_from_pos_.push_back(pos_[in_from_[i]]);
+      in_from_pos_.push_back(pos_[in_from[i]]);
       in_slot_.push_back(edge_slot_[in_edge_[i]]);
     }
   }
@@ -300,55 +299,30 @@ void TimingGraph::retime_net(const assign::AssignState& state, int net) {
   }
 }
 
-template <typename Fn>
-void TimingGraph::with_corner_count(const Fn& fn) {
-  switch (num_corners_) {
-    case 1: return fn(std::integral_constant<int, 1>{});
-    case 2: return fn(std::integral_constant<int, 2>{});
-    case 3: return fn(std::integral_constant<int, 3>{});
-    case 4: return fn(std::integral_constant<int, 4>{});
-    default: return fn(std::integral_constant<int, 0>{});
-  }
-}
-
-template <int NC>
 void TimingGraph::arrival_into(int p, double* arr) const {
-  // Edge-major: one pass over the in-edges serves every corner, and each
-  // corner still folds its max in ascending edge-id order (pinned).
-  const int nc = corners<NC>();
-  std::fill(arr, arr + nc, 0.0);
-  for (int i = in_pos_begin_[p]; i < in_pos_begin_[p + 1]; ++i) {
-    const double* from = &arrival_[at<NC>(in_from_pos_[i], 0)];
-    const double* delay = &delay_[at<NC>(in_slot_[i], 0)];
-    for (int c = 0; c < nc; ++c) arr[c] = std::max(arr[c], from[c] + delay[c]);
+  // Each corner folds its max in ascending edge-id order (pinned), in a
+  // local that stays in a register.
+  const int begin = in_pos_begin_[p];
+  const int end = in_pos_begin_[p + 1];
+  for (int c = 0; c < num_corners_; ++c) {
+    double arrival = 0.0;
+    for (int i = begin; i < end; ++i) {
+      arrival =
+          std::max(arrival, arrival_[slot(in_from_pos_[i], c)] + delay_[slot(in_slot_[i], c)]);
+    }
+    arr[c] = arrival;
   }
 }
 
-template <int NC>
 void TimingGraph::required_into(int p, double* req) const {
-  const int nc = corners<NC>();
-  std::fill(req, req + nc, kInf);
-  for (int k = out_slot_begin_[p]; k < out_slot_begin_[p + 1]; ++k) {
-    const double* to = &required_[at<NC>(slot_to_[k], 0)];
-    const double* delay = &delay_[at<NC>(k, 0)];
-    for (int c = 0; c < nc; ++c) req[c] = std::min(req[c], to[c] - delay[c]);
-  }
-  for (int c = 0; c < nc; ++c) {
-    if (req[c] == kInf) req[c] = effective_required_[c];  // endpoint
-  }
-}
-
-template <int NC, typename Kernel>
-void TimingGraph::store(std::vector<double>& values, int p, const Kernel& kernel) {
-  double* now = &values[at<NC>(p, 0)];
-  if constexpr (NC > 0) {
-    // A local array keeps the kernel's max/min chains in registers: written
-    // in place, every step would reload through pointers that may alias.
-    double fresh[NC];
-    kernel(p, fresh);
-    std::copy(fresh, fresh + NC, now);
-  } else {
-    kernel(p, now);  // reads other nodes' entries only
+  const int begin = out_slot_begin_[p];
+  const int end = out_slot_begin_[p + 1];
+  for (int c = 0; c < num_corners_; ++c) {
+    double required = kInf;
+    for (int k = begin; k < end; ++k) {
+      required = std::min(required, required_[slot(slot_to_[k], c)] - delay_[slot(k, c)]);
+    }
+    req[c] = required == kInf ? effective_required_[c] : required;  // kInf: endpoint
   }
 }
 
@@ -374,48 +348,40 @@ bool TimingGraph::refresh_effective_required() {
   return changed;
 }
 
-template <int NC>
 void TimingGraph::merge_slack(int p) {
   double worst = kInf;
-  for (int c = 0; c < corners<NC>(); ++c) {
-    const std::size_t i = at<NC>(p, c);
+  for (int c = 0; c < num_corners_; ++c) {
+    const std::size_t i = slot(p, c);
     worst = std::min(worst, required_[i] - arrival_[i]);
   }
   worst_slack_[p] = worst;
 }
 
-template <int NC>
 void TimingGraph::sweep_required() {
   // Arrival is final, so each node's slack merges as soon as its required
-  // time is.
-  const auto required = [this](int p, double* out) { required_into<NC>(p, out); };
+  // time is. A node's kernel reads only later levels' entries, so it
+  // writes its own in place.
   for (int lv = num_levels_ - 1; lv >= 0; --lv) {
-    for_range(level_begin_[lv], level_begin_[lv + 1], 64, [&](int p) {
-      store<NC>(required_, p, required);
-      merge_slack<NC>(p);
+    for_range(level_begin_[lv], level_begin_[lv + 1], 64, [this](int p) {
+      required_into(p, &required_[slot(p, 0)]);
+      merge_slack(p);
     });
   }
 }
 
 void TimingGraph::propagate_full() {
   obs::ScopedPhase phase("sta.propagate");
-  with_corner_count([this](auto nc) {
-    constexpr int NC = decltype(nc)::value;
-    const auto arrival = [this](int p, double* out) { arrival_into<NC>(p, out); };
-    for (int lv = 0; lv < num_levels_; ++lv) {
-      for_range(level_begin_[lv], level_begin_[lv + 1], 64,
-                [&](int p) { store<NC>(arrival_, p, arrival); });
-    }
-    refresh_effective_required();
-    sweep_required<NC>();
-  });
+  for (int lv = 0; lv < num_levels_; ++lv) {
+    for_range(level_begin_[lv], level_begin_[lv + 1], 64,
+              [this](int p) { arrival_into(p, &arrival_[slot(p, 0)]); });
+  }
+  refresh_effective_required();
+  sweep_required();
 }
 
-template <int NC>
 void TimingGraph::propagate_cones(const assign::AssignState& state,
                                   const std::vector<int>& dirty_nets) {
   const int n = num_nodes();
-  const int nc = corners<NC>();
 
   // --- Forward cone: arrival, level order, stop on bitwise equality -----
   // Frontier and touched flags are per position.
@@ -430,22 +396,20 @@ void TimingGraph::propagate_cones(const assign::AssignState& state,
   // Recomputes `values`' entry for p (all corners) with `kernel` and
   // reports whether any changed. "Unchanged" must mean bitwise-equal (the
   // contract): +0.0 == -0.0 compares equal but differs in bits, so signs
-  // are checked too. The fresh values go to a local array (see store()).
-  std::vector<double> scratch(NC > 0 ? 0 : static_cast<std::size_t>(nc));
+  // are checked too.
+  std::vector<double> fresh(static_cast<std::size_t>(num_corners_));
   auto recompute = [&](std::vector<double>& values, int p, auto&& kernel) {
-    double local[NC > 0 ? NC : 1];
-    double* fresh = NC > 0 ? local : scratch.data();
-    kernel(p, fresh);
-    double* now = &values[at<NC>(p, 0)];
+    kernel(p, fresh.data());
+    double* now = &values[slot(p, 0)];
     bool changed = false;
-    for (int c = 0; c < nc; ++c) {
+    for (int c = 0; c < num_corners_; ++c) {
       changed |= now[c] != fresh[c] || std::signbit(now[c]) != std::signbit(fresh[c]);
       now[c] = fresh[c];
     }
     return changed;
   };
-  const auto arrival = [this](int p, double* out) { arrival_into<NC>(p, out); };
-  const auto required = [this](int p, double* out) { required_into<NC>(p, out); };
+  const auto arrival = [this](int p, double* out) { arrival_into(p, out); };
+  const auto required = [this](int p, double* out) { required_into(p, out); };
   for (int p = 0; p < n; ++p) {  // positions are (level, id)-ordered
     if (!in_frontier[p]) continue;
     ++stats_.dirty_nodes;
@@ -462,7 +426,7 @@ void TimingGraph::propagate_cones(const assign::AssignState& state,
     // the backward cone is the whole graph. Sweep it as build() does —
     // bit-identical by construction — and merge every node's slack.
     stats_.dirty_nodes += n;
-    sweep_required<NC>();
+    sweep_required();
     return;
   }
   std::fill(in_frontier.begin(), in_frontier.end(), 0);
@@ -476,7 +440,7 @@ void TimingGraph::propagate_cones(const assign::AssignState& state,
     for (int i = in_pos_begin_[p]; i < in_pos_begin_[p + 1]; ++i) in_frontier[in_from_pos_[i]] = 1;
   }
   for (int p = 0; p < n; ++p) {
-    if (touched[p]) merge_slack<NC>(p);
+    if (touched[p]) merge_slack(p);
   }
 }
 
@@ -514,7 +478,7 @@ void TimingGraph::update(const assign::AssignState& state) {
   stats_.dirty_nodes = 0;
   if (!dirty_nets.empty()) {
     for (const int net : dirty_nets) retime_net(state, net);
-    with_corner_count([&](auto nc) { propagate_cones<decltype(nc)::value>(state, dirty_nets); });
+    propagate_cones(state, dirty_nets);
     dirty_counter.add(stats_.dirty_nodes);
   }
   worst_gauge.set(worst_slack());

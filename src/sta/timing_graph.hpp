@@ -158,45 +158,26 @@ class TimingGraph {
            static_cast<std::size_t>(c);
   }
 
-  void levelize();
+  /// Levelizes over the node-id CSR; `in_from` holds each in-edge's
+  /// source node (in_edge_'s order).
+  void levelize(const std::vector<int>& in_from);
   /// Lays out the level-ordered storage below from the node-id CSR and the
   /// levelization.
-  void order_storage();
+  void order_storage(const std::vector<int>& in_from);
   void retime_net(const assign::AssignState& state, int net);
   void propagate_full();
   bool refresh_effective_required();
 
-  // Propagation kernels, templated on the corner count: NC > 0 fixes it at
-  // compile time so the per-corner loops unroll, NC == 0 reads
-  // num_corners_. with_corner_count calls fn(std::integral_constant<int,
-  // NC>) for the graph's count. Kernels take a position.
-  template <typename Fn>
-  void with_corner_count(const Fn& fn);
-  template <int NC>
-  int corners() const {
-    return NC > 0 ? NC : num_corners_;
-  }
-  template <int NC>
-  std::size_t at(int i, int c) const {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(corners<NC>()) +
-           static_cast<std::size_t>(c);
-  }
-  /// p's arrival (required time) at every corner, into out[0, corners).
-  template <int NC>
+  // Propagation kernels, by position. arrival_into (required_into) writes
+  // p's arrival (required time) at every corner into out[0, corners); it
+  // reads other positions' entries only, so `out` may be p's own.
   void arrival_into(int p, double* out) const;
-  template <int NC>
   void required_into(int p, double* out) const;
-  /// Stores kernel(p, out)'s values as p's entry of `values`.
-  template <int NC, typename Kernel>
-  void store(std::vector<double>& values, int p, const Kernel& kernel);
-  template <int NC>
   void merge_slack(int p);
   /// Every required time in one reverse-level sweep, merging each slack.
-  template <int NC>
   void sweep_required();
   /// update()'s propagation after the dirty nets are re-timed: the
   /// forward cone, then the required sweep or the backward cone.
-  template <int NC>
   void propagate_cones(const assign::AssignState& state, const std::vector<int>& dirty_nets);
 
   const CornerSet* corners_ = nullptr;  // borrowed
@@ -215,11 +196,9 @@ class TimingGraph {
   std::vector<int> out_begin_;      // per node, size nodes+1
   std::vector<int> edge_to_;        // per edge
   std::vector<char> edge_enabled_;  // false = removed by cycle breaking
-  // Reverse adjacency: in-edge ids per node, ascending (CSR), each with
-  // its source node (what every in-edge walk reads next).
+  // Reverse adjacency: in-edge ids per node, ascending (CSR).
   std::vector<int> in_begin_;
   std::vector<int> in_edge_;
-  std::vector<int> in_from_;
 
   // Levelization: nodes sorted by (level, id), CSR over levels.
   std::vector<int> level_;

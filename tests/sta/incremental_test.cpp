@@ -1,5 +1,8 @@
 #include "src/sta/timing_graph.hpp"
 
+#include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,63 +133,138 @@ int worst_endpoint_net(const TimingGraph& graph) {
   return graph.node_net(worst);
 }
 
+// `count` corners with distinct scales, every one deriving its budget
+// (required_time < 0) or every one with an explicit budget. The counts the
+// tests sweep cover one corner, the usual two to four, and more.
+std::vector<RcCorner> corners_of(int count, bool derived) {
+  std::vector<RcCorner> corners;
+  for (int i = 0; i < count; ++i) {
+    RcCorner corner;
+    corner.name = std::string(1, static_cast<char>('a' + i));
+    corner.res_scale = 0.8 + 0.15 * i;
+    corner.cap_scale = 1.2 - 0.05 * i;
+    corner.driver_scale = 0.95 + 0.05 * i;
+    corner.required_time = derived ? -1.0 : 1.0e4 + 2.5e3 * i;
+    corners.push_back(corner);
+  }
+  return corners;
+}
+
+constexpr int kCornerCounts[] = {1, 2, 3, 4, 5};
+
 // Every corner derives its budget: an edit on the critical path moves the
 // budget, the update re-sweeps every required time, and the result is a
 // fresh build's, bit for bit — after a one-net edit and after many-net
-// edits.
+// edits, at every corner count.
 TEST(IncrementalSta, DerivedBudgetUpdatesEqualAFreshBuild) {
-  core::Prepared run = sta_bench();
-  const std::vector<RcCorner> derived = {{"slow", 1.3, 1.2, 1.1, -1.0},
-                                         {"fast", 0.8, 0.9, 0.95, -1.0}};
-  CornerSet set(*run.rc, derived);
-  TimingGraph graph;
-  graph.build(*run.state, set);
+  for (const int count : kCornerCounts) {
+    SCOPED_TRACE(count);
+    core::Prepared run = sta_bench();
+    CornerSet set(*run.rc, corners_of(count, /*derived=*/true));
+    TimingGraph graph;
+    graph.build(*run.state, set);
+    ASSERT_EQ(graph.num_corners(), count);
 
-  Rng rng(77);
-  for (int step = 0; step < 6; ++step) {
-    SCOPED_TRACE(step);
-    const double budget_before = graph.corner_required(0);
-    if (step % 2 == 0) {
-      flip_first_segment(run.state.get(), worst_endpoint_net(graph));
-    } else {
-      mutate_random_layers(run.state.get(), &rng, 0.2);
+    Rng rng(77);
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE(step);
+      const double budget_before = graph.corner_required(0);
+      if (step % 2 == 0) {
+        flip_first_segment(run.state.get(), worst_endpoint_net(graph));
+      } else {
+        mutate_random_layers(run.state.get(), &rng, 0.2);
+      }
+      graph.update(*run.state);
+      if (step % 2 == 0) {
+        EXPECT_NE(graph.corner_required(0), budget_before);
+        EXPECT_EQ(graph.stats().dirty_nets, 1);
+      }
+      // A moved budget re-sweeps the whole backward pass.
+      if (graph.corner_required(0) != budget_before) {
+        EXPECT_GE(graph.stats().dirty_nodes, graph.num_nodes());
+      }
+      TimingGraph fresh;
+      fresh.build(*run.state, set);
+      expect_graphs_bit_identical(graph, fresh);
     }
-    graph.update(*run.state);
-    if (step % 2 == 0) {
-      EXPECT_NE(graph.corner_required(0), budget_before);
-      EXPECT_EQ(graph.stats().dirty_nets, 1);
-    }
-    // A moved budget re-sweeps the whole backward pass.
-    if (graph.corner_required(0) != budget_before) {
-      EXPECT_GE(graph.stats().dirty_nodes, graph.num_nodes());
-    }
-    TimingGraph fresh;
-    fresh.build(*run.state, set);
-    expect_graphs_bit_identical(graph, fresh);
+    EXPECT_EQ(graph.stats().builds, 1);
   }
-  EXPECT_EQ(graph.stats().builds, 1);
 }
 
 // With explicit budgets nothing moves the required times at the endpoints,
 // so a one-net edit re-propagates only its cones, stopping where values
-// come out bitwise equal.
+// come out bitwise equal; many-net edits stay bit-identical too.
 TEST(IncrementalSta, ExplicitBudgetKeepsTheUpdateInsideTheCones) {
-  core::Prepared run = sta_bench();
-  const std::vector<RcCorner> fixed = {{"slow", 1.3, 1.2, 1.1, 2.0e4},
-                                       {"fast", 0.8, 0.9, 0.95, 1.0e4}};
-  CornerSet set(*run.rc, fixed);
-  TimingGraph graph;
-  graph.build(*run.state, set);
+  for (const int count : kCornerCounts) {
+    SCOPED_TRACE(count);
+    core::Prepared run = sta_bench();
+    CornerSet set(*run.rc, corners_of(count, /*derived=*/false));
+    TimingGraph graph;
+    graph.build(*run.state, set);
+    ASSERT_EQ(graph.num_corners(), count);
 
-  flip_first_segment(run.state.get(), worst_endpoint_net(graph));
-  graph.update(*run.state);
-  EXPECT_EQ(graph.stats().dirty_nets, 1);
-  EXPECT_GT(graph.stats().dirty_nodes, 0);
-  EXPECT_LT(graph.stats().dirty_nodes, graph.num_nodes());
+    flip_first_segment(run.state.get(), worst_endpoint_net(graph));
+    graph.update(*run.state);
+    EXPECT_EQ(graph.stats().dirty_nets, 1);
+    EXPECT_GT(graph.stats().dirty_nodes, 0);
+    EXPECT_LT(graph.stats().dirty_nodes, graph.num_nodes());
+    TimingGraph fresh;
+    fresh.build(*run.state, set);
+    expect_graphs_bit_identical(graph, fresh);
 
-  TimingGraph fresh;
-  fresh.build(*run.state, set);
-  expect_graphs_bit_identical(graph, fresh);
+    Rng rng(78);
+    mutate_random_layers(run.state.get(), &rng, 0.2);
+    graph.update(*run.state);
+    TimingGraph fresh_after_churn;
+    fresh_after_churn.build(*run.state, set);
+    expect_graphs_bit_identical(graph, fresh_after_churn);
+  }
+}
+
+// Corners never mix: each corner of `graph` times exactly as a one-corner
+// graph of that corner alone, and the merge is the min over corners. An
+// oracle outside the kernels' corner striding, which a fresh build()
+// shares with update().
+void expect_each_corner_times_alone(const TimingGraph& graph, const core::Prepared& run,
+                                    const std::vector<RcCorner>& corners) {
+  for (int c = 0; c < graph.num_corners(); ++c) {
+    SCOPED_TRACE(c);
+    CornerSet one(*run.rc, {corners[static_cast<std::size_t>(c)]});
+    TimingGraph alone;
+    alone.build(*run.state, one);
+    ASSERT_EQ(alone.num_nodes(), graph.num_nodes());
+    ASSERT_TRUE(same_bits(graph.corner_required(c), alone.corner_required(0)));
+    for (int v = 0; v < graph.num_nodes(); ++v) {
+      ASSERT_TRUE(same_bits(graph.arrival(c, v), alone.arrival(0, v))) << "arrival node " << v;
+      ASSERT_TRUE(same_bits(graph.required(c, v), alone.required(0, v))) << "required node " << v;
+    }
+    for (int e = 0; e < graph.num_edges(); ++e) {
+      ASSERT_TRUE(same_bits(graph.edge_delay(c, e), alone.edge_delay(0, e))) << "edge " << e;
+    }
+  }
+  for (int v = 0; v < graph.num_nodes(); ++v) {
+    double worst = std::numeric_limits<double>::infinity();
+    for (int c = 0; c < graph.num_corners(); ++c) worst = std::min(worst, graph.slack(c, v));
+    ASSERT_TRUE(same_bits(graph.worst_slack(v), worst)) << "worst node " << v;
+  }
+}
+
+TEST(IncrementalSta, EachCornerTimesAsItWouldAloneAtEveryCornerCount) {
+  for (const bool derived : {true, false}) {
+    for (const int count : kCornerCounts) {
+      SCOPED_TRACE(testing::Message() << (derived ? "derived " : "explicit ") << count);
+      core::Prepared run = sta_bench();
+      const std::vector<RcCorner> corners = corners_of(count, derived);
+      CornerSet set(*run.rc, corners);
+      TimingGraph graph;
+      graph.build(*run.state, set);
+      expect_each_corner_times_alone(graph, run, corners);
+
+      flip_first_segment(run.state.get(), worst_endpoint_net(graph));
+      graph.update(*run.state);
+      expect_each_corner_times_alone(graph, run, corners);
+    }
+  }
 }
 
 TEST(IncrementalSta, TopologyInvalidationForcesARebuild) {
